@@ -46,11 +46,6 @@ class LinearClassifier:
         return self.predict_proba_many(features)[0]
 
 
-def predict_proba(clf, features: np.ndarray) -> np.ndarray:
-    """Distribution over classes for one feature vector."""
-    return clf.predict_proba(np.asarray(features, dtype=float))
-
-
 def fit_logistic(
     x: np.ndarray,
     y: np.ndarray,
@@ -269,12 +264,11 @@ def synthesize_candidates(
         rng_seed = base + k
         fraction = fractions[(k - 1) % len(fractions)]
         subsample_size = min(max(int(math.ceil(fraction * n_l)), 1), n_l)
+        featurizer = featurizers[(k - 1) % len(featurizers)]
         if category == Category.STRUCTURAL:
-            featurizer = featurizers[(k - 1) % len(featurizers)]
             l2 = regs[(k - 1) % len(regs)]
             width = 0
         else:
-            featurizer = featurizers[(k - 1) % len(featurizers)]
             l2 = training["l2"]
             width = widths[(k - 1) % len(widths)]
         try:

@@ -11,10 +11,10 @@ import sys
 import time
 
 from .config import PipelineConfig
-from .corpus import LabeledExample, LabelSpace, load_dataset, save_dataset
+from .corpus import LabelSpace, load_dataset, save_dataset
 from .errors import IdAlignment, LabelForgeError
 from .label_model import load_labels_jsonl
-from .metrics import label_quality, weighted_f1, write_report_json
+from .metrics import evaluate_labeling, write_report_json
 from .pipeline import StageError, run_pipeline
 from .synth import make_noisy_corpus, make_separable_corpus
 
@@ -45,6 +45,9 @@ def _load_inputs(args) -> tuple[PipelineConfig, object]:
     else:
         labels = _infer_labels(args.data, args.data_format)
     dataset = load_dataset(args.data, args.data_format, labels)
+    seed_classes = {ex.gold for ex in dataset.seed}
+    if len(seed_classes) < 2:
+        raise ValueError(f"seed set covers {len(seed_classes)} class(es); at least 2 needed")
     return config, dataset
 
 
@@ -176,28 +179,11 @@ def cmd_eval(args) -> int:
     gold_map = dict(dataset.unlabeled_gold)
     for ex in list(dataset.seed) + list(dataset.test):
         gold_map.setdefault(ex.doc.id, ex.gold)
-    if set(doc_ids) - set(gold_map):
-        _write_error(os.path.dirname(args.out) or ".", "eval", IdAlignment("labels reference unknown doc ids"))
-        return EXIT_ALIGNMENT
-
-    covered = [p.covered for p in probs]
-    coverage_val = sum(covered) / len(covered) if covered else 0.0
-    pred, truth = [], []
-    for p, doc_id in zip(probs, doc_ids):
-        if p.covered:
-            pred.append(int(p.dist.argmax()))
-            truth.append(gold_map[doc_id])
-    if pred:
-        per_class, weighted = weighted_f1(pred, truth, labels_space.num_classes)
-    else:
-        per_class, weighted = [0.0] * labels_space.num_classes, 0.0
-    report = {
-        "coverage": coverage_val,
-        "per_class_f1": per_class,
-        "weighted_f1": weighted,
-        "label_quality": label_quality(coverage_val, weighted),
-        "n_evaluated": len(pred),
-    }
+    try:
+        report = evaluate_labeling(probs, doc_ids, gold_map).to_json()
+    except (IdAlignment, ValueError) as exc:
+        _write_error(os.path.dirname(args.out) or ".", "eval", exc)
+        return EXIT_ALIGNMENT if isinstance(exc, IdAlignment) else EXIT_INPUT
     write_report_json(args.out, report)
     print(json.dumps(report))
     return EXIT_OK

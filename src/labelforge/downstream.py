@@ -7,7 +7,6 @@ Rows the label model left uncovered are excluded from training by default.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -139,7 +138,3 @@ def export_predictions_jsonl(path: str, clf: MlpClassifier, docs: list[Document]
                 "pred": labels.name_of(int(np.argmax(dist))),
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def features_digest(x: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16]

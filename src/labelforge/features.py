@@ -201,16 +201,23 @@ class RemoteEmbedder:
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def _load_cache(self):
+        """Load cached vectors; a record counts once its newline is on disk."""
         try:
-            with open(self.cache_path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    if rec.get("provider_hash") == self.config_hash():
-                        self._cache[rec["doc_id"]] = rec["vector"]
+            with open(self.cache_path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
-            pass
+            return
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            # A write cut short: drop the fragment so the next append starts a line.
+            with open(self.cache_path, "r+b") as fh:
+                fh.truncate(end)
+        for line in data[:end].splitlines():
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            if rec.get("provider_hash") == self.config_hash():
+                self._cache[rec["doc_id"]] = rec["vector"]
 
     def _append_cache(self, doc_id: str, vector: list[float]):
         if not self.cache_path:
@@ -231,10 +238,6 @@ class RemoteEmbedder:
         self._cache[doc.id] = vector
         self._append_cache(doc.id, vector)
         return np.asarray(vector, dtype=float)
-
-
-def embed(provider, doc: Document) -> np.ndarray:
-    return provider.embed(doc)
 
 
 class TfidfFeaturizer:

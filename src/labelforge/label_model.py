@@ -44,9 +44,6 @@ class DawidSkene:
     kind: str = "dawid_skene"
 
 
-LabelModelKind = MajorityVote | WeightedMajorityVote | DawidSkene
-
-
 @dataclass
 class DawidSkeneModel:
     """Class priors plus one row-stochastic confusion matrix per LF."""
@@ -59,28 +56,24 @@ class DawidSkeneModel:
     log_likelihood_history: list[float] = field(default_factory=list)
 
 
-def _vote_mass(matrix: LabelMatrix, num_classes: int, weights: np.ndarray) -> np.ndarray:
-    n, m = matrix.entries.shape
+def _vote_mass(entries: np.ndarray, num_classes: int, weights: np.ndarray) -> np.ndarray:
+    n, m = entries.shape
     mass = np.zeros((n, num_classes))
     for j in range(m):
-        col = matrix.entries[:, j]
+        col = entries[:, j]
         voted = col != ABSTAIN
         np.add.at(mass, (np.flatnonzero(voted), col[voted]), weights[j])
     return mass
 
 
-def _log_likelihood(
-    entries: np.ndarray, priors: np.ndarray, confusion: np.ndarray
-) -> float:
-    n, m = entries.shape
-    num_classes = len(priors)
-    log_joint = np.tile(np.log(priors + 1e-300), (n, 1))
-    for j in range(m):
+def _log_joint(entries: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> np.ndarray:
+    """log p(y=c) + sum over voting LFs of log p(vote | y=c), one row per item."""
+    log_joint = np.tile(np.log(priors + 1e-300), (entries.shape[0], 1))
+    for j in range(entries.shape[1]):
         col = entries[:, j]
         voted = col != ABSTAIN
         log_joint[voted] += np.log(confusion[j][:, col[voted]].T + 1e-300)
-    row_max = log_joint.max(axis=1, keepdims=True)
-    return float(np.sum(row_max[:, 0] + np.log(np.exp(log_joint - row_max).sum(axis=1))))
+    return log_joint
 
 
 def fit_dawid_skene(
@@ -98,13 +91,9 @@ def fit_dawid_skene(
     if not covered.any():
         raise NoSignal("every matrix entry is ABSTAIN")
     entries = entries[covered]
-    n, m = entries.shape
+    m = entries.shape[1]
 
-    mass = np.zeros((n, num_classes))
-    for j in range(m):
-        col = entries[:, j]
-        voted = col != ABSTAIN
-        np.add.at(mass, (np.flatnonzero(voted), col[voted]), 1.0)
+    mass = _vote_mass(entries, num_classes, np.ones(m))
     totals = mass.sum(axis=1, keepdims=True)
     posteriors = np.where(totals > 0, mass / np.maximum(totals, 1e-300), 1.0 / num_classes)
 
@@ -130,17 +119,13 @@ def fit_dawid_skene(
             counts += DS_SMOOTHING
             confusion[j] = counts / counts.sum(axis=1, keepdims=True)
 
-        ll_history.append(_log_likelihood(entries, priors, confusion))
-
-        # E-step: row posteriors from priors and confusion matrices
-        log_joint = np.tile(np.log(priors), (n, 1))
-        for j in range(m):
-            col = entries[:, j]
-            voted = col != ABSTAIN
-            log_joint[voted] += np.log(confusion[j][:, col[voted]].T + 1e-300)
-        log_joint -= log_joint.max(axis=1, keepdims=True)
-        new_posteriors = np.exp(log_joint)
-        new_posteriors /= new_posteriors.sum(axis=1, keepdims=True)
+        # E-step: the log-likelihood and row posteriors share one log-joint
+        log_joint = _log_joint(entries, priors, confusion)
+        row_max = log_joint.max(axis=1, keepdims=True)
+        new_posteriors = np.exp(log_joint - row_max)
+        row_sum = new_posteriors.sum(axis=1, keepdims=True)
+        ll_history.append(float(np.sum(row_max[:, 0] + np.log(row_sum[:, 0]))))
+        new_posteriors /= row_sum
 
         delta = float(np.max(np.abs(new_posteriors - posteriors)))
         posteriors = new_posteriors
@@ -159,7 +144,9 @@ def fit_dawid_skene(
 
 
 def aggregate(
-    matrix: LabelMatrix, kind: LabelModelKind, labels: LabelSpace
+    matrix: LabelMatrix,
+    kind: MajorityVote | WeightedMajorityVote | DawidSkene,
+    labels: LabelSpace,
 ) -> list[ProbabilisticLabel]:
     """Map each matrix row to a distribution over classes."""
     if matrix.n_rows == 0 or matrix.n_cols == 0:
@@ -179,7 +166,7 @@ def aggregate(
                 raise AllWeightsZero("weighted vote needs a positive weight")
         else:
             weights = np.ones(matrix.n_cols)
-        mass = _vote_mass(matrix, num_classes, weights)
+        mass = _vote_mass(matrix.entries, num_classes, weights)
         totals = mass.sum(axis=1, keepdims=True)
         dists = np.where(totals > 0, mass / np.maximum(totals, 1e-300), uniform)
     else:

@@ -61,13 +61,8 @@ class LabelFunction:
         }
 
 
-def apply_lf(lf: LabelFunction, doc: Document) -> int:
-    """Evaluate one LF on one document; deterministic and total."""
-    return int(lf.rule.apply(doc))
-
-
 def apply_lf_many(lf: LabelFunction, docs: list[Document]) -> np.ndarray:
-    """Vectorized apply_lf; rules may provide an apply_many fast path."""
+    """Votes of one LF on each doc; rules may provide an apply_many fast path."""
     if hasattr(lf.rule, "apply_many"):
         return np.asarray(lf.rule.apply_many(docs), dtype=int)
     return np.array([lf.rule.apply(d) for d in docs], dtype=int)

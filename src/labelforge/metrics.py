@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LabeledExample
 from .errors import IdAlignment, LengthMismatch
 from .lf_core import ABSTAIN, LabelMatrix
 from .label_model import ProbabilisticLabel, hard_labels
@@ -93,24 +93,29 @@ def label_quality(cov: float, weighted: float) -> float:
 
 
 def evaluate_labeling(
-    matrix: LabelMatrix,
     probs: list[ProbabilisticLabel],
-    gold: list[LabeledExample],
+    doc_ids: list[str],
+    gold: Mapping[str, int],
 ) -> EvalReport:
-    """Score aggregated labels against gold aligned by document id."""
-    gold_by_id = {ex.doc.id: ex.gold for ex in gold}
-    if len(gold_by_id) != len(gold) or set(gold_by_id) != set(matrix.row_ids):
-        raise IdAlignment("gold examples do not align with matrix rows")
-    if len(probs) != matrix.n_rows:
-        raise IdAlignment("probabilistic labels do not align with matrix rows")
+    """Score aggregated labels against gold looked up by document id.
+
+    Coverage is the fraction of labels flagged covered; F1 runs over the
+    covered rows only.
+    """
+    if not probs:
+        raise ValueError("evaluate_labeling needs at least one label")
+    if len(probs) != len(doc_ids):
+        raise IdAlignment("probabilistic labels do not align with their doc ids")
+    missing = set(doc_ids) - set(gold)
+    if missing:
+        raise IdAlignment(f"{len(missing)} labeled doc ids have no gold label")
     num_classes = probs[0].dist.shape[0]
-    hard = hard_labels(probs)
     pred, truth = [], []
-    for (cls, covered), doc_id in zip(hard, matrix.row_ids):
+    for (cls, covered), doc_id in zip(hard_labels(probs), doc_ids):
         if covered:
             pred.append(cls)
-            truth.append(gold_by_id[doc_id])
-    cov = coverage(matrix)
+            truth.append(gold[doc_id])
+    cov = float(np.mean([p.covered for p in probs]))
     if pred:
         per_class, weighted = weighted_f1(pred, truth, num_classes)
         confusion = confusion_counts(pred, truth, num_classes).tolist()

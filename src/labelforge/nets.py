@@ -94,11 +94,3 @@ class MlpNet:
                 self.b1 -= lr * gb1
             self.loss_history.append(epoch_loss / max(batches, 1))
         return self
-
-    def weights_digest(self) -> list[float]:
-        return [
-            float(np.sum(self.w1)),
-            float(np.sum(self.b1)),
-            float(np.sum(self.w2)),
-            float(np.sum(self.b2)),
-        ]

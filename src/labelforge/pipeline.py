@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
 
 from . import metrics as metrics_mod
 from .candidates import build_featurizers, synthesize_candidates
 from .config import PipelineConfig, RunManifest, file_digest
-from .corpus import Dataset, LabeledExample
+from .corpus import Dataset
 from .downstream import (
     DownstreamConfig,
     evaluate_e2e,
@@ -48,25 +48,18 @@ class StageError(LabelForgeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-@dataclass
-class _Timings:
-    seconds: dict
-
-    def stage(self, name: str):
-        timings = self.seconds
-
-        class _Ctx:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return self
-
-            def __exit__(self, exc_type, exc, tb):
-                timings[name] = timings.get(name, 0.0) + time.perf_counter() - self.start
-                if exc is not None and not isinstance(exc, StageError):
-                    raise StageError(name, exc) from exc
-                return False
-
-        return _Ctx()
+@contextmanager
+def _stage(seconds: dict, name: str):
+    """Accumulate a stage's wall seconds; wrap any failure as a StageError."""
+    start = time.perf_counter()
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    finally:
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
 
 
 def build_provider(config: PipelineConfig, dataset: Dataset):
@@ -96,7 +89,7 @@ def build_generators(config: PipelineConfig, dataset: Dataset, featurizers: dict
     )
     skip_sink: list[dict] = []
 
-    def surface_gen(round_index: int, hint):
+    def surface_gen(round_index: int):
         try:
             rules = generate_surface_lfs(provider, request, round_index=round_index)
         except (ProviderUnreachable, MalformedProviderReply) as exc:
@@ -113,7 +106,7 @@ def build_generators(config: PipelineConfig, dataset: Dataset, featurizers: dict
         ]
 
     def classifier_gen(category: Category):
-        def gen(round_index: int, hint):
+        def gen(round_index: int):
             lfs, skips = synthesize_candidates(
                 category,
                 dataset,
@@ -176,12 +169,12 @@ def run_pipeline(
 ) -> dict:
     """Execute every stage and write artifacts; returns the summary dict."""
     os.makedirs(out_dir, exist_ok=True)
-    timings = _Timings(seconds={})
+    seconds: dict[str, float] = {}
     manifest = RunManifest(config_hash=config.config_hash())
     if dataset_path:
         manifest.input_digests["dataset"] = file_digest(dataset_path)
 
-    with timings.stage("featurize"):
+    with _stage(seconds, "featurize"):
         featurizers = {
             Category.STRUCTURAL: build_featurizers(Category.STRUCTURAL, dataset, config),
             Category.SEMANTIC: build_featurizers(Category.SEMANTIC, dataset, config),
@@ -190,30 +183,28 @@ def run_pipeline(
             config, dataset, featurizers[Category.STRUCTURAL]
         )
 
-    with timings.stage("explore_exploit"):
+    with _stage(seconds, "explore_exploit"):
         generators, skip_sink = build_generators(config, dataset, featurizers)
         pool, reports = run_exploitation_loop(dataset, config, generators)
         pool.skip_reports.extend(skip_sink)
 
-    with timings.stage("matrix"):
+    with _stage(seconds, "matrix"):
         lfs = pool.all_lfs()
         matrix = build_label_matrix(lfs, dataset.unlabeled)
 
-    with timings.stage("aggregate"):
+    with _stage(seconds, "aggregate"):
         kind = label_model_kind(config, lfs)
         probs = aggregate(matrix, kind, dataset.labels)
 
-    with timings.stage("metrics"):
+    with _stage(seconds, "metrics"):
         labeling_report = None
         gold_ids = set(dataset.unlabeled_gold)
         if gold_ids and gold_ids == set(matrix.row_ids):
-            gold = [
-                LabeledExample(doc=doc, gold=dataset.unlabeled_gold[doc.id])
-                for doc in dataset.unlabeled
-            ]
-            labeling_report = metrics_mod.evaluate_labeling(matrix, probs, gold)
+            labeling_report = metrics_mod.evaluate_labeling(
+                probs, matrix.row_ids, dataset.unlabeled_gold
+            )
 
-    with timings.stage("downstream"):
+    with _stage(seconds, "downstream"):
         ds_cfg = DownstreamConfig(
             hidden=config.downstream["hidden"],
             epochs=config.downstream["epochs"],
@@ -225,7 +216,7 @@ def run_pipeline(
         clf = train_downstream(probs, dataset.unlabeled, end_featurizer, ds_cfg)
         e2e_report = evaluate_e2e(clf, dataset.test) if dataset.test else None
 
-    with timings.stage("write"):
+    with _stage(seconds, "write"):
         paths = {
             "lf_pool": os.path.join(out_dir, "lf_pool.json"),
             "filter_reports": os.path.join(out_dir, "filter_reports.json"),
@@ -282,10 +273,10 @@ def run_pipeline(
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             },
         )
-        manifest.stage_seconds = dict(timings.seconds)
+        manifest.stage_seconds = dict(seconds)
         manifest.artifacts = paths
         manifest.write_atomic(paths["manifest"])
 
-    summary["stage_seconds"] = timings.seconds
+    summary["stage_seconds"] = seconds
     summary["artifacts"] = paths
     return summary

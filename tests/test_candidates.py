@@ -8,7 +8,6 @@ from labelforge.candidates import (
     LinearClassifier,
     calibrate_threshold,
     fit_logistic,
-    predict_proba,
     synthesize_candidates,
     threshold_grid,
     train_candidate,
@@ -73,14 +72,14 @@ def test_whm_is_a_mean_and_monotone():
 
 def test_predict_proba_softmax_of_zeros():
     clf = LinearClassifier(weights=np.zeros((3, 4)), bias=np.zeros(3))
-    probs = predict_proba(clf, np.ones(4))
+    probs = clf.predict_proba(np.ones(4))
     assert np.allclose(probs, 1 / 3)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_predict_proba_bias_dominates():
     clf = LinearClassifier(weights=np.zeros((2, 3)), bias=np.array([10.0, 0.0]))
-    probs = predict_proba(clf, np.zeros(3))
+    probs = clf.predict_proba(np.zeros(3))
     assert probs[0] > 0.9999
     assert probs[0] == pytest.approx(1 / (1 + math.exp(-10)))
 
@@ -88,7 +87,7 @@ def test_predict_proba_bias_dominates():
 def test_predict_proba_dimension_mismatch():
     clf = LinearClassifier(weights=np.zeros((2, 3)), bias=np.zeros(2))
     with pytest.raises(DimensionMismatch):
-        predict_proba(clf, np.zeros(4))
+        clf.predict_proba(np.zeros(4))
 
 
 def test_train_on_separable_data_fits_perfectly():

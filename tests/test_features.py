@@ -177,6 +177,40 @@ def test_remote_embedder_cache(tmp_path):
     assert calls == ["hello"]
 
 
+def test_remote_embedder_cache_survives_torn_last_line(tmp_path):
+    calls = []
+
+    def transport(endpoint, payload, timeout):
+        calls.append(payload["input"])
+        return {"embedding": [float(len(payload["input"])), 1.0]}
+
+    def embedder():
+        return RemoteEmbedder(endpoint="http://x", model="m", dim=2, cache_path=cache,
+                              transport=transport)
+
+    cache = str(tmp_path / "cache.jsonl")
+    first = embedder()
+    first.embed(doc("a", "1"))
+    first.embed(doc("bb", "2"))
+    torn = json.dumps({"doc_id": "3", "provider_hash": first.config_hash(), "vector": [3.0, 1.0]})
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write(torn[: len(torn) // 2])
+
+    embedder().embed(doc("dddd", "4"))  # loads records 1-2, then appends record 4
+    assert calls == ["a", "bb", "dddd"]
+    again = embedder()
+    for text, doc_id in (("a", "1"), ("bb", "2"), ("dddd", "4")):
+        assert again.embed(doc(text, doc_id)).tolist() == [float(len(text)), 1.0]
+    assert calls == ["a", "bb", "dddd"]
+    assert all(json.loads(line) for line in open(cache, encoding="utf-8"))
+
+    lines = open(cache, encoding="utf-8").read().splitlines(keepends=True)
+    with open(cache, "w", encoding="utf-8") as fh:
+        fh.write(lines[0] + "not json\n" + lines[1])
+    with pytest.raises(json.JSONDecodeError):  # damage mid-file is not a torn write
+        embedder()
+
+
 def test_remote_embedder_unreachable():
     def transport(endpoint, payload, timeout):
         raise OSError("down")

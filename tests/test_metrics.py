@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from labelforge.corpus import Document, LabeledExample
 from labelforge.errors import IdAlignment, LengthMismatch
 from labelforge.label_model import ProbabilisticLabel
 from labelforge.lf_core import ABSTAIN, LabelMatrix
@@ -123,17 +122,16 @@ def probs_for(hard, covered):
     return out
 
 
-def gold_for(matrix_rows, labels):
-    return [
-        LabeledExample(doc=Document(id=f"d{i}", text=""), gold=g)
-        for i, g in enumerate(labels)
-    ]
+IDS = ["d0", "d1"]
+
+
+def gold_for(labels):
+    return {f"d{i}": g for i, g in enumerate(labels)}
 
 
 def test_evaluate_labeling_perfect():
-    m = matrix([[0], [1]])
     probs = probs_for([0, 1], [True, True])
-    report = evaluate_labeling(m, probs, gold_for(m, [0, 1]))
+    report = evaluate_labeling(probs, IDS, gold_for([0, 1]))
     assert report.coverage == 1.0
     assert report.weighted_f1 == 1.0
     assert report.label_quality == 1.0
@@ -141,21 +139,19 @@ def test_evaluate_labeling_perfect():
 
 
 def test_evaluate_labeling_half_covered_quality():
-    m = matrix([[0], [ABSTAIN]])
     probs = probs_for([0, 0], [True, False])
-    report = evaluate_labeling(m, probs, gold_for(m, [0, 1]))
+    report = evaluate_labeling(probs, IDS, gold_for([0, 1]))
     assert report.coverage == pytest.approx(0.5)
     assert report.weighted_f1 == 1.0  # covered rows only
     assert report.label_quality == pytest.approx(0.5)
 
 
 def test_evaluate_labeling_id_alignment():
-    m = matrix([[0], [1]])
     probs = probs_for([0, 1], [True, True])
-    wrong_gold = [LabeledExample(doc=Document(id="zz", text=""), gold=0),
-                  LabeledExample(doc=Document(id="d1", text=""), gold=1)]
     with pytest.raises(IdAlignment):
-        evaluate_labeling(m, probs, wrong_gold)
+        evaluate_labeling(probs, IDS, {"zz": 0, "d1": 1})
+    with pytest.raises(IdAlignment):
+        evaluate_labeling(probs, IDS[:1], gold_for([0, 1]))
 
 
 def test_ledger_append(tmp_path):

@@ -104,9 +104,50 @@ def test_cmd_eval_matches_run_report(run_env):
                  "--data", run_env["data"], "--out", eval_out])
     assert code == 0
     eval_report = json.load(open(eval_out))
-    assert eval_report["coverage"] == pytest.approx(report["coverage"])
-    assert eval_report["weighted_f1"] == pytest.approx(report["weighted_f1"])
-    assert eval_report["label_quality"] == pytest.approx(report["label_quality"])
+    assert eval_report["coverage"] == report["coverage"]
+    assert eval_report["weighted_f1"] == report["weighted_f1"]
+    assert eval_report["label_quality"] == report["label_quality"]
+    assert eval_report == report["labeling_report"]
+
+
+def test_single_class_seed_fails_at_ingest(run_env, tmp_path):
+    ds = make_separable_corpus(4, n_unlabeled=60, n_seed=12, n_test=10)
+    ds.seed = [ex for ex in ds.seed if ex.gold == ds.seed[0].gold]
+    data = str(tmp_path / "one_class_seed.jsonl")
+    save_dataset(ds, data)
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", run_env["config"], "--data", data, "--out", out]) == 2
+    assert json.load(open(os.path.join(out, "error.json")))["stage"] == "ingest"
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", run_env["config"], "--data", data, "--out", out,
+                 "--param", "alpha", "--values", "0.5"]) == 2
+    assert json.load(open(os.path.join(out, "error.json")))["stage"] == "sweep"
+
+
+def test_failing_stage_reported_under_its_name(run_env, tmp_path, monkeypatch):
+    import labelforge.pipeline as pipeline_mod
+
+    def broken_aggregate(*args, **kwargs):
+        raise RuntimeError("aggregator exploded")
+
+    stage_seconds = {}
+    real_stage = pipeline_mod._stage
+
+    def spy_stage(seconds, name):
+        stage_seconds["seen"] = seconds
+        return real_stage(seconds, name)
+
+    monkeypatch.setattr(pipeline_mod, "aggregate", broken_aggregate)
+    monkeypatch.setattr(pipeline_mod, "_stage", spy_stage)
+    out = str(tmp_path / "broken")
+    assert main(["run", "--config", run_env["config"], "--data", run_env["data"],
+                 "--out", out]) == 1
+    err = json.load(open(os.path.join(out, "error.json")))
+    assert err["stage"] == "aggregate"
+    assert "aggregator exploded" in err["error"]
+    seconds = stage_seconds["seen"]
+    assert list(seconds) == ["featurize", "explore_exploit", "matrix", "aggregate"]
+    assert all(v >= 0.0 for v in seconds.values())
 
 
 def test_cmd_eval_misaligned_ids(run_env, tmp_path):

@@ -15,7 +15,10 @@ import numpy as np
 
 from .corpus import Dataset, Document, LabeledExample
 from .errors import DegenerateSubsample, DimensionMismatch
-from .lf_core import ABSTAIN, EPS, Category, LabelFunction, estimate_accuracy, estimate_coverage
+from .features import (
+    EmbeddingFeaturizer, HashingEmbedder, RemoteEmbedder, TfidfFeaturizer, Tokenizer, fit_tfidf,
+)
+from .lf_core import ABSTAIN, EPS, Category, LabelFunction
 from .nets import MlpNet, cross_entropy, softmax
 
 
@@ -41,9 +44,6 @@ class LinearClassifier:
         if x.shape[1] != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[1]}")
         return softmax(x @ self.weights.T + self.bias)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return self.predict_proba_many(features)[0]
 
 
 def fit_logistic(
@@ -141,16 +141,7 @@ class CalibratedClassifierLF:
     featurizer: object
     omega: float = 0.0
 
-    def apply(self, doc: Document) -> int:
-        probs = self.classifier.predict_proba_many(
-            self.featurizer.transform(doc)[None, :]
-        )[0]
-        top = int(np.argmax(probs))
-        return top if float(probs[top]) > self.omega else ABSTAIN
-
     def apply_many(self, docs: list[Document]) -> np.ndarray:
-        if not docs:
-            return np.zeros(0, dtype=int)
         probs = self.classifier.predict_proba_many(self.featurizer.transform_many(docs))
         votes = probs.argmax(axis=1)
         votes[probs.max(axis=1) <= self.omega] = ABSTAIN
@@ -304,23 +295,12 @@ def synthesize_candidates(
                 "featurization": featurizer.describe(),
             },
         )
-        lf.est_accuracy = estimate_accuracy(lf, dataset.seed)
-        lf.est_coverage = estimate_coverage(lf, dataset.unlabeled)
         lfs.append(lf)
     return lfs, skips
 
 
 def build_featurizers(category: Category, dataset: Dataset, config) -> list:
     """Fit the featurizer variants a category's candidates draw from."""
-    from .features import (
-        EmbeddingFeaturizer,
-        HashingEmbedder,
-        RemoteEmbedder,
-        TfidfFeaturizer,
-        Tokenizer,
-        fit_tfidf,
-    )
-
     if category == Category.STRUCTURAL:
         tokenizer = Tokenizer(min_token_len=config.tfidf["min_token_len"])
         out = []

@@ -192,16 +192,10 @@ def cmd_eval(args) -> int:
 def cmd_gen_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     made = {}
-    if args.kind in ("separable", "both"):
-        ds = make_separable_corpus(args.seed)
-        path = os.path.join(args.out, "separable.jsonl")
-        save_dataset(ds, path)
-        made["separable"] = path
-    if args.kind in ("noisy", "both"):
-        ds = make_noisy_corpus(args.seed)
-        path = os.path.join(args.out, "noisy.jsonl")
-        save_dataset(ds, path)
-        made["noisy"] = path
+    for kind, make in (("separable", make_separable_corpus), ("noisy", make_noisy_corpus)):
+        if args.kind in (kind, "both"):
+            made[kind] = os.path.join(args.out, f"{kind}.jsonl")
+            save_dataset(make(args.seed), made[kind])
     print(json.dumps(made))
     return EXIT_OK
 
@@ -211,24 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute the full pipeline on one dataset")
-    run.add_argument("--config", required=True)
-    run.add_argument("--data", required=True)
-    run.add_argument("--out", required=True)
-    run.add_argument("--data-format", default="jsonl", choices=["jsonl", "csv"])
-    run.add_argument("--seed-override", type=int, default=None)
-    run.add_argument("--dataset-name", default="")
     run.set_defaults(func=cmd_run)
-
     sweep = sub.add_parser("sweep", help="re-run the pipeline across one parameter")
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--data", required=True)
-    sweep.add_argument("--out", required=True)
     sweep.add_argument("--param", required=True, choices=["alpha", "beta", "k", "abstain"])
     sweep.add_argument("--values", required=True, help="comma-separated values")
-    sweep.add_argument("--data-format", default="jsonl", choices=["jsonl", "csv"])
-    sweep.add_argument("--seed-override", type=int, default=None)
-    sweep.add_argument("--dataset-name", default="")
     sweep.set_defaults(func=cmd_sweep)
+    for pipeline_cmd in (run, sweep):
+        pipeline_cmd.add_argument("--config", required=True)
+        pipeline_cmd.add_argument("--data", required=True)
+        pipeline_cmd.add_argument("--out", required=True)
+        pipeline_cmd.add_argument("--data-format", default="jsonl", choices=["jsonl", "csv"])
+        pipeline_cmd.add_argument("--seed-override", type=int, default=None)
+        pipeline_cmd.add_argument("--dataset-name", default="")
 
     evl = sub.add_parser("eval", help="score an exported labels file against gold")
     evl.add_argument("--labels", required=True)

@@ -6,7 +6,9 @@ import dataclasses
 import hashlib
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from .errors import ConfigError
 
@@ -130,12 +132,23 @@ class RunManifest:
     status: str = "ok"
 
     def write_atomic(self, path: str) -> None:
-        payload = dataclasses.asdict(self)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
+        write_atomic(path, lambda fh: fh.write(text))
+
+
+def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:
+    """Run ``write(fh)`` on a temp file, then rename it over ``path``.
+
+    A failure part-way leaves ``path`` as it was and removes the temp file.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
         os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def file_digest(path: str) -> str:

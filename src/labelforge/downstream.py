@@ -41,9 +41,6 @@ class MlpClassifier:
     def predict_proba_docs(self, docs: list[Document]) -> np.ndarray:
         return self.net.forward(self.featurizer.transform_many(docs))
 
-    def predict_docs(self, docs: list[Document]) -> np.ndarray:
-        return self.predict_proba_docs(docs).argmax(axis=1)
-
     def checkpoint(self, path: str, config_hash: str = "") -> None:
         payload = {
             "dim_in": self.net.dim_in,
@@ -107,12 +104,11 @@ def train_downstream(
     return MlpClassifier(net=net, featurizer=featurizer, config=config)
 
 
-def evaluate_e2e(clf: MlpClassifier, test: list[LabeledExample], featurizer=None) -> EvalReport:
+def evaluate_e2e(clf: MlpClassifier, test: list[LabeledExample]) -> EvalReport:
     """Weighted F1 of argmax predictions against the held-out gold labels."""
     if not test:
         raise ValueError("evaluate_e2e needs a non-empty test split")
-    featurizer = featurizer or clf.featurizer
-    probs = clf.net.forward(featurizer.transform_many([ex.doc for ex in test]))
+    probs = clf.predict_proba_docs([ex.doc for ex in test])
     pred = probs.argmax(axis=1).tolist()
     gold = [ex.gold for ex in test]
     num_classes = clf.net.num_classes

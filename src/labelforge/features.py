@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .corpus import Document
-from .errors import EmptyVocabulary, ProviderUnreachable
+from .errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -217,6 +217,11 @@ class RemoteEmbedder:
                 continue
             rec = json.loads(line)
             if rec.get("provider_hash") == self.config_hash():
+                if len(rec["vector"]) != self.dim:
+                    raise DimensionMismatch(
+                        f"cached vector for {rec['doc_id']!r} has {len(rec['vector'])} values, "
+                        f"expected {self.dim}"
+                    )
                 self._cache[rec["doc_id"]] = rec["vector"]
 
     def _append_cache(self, doc_id: str, vector: list[float]):
@@ -234,61 +239,71 @@ class RemoteEmbedder:
             reply = self.transport(self.endpoint, payload, self.timeout)
         except Exception as exc:
             raise ProviderUnreachable(f"embedding service failed: {exc}") from exc
-        vector = list(map(float, reply["embedding"]))
+        vector = reply.get("embedding") if isinstance(reply, dict) else None
+        if not isinstance(vector, list):
+            raise ProviderUnreachable("embedding service reply holds no embedding list")
+        if len(vector) != self.dim:
+            raise DimensionMismatch(
+                f"embedding service returned {len(vector)} values, expected {self.dim}"
+            )
+        vector = [float(v) for v in vector]
         self._cache[doc.id] = vector
         self._append_cache(doc.id, vector)
         return np.asarray(vector, dtype=float)
 
 
-class TfidfFeaturizer:
-    """Doc -> TF-IDF vector, memoized by document id."""
+class Featurizer:
+    """Doc -> feature vector; each doc id is vectorized once into one row table.
 
+    Subclasses supply ``kind``, ``vectorize(doc)`` and ``describe()``.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._row_of: dict[str, int] = {}
+        self._table = np.zeros((0, dim))
+
+    def transform_many(self, docs: list[Document]) -> np.ndarray:
+        """Rows for ``docs`` as a fresh array, vectorizing only unseen doc ids."""
+        row_of = self._row_of
+        fresh: dict[str, Document] = {}
+        for doc in docs:
+            if doc.id not in row_of:
+                fresh.setdefault(doc.id, doc)
+        if fresh:
+            start = len(row_of)
+            table = np.empty((start + len(fresh), self.dim))
+            table[:start] = self._table
+            for row, doc in enumerate(fresh.values(), start):
+                table[row] = self.vectorize(doc)
+                row_of[doc.id] = row
+            self._table = table
+        return self._table[[row_of[d.id] for d in docs]]
+
+
+class TfidfFeaturizer(Featurizer):
     kind = "tfidf"
 
     def __init__(self, model: TfidfModel):
         self.model = model
-        self._memo: dict[str, np.ndarray] = {}
+        super().__init__(model.dim)
 
-    @property
-    def dim(self) -> int:
-        return self.model.dim
-
-    def transform(self, doc: Document) -> np.ndarray:
-        vec = self._memo.get(doc.id)
-        if vec is None:
-            vec = transform_tfidf(self.model, doc)
-            self._memo[doc.id] = vec
-        return vec
-
-    def transform_many(self, docs: list[Document]) -> np.ndarray:
-        return np.stack([self.transform(d) for d in docs]) if docs else np.zeros((0, self.dim))
+    def vectorize(self, doc: Document) -> np.ndarray:
+        return transform_tfidf(self.model, doc)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "ngram_range": list(self.model.ngram_range), "dim": self.dim}
 
 
-class EmbeddingFeaturizer:
-    """Doc -> embedding vector, memoized by document id."""
-
+class EmbeddingFeaturizer(Featurizer):
     kind = "embedding"
 
     def __init__(self, provider):
         self.provider = provider
-        self._memo: dict[str, np.ndarray] = {}
+        super().__init__(provider.dim)
 
-    @property
-    def dim(self) -> int:
-        return self.provider.dim
-
-    def transform(self, doc: Document) -> np.ndarray:
-        vec = self._memo.get(doc.id)
-        if vec is None:
-            vec = self.provider.embed(doc)
-            self._memo[doc.id] = vec
-        return vec
-
-    def transform_many(self, docs: list[Document]) -> np.ndarray:
-        return np.stack([self.transform(d) for d in docs]) if docs else np.zeros((0, self.dim))
+    def vectorize(self, doc: Document) -> np.ndarray:
+        return self.provider.embed(doc)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "provider": type(self.provider).__name__, "dim": self.dim}

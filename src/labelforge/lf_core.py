@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Document, LabeledExample
-from .errors import EmptyLfSet
+from .errors import EmptyLfSet, LengthMismatch
 
 ABSTAIN = -1
 EPS = 1e-9
@@ -35,9 +35,11 @@ CATEGORIES = (Category.SURFACE, Category.STRUCTURAL, Category.SEMANTIC)
 class LabelFunction:
     """A category-tagged rule payload plus its estimated reliability.
 
-    ``rule`` must expose apply(doc) -> weak label; classifier rules also carry
-    the calibrated confidence threshold (mirrored here as ``threshold``).
-    est_accuracy/est_coverage are populated before exploitation filters run.
+    ``rule`` must expose apply_many(docs) -> one weak label per doc; classifier
+    rules also carry the calibrated confidence threshold (mirrored here as
+    ``threshold``). Scoring applies each LF once to the unlabeled pool and keeps
+    that vote column as ``votes`` (outside describe() and equality); est_coverage,
+    dedup agreement and the label matrix all read it.
     """
 
     id: str
@@ -47,6 +49,7 @@ class LabelFunction:
     est_accuracy: float | None = None
     est_coverage: float | None = None
     meta: dict = field(default_factory=dict)
+    votes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def describe(self) -> dict:
         payload = self.rule.describe() if hasattr(self.rule, "describe") else {}
@@ -62,10 +65,8 @@ class LabelFunction:
 
 
 def apply_lf_many(lf: LabelFunction, docs: list[Document]) -> np.ndarray:
-    """Votes of one LF on each doc; rules may provide an apply_many fast path."""
-    if hasattr(lf.rule, "apply_many"):
-        return np.asarray(lf.rule.apply_many(docs), dtype=int)
-    return np.array([lf.rule.apply(d) for d in docs], dtype=int)
+    """Votes of one LF on each doc."""
+    return np.asarray(lf.rule.apply_many(docs), dtype=int)
 
 
 @dataclass
@@ -92,17 +93,17 @@ class LabelMatrix:
                 fh.write(f"{doc_id},{cells}\n")
 
 
-def build_label_matrix(lfs: list[LabelFunction], docs: list[Document]) -> LabelMatrix:
-    """Apply every LF to every document; column order follows the LF list."""
+def build_label_matrix(lfs: list[LabelFunction], row_ids: list[str]) -> LabelMatrix:
+    """Stack the LFs' pool vote columns; column order follows the LF list."""
     if not lfs:
         raise EmptyLfSet("cannot build a label matrix from zero LFs")
-    columns = [apply_lf_many(lf, docs) for lf in lfs]
-    entries = np.stack(columns, axis=1) if docs else np.zeros((0, len(lfs)), dtype=int)
-    return LabelMatrix(
-        entries=entries,
-        row_ids=[d.id for d in docs],
-        col_ids=[lf.id for lf in lfs],
+    if any(lf.votes is None or len(lf.votes) != len(row_ids) for lf in lfs):
+        raise LengthMismatch("every LF needs one pool vote per matrix row")
+    entries = (
+        np.stack([lf.votes for lf in lfs], axis=1)
+        if row_ids else np.zeros((0, len(lfs)), dtype=int)
     )
+    return LabelMatrix(entries=entries, row_ids=list(row_ids), col_ids=[lf.id for lf in lfs])
 
 
 def estimate_accuracy(lf: LabelFunction, seed: list[LabeledExample]) -> float:
@@ -116,9 +117,8 @@ def estimate_accuracy(lf: LabelFunction, seed: list[LabeledExample]) -> float:
     return correct / (int(np.sum(voted)) + EPS)
 
 
-def estimate_coverage(lf: LabelFunction, docs: list[Document]) -> float:
-    """Fraction of documents receiving a non-abstain vote."""
-    if not docs:
-        raise ValueError("coverage estimation needs a non-empty doc list")
-    votes = apply_lf_many(lf, docs)
+def estimate_coverage(votes: np.ndarray) -> float:
+    """Fraction of a vote column that is not an abstain."""
+    if len(votes) == 0:
+        raise ValueError("coverage estimation needs a non-empty vote column")
     return float(np.mean(votes != ABSTAIN))

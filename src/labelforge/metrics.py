@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import write_atomic
 from .errors import IdAlignment, LengthMismatch
-from .lf_core import ABSTAIN, LabelMatrix
 from .label_model import ProbabilisticLabel, hard_labels
 
 
@@ -40,13 +39,6 @@ class EvalReport:
             "n_evaluated": self.n_evaluated,
             "f1_convention": self.f1_convention,
         }
-
-
-def coverage(matrix: LabelMatrix) -> float:
-    """Fraction of rows receiving at least one non-abstain vote."""
-    if matrix.n_rows == 0:
-        raise ValueError("coverage needs a non-empty matrix")
-    return float(np.mean((matrix.entries != ABSTAIN).any(axis=1)))
 
 
 def confusion_counts(pred: list[int], gold: list[int], num_classes: int) -> np.ndarray:
@@ -144,13 +136,21 @@ LEDGER_FIELDS = (
 
 
 def append_ledger_row(path: str, row: dict) -> None:
-    """Append one results row, writing the header on first use."""
-    exists = os.path.exists(path)
-    with open(path, "a", encoding="utf-8", newline="") as fh:
+    """Add one results row (header on first use); a crash mid-write keeps the old file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            previous = fh.read()
+    except FileNotFoundError:
+        previous = ""
+
+    def write(fh):
+        fh.write(previous)
         writer = csv.DictWriter(fh, fieldnames=LEDGER_FIELDS)
-        if not exists:
+        if not previous:
             writer.writeheader()
         writer.writerow({k: row.get(k, "") for k in LEDGER_FIELDS})
+
+    write_atomic(path, write)
 
 
 def write_report_json(path: str, payload: dict) -> None:

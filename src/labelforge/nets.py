@@ -50,9 +50,6 @@ class MlpNet:
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
-
     def fit(
         self,
         x: np.ndarray,

@@ -190,7 +190,7 @@ def run_pipeline(
 
     with _stage(seconds, "matrix"):
         lfs = pool.all_lfs()
-        matrix = build_label_matrix(lfs, dataset.unlabeled)
+        matrix = build_label_matrix(lfs, [d.id for d in dataset.unlabeled])
 
     with _stage(seconds, "aggregate"):
         kind = label_model_kind(config, lfs)

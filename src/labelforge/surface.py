@@ -15,6 +15,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import Document, LabelSpace
 from .errors import MalformedProviderReply, ProviderUnreachable
 from .features import tokenize
@@ -46,8 +48,8 @@ class SurfaceRule:
                 tokenize(p, min_token_len=1) for p in sorted(pats)
             ]
 
-    def apply(self, doc: Document) -> int:
-        return eval_surface(self, doc)
+    def apply_many(self, docs: list[Document]) -> np.ndarray:
+        return np.array([eval_surface(self, d) for d in docs], dtype=int)
 
     def describe(self) -> dict:
         return {
@@ -195,8 +197,6 @@ class OfflineSeededProvider:
     last_warnings: int = 0
 
     def generate(self, request: GenerationRequest, round_index: int = 0) -> list[SurfaceRule]:
-        import numpy as np
-
         ranked = class_token_log_odds(request.examples, request.class_names)
         num_classes = len(request.class_names)
         offset = round_index * self.top_t

@@ -33,7 +33,7 @@ from labelforge.label_model import (
     hard_labels,
 )
 from labelforge.lf_core import ABSTAIN, Category, LabelFunction, LabelMatrix
-from labelforge.metrics import coverage, label_quality, weighted_f1
+from labelforge.metrics import label_quality, weighted_f1
 from labelforge.pipeline import run_pipeline
 from labelforge.synth import (
     make_noisy_corpus,
@@ -67,6 +67,7 @@ def noisy_config(**kw):
 def test_criterion_1_formula_oracles():
     start = time.perf_counter()
     rng = np.random.default_rng(20240801)
+    three_classes = LabelSpace(("a", "b", "c"))
 
     class Stub:
         def __init__(self, acc):
@@ -102,7 +103,8 @@ def test_criterion_1_formula_oracles():
         oracle_cov = sum(
             1 for i in range(n) if any(entries[i, j] != ABSTAIN for j in range(m))
         ) / n
-        assert abs(coverage(matrix) - oracle_cov) < 1e-9
+        covered = [p.covered for p in aggregate(matrix, MajorityVote(), three_classes)]
+        assert abs(float(np.mean(covered)) - oracle_cov) < 1e-9
 
         size = int(rng.integers(1, 12))
         num_classes = int(rng.integers(2, 5))

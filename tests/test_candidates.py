@@ -16,6 +16,7 @@ from labelforge.candidates import (
 from labelforge.config import PipelineConfig
 from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace
 from labelforge.errors import DegenerateSubsample, DimensionMismatch
+from labelforge.exploitation import score_candidates
 from labelforge.lf_core import ABSTAIN, Category
 
 
@@ -72,14 +73,14 @@ def test_whm_is_a_mean_and_monotone():
 
 def test_predict_proba_softmax_of_zeros():
     clf = LinearClassifier(weights=np.zeros((3, 4)), bias=np.zeros(3))
-    probs = clf.predict_proba(np.ones(4))
+    probs = clf.predict_proba_many(np.ones(4))[0]
     assert np.allclose(probs, 1 / 3)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_predict_proba_bias_dominates():
     clf = LinearClassifier(weights=np.zeros((2, 3)), bias=np.array([10.0, 0.0]))
-    probs = clf.predict_proba(np.zeros(3))
+    probs = clf.predict_proba_many(np.zeros(3))[0]
     assert probs[0] > 0.9999
     assert probs[0] == pytest.approx(1 / (1 + math.exp(-10)))
 
@@ -87,7 +88,7 @@ def test_predict_proba_bias_dominates():
 def test_predict_proba_dimension_mismatch():
     clf = LinearClassifier(weights=np.zeros((2, 3)), bias=np.zeros(2))
     with pytest.raises(DimensionMismatch):
-        clf.predict_proba(np.zeros(4))
+        clf.predict_proba_many(np.zeros(4))
 
 
 def test_train_on_separable_data_fits_perfectly():
@@ -263,8 +264,6 @@ def test_coverage_is_nonincreasing_in_omega():
 def test_calibrated_lf_thresholding():
     clf_lf = make_fixed_lf([[0.55, 0.45], [0.9, 0.1]])
     clf_lf.omega = 0.6
-    assert clf_lf.apply(Document(id="i0", text="")) == ABSTAIN
-    assert clf_lf.apply(Document(id="i1", text="")) == 0
     votes = clf_lf.apply_many([Document(id="i0", text=""), Document(id="i1", text="")])
     assert votes.tolist() == [ABSTAIN, 0]
 
@@ -293,7 +292,10 @@ def test_synthesize_candidates_deterministic_and_seeded():
     ]
     assert skips == []
     again, _ = synthesize_candidates(Category.STRUCTURAL, ds, 3, cfg)
+    score_candidates(lfs, ds)
+    score_candidates(again, ds)
     assert [lf.est_accuracy for lf in again] == [lf.est_accuracy for lf in lfs]
+    assert [lf.votes.tolist() for lf in again] == [lf.votes.tolist() for lf in lfs]
     assert [lf.threshold for lf in again] == [lf.threshold for lf in lfs]
 
 
@@ -302,6 +304,7 @@ def test_synthesize_on_separable_data_estimates_perfect():
     cfg = PipelineConfig(base_seed=1)
     lfs, _ = synthesize_candidates(Category.STRUCTURAL, ds, 1, cfg)
     assert len(lfs) == 1
+    score_candidates(lfs, ds)
     assert lfs[0].est_accuracy == pytest.approx(1.0, abs=1e-6)
 
 
@@ -313,7 +316,10 @@ def test_synthesize_semantic_with_mlp_head():
     assert len(lfs) == 2
     assert lfs[0].meta["head_width"] == 0
     assert lfs[1].meta["head_width"] == 16
+    assert all(lf.est_accuracy is None and lf.votes is None for lf in lfs)  # scored later
+    score_candidates(lfs, ds)
     assert all(lf.est_accuracy is not None for lf in lfs)
+    assert all(len(lf.votes) == len(ds.unlabeled) for lf in lfs)
 
 
 def test_synthesize_all_degenerate_reports_skips():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labelforge.corpus import Document
-from labelforge.errors import EmptyVocabulary, ProviderUnreachable
+from labelforge.errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
 from labelforge.features import (
     EmbeddingFeaturizer,
     HashingEmbedder,
@@ -221,14 +221,58 @@ def test_remote_embedder_unreachable():
 
 
 def test_featurizer_memoization():
+    """Each doc id is vectorized once; rows come back from one table."""
     tok = Tokenizer(min_token_len=1)
     model = fit_tfidf([doc("a b", "1"), doc("b c", "2")], tokenizer=tok)
     feat = TfidfFeaturizer(model)
-    d = doc("a b", "1")
-    v1 = feat.transform(d)
-    assert feat.transform(d) is v1
-    matrix = feat.transform_many([doc("a b", "1"), doc("b c", "2")])
-    assert matrix.shape == (2, model.dim)
+    seen = []
+    vectorize = feat.vectorize
+    feat.vectorize = lambda d: seen.append(d.id) or vectorize(d)
+    first = feat.transform_many([doc("a b", "1")])
+    rows = feat.transform_many([doc("b c", "2"), doc("a b", "1"), doc("b c", "2")])
+    assert seen == ["1", "2"]
+    assert rows.shape == (3, model.dim)
+    assert np.array_equal(first[0], transform_tfidf(model, doc("a b", "1")))
+    assert np.array_equal(rows[1], first[0]) and np.array_equal(rows[0], rows[2])
+    rows[1] = 0.0  # rows come back as a fresh array, not a view of the table
+    assert np.array_equal(feat.transform_many([doc("a b", "1")]), first)
+    assert feat.transform_many([]).shape == (0, model.dim)
+    assert seen == ["1", "2"]
 
     efeat = EmbeddingFeaturizer(HashingEmbedder(dim=8))
-    assert efeat.transform_many([d]).shape == (1, 8)
+    assert efeat.transform_many([doc("a b", "1")]).shape == (1, 8)
+
+
+def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
+    replies = {
+        "good": {"embedding": [1.0, 2.0, 3.0]},
+        "short": {"embedding": [0.5]},
+        "missing": {"vector": [1.0, 2.0, 3.0]},
+        "scalar": {"embedding": 0.5},
+    }
+
+    def flaky(endpoint, payload, timeout):
+        return replies[payload["input"]]
+
+    def good(endpoint, payload, timeout):
+        return {"embedding": [float(len(payload["input"]))] * 3}
+
+    cache = str(tmp_path / "cache.jsonl")
+    emb = RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=flaky)
+    emb.embed(doc("good", "a"))
+    with pytest.raises(DimensionMismatch):
+        emb.embed(doc("short", "b"))
+    for text in ("missing", "scalar"):
+        with pytest.raises(ProviderUnreachable):
+            emb.embed(doc(text, text))
+    assert [json.loads(line)["doc_id"] for line in open(cache, encoding="utf-8")] == ["a"]
+
+    fresh = RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=good)
+    rows = EmbeddingFeaturizer(fresh).transform_many([doc("good", "a"), doc("short", "b")])
+    assert rows.tolist() == [[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]
+
+    short = {"doc_id": "z", "provider_hash": fresh.config_hash(), "vector": [0.5]}
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(short) + "\n")
+    with pytest.raises(DimensionMismatch):  # a cache written before replies were checked
+        RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=good)

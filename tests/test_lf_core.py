@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from labelforge.corpus import Document, LabeledExample
-from labelforge.errors import EmptyLfSet
+from labelforge.errors import EmptyLfSet, LengthMismatch
 from labelforge.lf_core import (
     ABSTAIN,
     Category,
     LabelFunction,
+    apply_lf_many,
     build_label_matrix,
     estimate_accuracy,
     estimate_coverage,
@@ -20,8 +21,8 @@ class FixedRule:
     def __init__(self, votes):
         self.votes = votes
 
-    def apply(self, doc):
-        return self.votes.get(doc.id, ABSTAIN)
+    def apply_many(self, docs):
+        return [self.votes.get(doc.id, ABSTAIN) for doc in docs]
 
 
 def lf(lf_id, votes, category=Category.SURFACE):
@@ -32,17 +33,25 @@ def docs(n):
     return [Document(id=f"d{i}", text=f"text {i}") for i in range(n)]
 
 
+def matrix_of(lfs, ds):
+    """Give each LF its vote column on ds, then stack the columns."""
+    for one in lfs:
+        one.votes = apply_lf_many(one, ds)
+    return build_label_matrix(lfs, [d.id for d in ds])
+
+
 def test_apply_lf_keyword_rule():
     rule = SurfaceRule(patterns={0: {"excellent"}}, match_mode="token")
     sut = LabelFunction(id="s", category=Category.SURFACE, rule=rule)
-    assert sut.rule.apply(Document(id="a", text="excellent food")) == 0
-    assert sut.rule.apply(Document(id="b", text="the weather")) == ABSTAIN
+    votes = apply_lf_many(sut, [Document(id="a", text="excellent food"),
+                                Document(id="b", text="the weather")])
+    assert votes.tolist() == [0, ABSTAIN]
 
 
 def test_build_label_matrix_elementwise():
     ds = docs(2)
     lfs = [lf("a", {"d0": 0, "d1": 1}), lf("b", {"d0": 1})]
-    matrix = build_label_matrix(lfs, ds)
+    matrix = matrix_of(lfs, ds)
     assert matrix.entries.tolist() == [[0, 1], [1, ABSTAIN]]
     assert matrix.row_ids == ["d0", "d1"]
     assert matrix.col_ids == ["a", "b"]
@@ -50,14 +59,24 @@ def test_build_label_matrix_elementwise():
 
 def test_build_label_matrix_empty_lfs():
     with pytest.raises(EmptyLfSet):
-        build_label_matrix([], docs(2))
+        build_label_matrix([], ["d0", "d1"])
+
+
+def test_build_label_matrix_needs_a_full_vote_column():
+    ds = docs(3)
+    one = lf("a", {"d0": 0})
+    with pytest.raises(LengthMismatch):
+        build_label_matrix([one], [d.id for d in ds])  # never scored
+    one.votes = apply_lf_many(one, ds[:2])
+    with pytest.raises(LengthMismatch):
+        build_label_matrix([one], [d.id for d in ds])
 
 
 def test_matrix_column_permutation_follows_lf_order():
     ds = docs(3)
     lfs = [lf("a", {"d0": 0}), lf("b", {"d1": 1}), lf("c", {"d2": 0})]
-    m1 = build_label_matrix(lfs, ds)
-    m2 = build_label_matrix(list(reversed(lfs)), ds)
+    m1 = matrix_of(lfs, ds)
+    m2 = matrix_of(list(reversed(lfs)), ds)
     assert np.array_equal(m1.entries[:, ::-1], m2.entries)
     assert m2.col_ids == ["c", "b", "a"]
 
@@ -65,8 +84,8 @@ def test_matrix_column_permutation_follows_lf_order():
 def test_matrix_is_pure_function():
     ds = docs(4)
     lfs = [lf("a", {"d0": 0, "d3": 1}), lf("b", {"d1": 1})]
-    m1 = build_label_matrix(lfs, ds)
-    m2 = build_label_matrix(lfs, ds)
+    m1 = matrix_of(lfs, ds)
+    m2 = matrix_of(lfs, ds)
     assert np.array_equal(m1.entries, m2.entries)
 
 
@@ -92,9 +111,11 @@ def test_estimate_accuracy_perfect_within_eps():
 def test_estimate_coverage_counts():
     ds = docs(6)
     votes = {f"d{i}": 0 for i in range(4)}
-    assert estimate_coverage(lf("a", votes), ds) == pytest.approx(4 / 6)
-    assert estimate_coverage(lf("b", {}), ds) == 0.0
-    assert estimate_coverage(lf("c", {f"d{i}": 1 for i in range(6)}), ds) == 1.0
+    assert estimate_coverage(apply_lf_many(lf("a", votes), ds)) == pytest.approx(4 / 6)
+    assert estimate_coverage(apply_lf_many(lf("b", {}), ds)) == 0.0
+    assert estimate_coverage(apply_lf_many(lf("c", {f"d{i}": 1 for i in range(6)}), ds)) == 1.0
+    with pytest.raises(ValueError):
+        estimate_coverage(np.zeros(0, dtype=int))
 
 
 def test_matrix_column_coverage_matches_estimate():
@@ -107,9 +128,11 @@ def test_matrix_column_coverage_matches_estimate():
             if rng.random() < rng.random()
         }
         one = lf(f"lf{trial}", votes)
-        matrix = build_label_matrix([one], ds)
+        matrix = matrix_of([one], ds)
         col_cov = float(np.mean(matrix.entries[:, 0] != ABSTAIN))
-        assert col_cov == pytest.approx(estimate_coverage(one, ds))
+        oracle = sum(1 for d in ds if d.id in votes) / len(ds)
+        assert col_cov == pytest.approx(oracle)
+        assert estimate_coverage(one.votes) == pytest.approx(oracle)
 
 
 def test_accuracy_monotone_under_adding_correct_example():
@@ -134,7 +157,7 @@ def test_accuracy_monotone_under_adding_correct_example():
 def test_matrix_csv_export(tmp_path):
     ds = docs(2)
     lfs = [lf("a", {"d0": 0}), lf("b", {"d1": 1})]
-    matrix = build_label_matrix(lfs, ds)
+    matrix = matrix_of(lfs, ds)
     path = str(tmp_path / "m.csv")
     matrix.to_csv(path)
     lines = open(path).read().splitlines()

@@ -1,14 +1,15 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+from labelforge.corpus import LabelSpace
 from labelforge.errors import IdAlignment, LengthMismatch
-from labelforge.label_model import ProbabilisticLabel
+from labelforge.label_model import MajorityVote, ProbabilisticLabel, aggregate
 from labelforge.lf_core import ABSTAIN, LabelMatrix
 from labelforge.metrics import (
     append_ledger_row,
-    coverage,
     evaluate_labeling,
     label_quality,
     weighted_f1,
@@ -24,11 +25,16 @@ def matrix(rows):
     )
 
 
+def covered_share(rows):
+    """Coverage as report.json reports it: the share of aggregated rows flagged covered."""
+    probs = aggregate(matrix(rows), MajorityVote(), LabelSpace(("a", "b")))
+    return float(np.mean([p.covered for p in probs]))
+
+
 def test_coverage_row_counts():
-    m = matrix([[0, ABSTAIN], [ABSTAIN, 1], [ABSTAIN, ABSTAIN]])
-    assert coverage(m) == pytest.approx(2 / 3)
-    assert coverage(matrix([[ABSTAIN], [ABSTAIN]])) == 0.0
-    assert coverage(matrix([[0], [1]])) == 1.0
+    assert covered_share([[0, ABSTAIN], [ABSTAIN, 1], [ABSTAIN, ABSTAIN]]) == pytest.approx(2 / 3)
+    assert covered_share([[ABSTAIN], [ABSTAIN]]) == 0.0
+    assert covered_share([[0], [1]]) == 1.0
 
 
 def test_weighted_f1_perfect():
@@ -161,3 +167,40 @@ def test_ledger_append(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0].startswith("dataset,coverage")
     assert len(lines) == 3
+
+
+def test_ledger_write_failure_leaves_previous_ledger(tmp_path, monkeypatch):
+    path = str(tmp_path / "ledger.csv")
+    append_ledger_row(path, {"dataset": "x", "coverage": 1.0, "config_hash": "abc"})
+    before = open(path, "rb").read()
+
+    real_open = open
+
+    class TornFile:
+        """Writes half of what it is given, then fails like a crash mid-write."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("disk gone")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return TornFile(fh) if "w" in mode or "a" in mode else fh
+
+    monkeypatch.setattr("builtins.open", torn_open)
+    with pytest.raises(OSError):
+        append_ledger_row(path, {"dataset": "y", "coverage": 0.5, "config_hash": "def"})
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["ledger.csv"]
+    append_ledger_row(path, {"dataset": "y", "coverage": 0.5, "config_hash": "def"})
+    assert open(path).read().splitlines()[1:] == ["x,1.0,,,,abc,", "y,0.5,,,,def,"]

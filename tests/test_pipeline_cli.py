@@ -234,3 +234,55 @@ def test_run_manifest_atomic_and_timed(run_env):
     assert set(manifest["stage_seconds"]) >= {
         "featurize", "explore_exploit", "matrix", "aggregate", "metrics", "downstream",
     }
+
+
+def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path, monkeypatch):
+    from labelforge import exploitation, features, lf_core, pipeline
+    from labelforge.pipeline import run_pipeline
+
+    dataset = make_separable_corpus(3, n_unlabeled=300, n_seed=30, n_test=80)
+    pool_size = len(dataset.unlabeled)
+    counts = {"pool": 0, "in_matrix": 0}
+    in_matrix = []
+    real_apply = lf_core.apply_lf_many
+
+    def counting_apply(lf, docs):
+        counts["pool"] += len(docs) == pool_size
+        counts["in_matrix"] += bool(in_matrix)
+        return real_apply(lf, docs)
+
+    real_matrix = pipeline.build_label_matrix
+
+    def flagged_matrix(*args):
+        in_matrix.append(True)
+        try:
+            return real_matrix(*args)
+        finally:
+            in_matrix.pop()
+
+    vectorized = []
+    real_tfidf = features.transform_tfidf
+    real_embed = features.HashingEmbedder.embed
+
+    def counting_tfidf(model, doc):
+        vectorized.append((id(model), doc.id))
+        return real_tfidf(model, doc)
+
+    def counting_embed(self, doc):
+        vectorized.append((id(self), doc.id))
+        return real_embed(self, doc)
+
+    for module in (lf_core, exploitation):  # where the callers look it up
+        monkeypatch.setattr(module, "apply_lf_many", counting_apply)
+    monkeypatch.setattr(pipeline, "build_label_matrix", flagged_matrix)
+    monkeypatch.setattr(features, "transform_tfidf", counting_tfidf)
+    monkeypatch.setattr(features.HashingEmbedder, "embed", counting_embed)
+
+    out = str(tmp_path / "run")
+    summary = run_pipeline(small_config(), dataset, out)
+    reports = json.load(open(os.path.join(out, "filter_reports.json")))
+    generated = sum(sum(r["generated"].values()) for r in reports)
+    assert generated > 0 and summary["coverage"] > 0
+    assert counts["pool"] == generated
+    assert counts["in_matrix"] == 0
+    assert vectorized and len(vectorized) == len(set(vectorized))

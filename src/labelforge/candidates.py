@@ -3,7 +3,8 @@
 Each candidate is a lightweight probabilistic classifier trained on a random
 seed subsample, turned into a label function by a confidence threshold. The
 threshold is picked on a grid by maximizing the weighted harmonic mean of
-precision (on the seed) and coverage, with beta weighting precision.
+precision (on the seed) and coverage, with beta weighting precision, once
+``exploitation.score_candidates`` has the candidate's seed and pool probabilities.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class LinearClassifier:
     bias: np.ndarray  # C
     trained_on: dict = field(default_factory=dict)
     loss_history: list[float] = field(default_factory=list)
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
 
     @property
     def dim(self) -> int:
@@ -121,12 +118,18 @@ def train_candidate(
     return net
 
 
-def whm(precision: float, coverage: float, beta: float) -> float:
-    """Weighted harmonic mean (1+b^2) p c / (b^2 p + c); 0 on a zero denominator."""
-    denom = beta * beta * precision + coverage
-    if denom == 0:
-        return 0.0
-    return (1.0 + beta * beta) * precision * coverage / denom
+def whm(precision, coverage, beta: float):
+    """Weighted harmonic mean (1+b^2) p c / (b^2 p + c), elementwise; 0 on a zero denominator."""
+    denom = np.asarray(beta * beta * precision + coverage, dtype=float)
+    score = (1.0 + beta * beta) * precision * coverage
+    return np.divide(score, denom, out=np.zeros_like(denom), where=denom != 0)[()]
+
+
+def threshold_votes(probs: np.ndarray, omega: float) -> np.ndarray:
+    """Argmax class per row, ABSTAIN where the max probability is <= omega."""
+    votes = probs.argmax(axis=1)
+    votes[probs.max(axis=1) <= omega] = ABSTAIN
+    return votes
 
 
 @dataclass
@@ -141,11 +144,11 @@ class CalibratedClassifierLF:
     featurizer: object
     omega: float = 0.0
 
+    def predict_proba_docs(self, docs: list[Document]) -> np.ndarray:
+        return self.classifier.predict_proba_many(self.featurizer.transform_many(docs))
+
     def apply_many(self, docs: list[Document]) -> np.ndarray:
-        probs = self.classifier.predict_proba_many(self.featurizer.transform_many(docs))
-        votes = probs.argmax(axis=1)
-        votes[probs.max(axis=1) <= self.omega] = ABSTAIN
-        return votes
+        return threshold_votes(self.predict_proba_docs(docs), self.omega)
 
     def describe(self) -> dict:
         return {
@@ -159,13 +162,6 @@ class CalibratedClassifierLF:
 class CalibrationCurve:
     grid: list[tuple[float, float, float, float]]  # (omega, precision, coverage, whm)
     best_omega: float
-    beta: float
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("omega,precision,coverage,whm\n")
-            for omega, prec, cov, score in self.grid:
-                fh.write(f"{omega},{prec},{cov},{score}\n")
 
 
 def threshold_grid(grid_step: float) -> list[float]:
@@ -179,46 +175,37 @@ def threshold_grid(grid_step: float) -> list[float]:
 
 
 def calibrate_threshold(
-    clf_lf: CalibratedClassifierLF,
-    seed: list[LabeledExample],
-    unlabeled: list[Document],
+    seed_probs: np.ndarray,
+    gold,
+    pool_probs: np.ndarray,
     beta: float,
     grid_step: float = 0.01,
 ) -> CalibrationCurve:
     """Pick omega maximizing WHM(precision, coverage) over the threshold grid.
 
-    Precision comes from the seed; coverage from the unlabeled pool when the
-    seed is small (< 50 examples), from the seed otherwise. Ties resolve to
+    Reads class probabilities: seed rows (with their gold classes) and pool
+    rows. Precision comes from the seed; coverage from the unlabeled pool when
+    the seed is small (< 50 examples), from the seed otherwise. Ties resolve to
     the smallest omega so coverage is never given up for free.
     """
-    if not seed:
+    if len(seed_probs) == 0:
         raise ValueError("calibration needs a non-empty seed set")
-    probs = clf_lf.classifier.predict_proba_many(
-        clf_lf.featurizer.transform_many([ex.doc for ex in seed])
-    )
-    max_seed = probs.max(axis=1)
-    correct = probs.argmax(axis=1) == np.array([ex.gold for ex in seed])
+    omegas = np.array(threshold_grid(grid_step))
 
-    if len(seed) < 50 and unlabeled:
-        cov_probs = clf_lf.classifier.predict_proba_many(
-            clf_lf.featurizer.transform_many(unlabeled)
-        )
-        max_cov = cov_probs.max(axis=1)
-    else:
-        max_cov = max_seed
+    def above(values):  # how many values strictly exceed each omega
+        return len(values) - np.searchsorted(np.sort(values), omegas, side="right")
 
-    grid = []
+    max_seed = seed_probs.max(axis=1)
+    correct = seed_probs.argmax(axis=1) == np.asarray(gold)
+    max_cov = pool_probs.max(axis=1) if len(seed_probs) < 50 and len(pool_probs) else max_seed
+    prec = above(max_seed[correct]) / (above(max_seed) + EPS)
+    cov = above(max_cov) / len(max_cov)
+    grid = list(zip(omegas.tolist(), prec.tolist(), cov.tolist(), whm(prec, cov, beta).tolist()))
     best_omega, best_score = 0.0, -1.0
-    for omega in threshold_grid(grid_step):
-        voted = max_seed > omega
-        prec = float(np.sum(correct & voted)) / (float(np.sum(voted)) + EPS)
-        cov = float(np.mean(max_cov > omega))
-        score = whm(prec, cov, beta)
-        grid.append((omega, prec, cov, score))
+    for omega, _, _, score in grid:
         if score > best_score + 1e-15:
             best_score, best_omega = score, omega
-    clf_lf.omega = best_omega
-    return CalibrationCurve(grid=grid, best_omega=best_omega, beta=beta)
+    return CalibrationCurve(grid=grid, best_omega=best_omega)
 
 
 def synthesize_candidates(
@@ -229,12 +216,13 @@ def synthesize_candidates(
     featurizers: list | None = None,
     base_seed: int | None = None,
 ) -> tuple[list[LabelFunction], list[dict]]:
-    """Produce ``count`` calibrated classifier LFs for one category.
+    """Produce ``count`` trained classifier LFs for one category.
 
     Candidate k trains on the subsample drawn with rng seed base_seed + k and
     takes its variation (n-gram range and regularization for structural, head
     width for semantic) round-robin from the config lists. Degenerate
     subsamples are skipped, not fatal; skips come back as report dicts.
+    Omega stays 0 until ``score_candidates`` calibrates it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -277,25 +265,17 @@ def synthesize_candidates(
         except DegenerateSubsample as exc:
             skips.append({"candidate": k, "rng_seed": rng_seed, "reason": str(exc)})
             continue
-        clf_lf = CalibratedClassifierLF(classifier=clf, featurizer=featurizer)
-        calibrate_threshold(
-            clf_lf, dataset.seed, dataset.unlabeled, config.beta, config.grid_step
-        )
-        if not config.abstain_enabled:
-            clf_lf.omega = 0.0
-        lf = LabelFunction(
+        lfs.append(LabelFunction(
             id=f"{category.value}-s{rng_seed:05d}",
             category=category,
-            rule=clf_lf,
-            threshold=clf_lf.omega,
+            rule=CalibratedClassifierLF(classifier=clf, featurizer=featurizer),
             meta={
                 "l2": l2,
                 "head_width": width,
                 "subsample_size": subsample_size,
                 "featurization": featurizer.describe(),
             },
-        )
-        lfs.append(lf)
+        ))
     return lfs, skips
 
 

@@ -2,7 +2,7 @@
 
 Training minimizes soft-target cross-entropy against the aggregated label
 distributions (hard mode swaps in one-hot targets through the same loop).
-Rows the label model left uncovered are excluded from training by default.
+Rows the label model left uncovered are excluded from training.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class DownstreamConfig:
     lr: float = 0.01
     mode: str = "soft"  # "soft" | "hard"
     rng_seed: int = 0
-    include_uncovered: bool = False
 
 
 @dataclass
@@ -39,7 +38,7 @@ class MlpClassifier:
     config: DownstreamConfig = field(default_factory=DownstreamConfig)
 
     def predict_proba_docs(self, docs: list[Document]) -> np.ndarray:
-        return self.net.forward(self.featurizer.transform_many(docs))
+        return self.net.predict_proba_many(self.featurizer.transform_many(docs))
 
     def checkpoint(self, path: str, config_hash: str = "") -> None:
         payload = {
@@ -56,15 +55,13 @@ class MlpClassifier:
             json.dump(payload, fh)
 
 
-def build_targets(
-    probs: list[ProbabilisticLabel], mode: str, include_uncovered: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Select training rows and their target distributions.
+def build_targets(probs: list[ProbabilisticLabel], mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Select the covered rows and their target distributions.
 
     Returns (row indices, targets). Hard mode one-hot-encodes the argmax, so
     soft training with one-hot distributions is gradient-identical to it.
     """
-    keep = [i for i, p in enumerate(probs) if p.covered or include_uncovered]
+    keep = [i for i, p in enumerate(probs) if p.covered]
     if not keep:
         raise DegenerateTargets("no covered rows to train on")
     num_classes = probs[0].dist.shape[0]
@@ -89,7 +86,7 @@ def train_downstream(
     """Fit the MLP on probabilistic labels; deterministic for a fixed seed."""
     if len(probs) != len(docs):
         raise ValueError("probs and docs must align")
-    keep, targets = build_targets(probs, config.mode, config.include_uncovered)
+    keep, targets = build_targets(probs, config.mode)
     x = featurizer.transform_many([docs[i] for i in keep])
     num_classes = targets.shape[1]
     net = MlpNet(x.shape[1], config.hidden, num_classes, rng_seed=config.rng_seed)

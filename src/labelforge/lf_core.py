@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document, LabeledExample
+from .corpus import Document
 from .errors import EmptyLfSet, LengthMismatch
 
 ABSTAIN = -1
@@ -35,11 +35,12 @@ CATEGORIES = (Category.SURFACE, Category.STRUCTURAL, Category.SEMANTIC)
 class LabelFunction:
     """A category-tagged rule payload plus its estimated reliability.
 
-    ``rule`` must expose apply_many(docs) -> one weak label per doc; classifier
-    rules also carry the calibrated confidence threshold (mirrored here as
-    ``threshold``). Scoring applies each LF once to the unlabeled pool and keeps
-    that vote column as ``votes`` (outside describe() and equality); est_coverage,
-    dedup agreement and the label matrix all read it.
+    ``rule`` must expose apply_many(docs) -> one weak label per doc and
+    describe() -> its JSON payload; classifier rules also carry the calibrated
+    confidence threshold (mirrored here as ``threshold``). Scoring computes each
+    LF's votes once on the unlabeled pool and keeps that column as ``votes``
+    (outside describe() and equality); est_coverage, dedup agreement and the
+    label matrix all read it.
     """
 
     id: str
@@ -52,7 +53,6 @@ class LabelFunction:
     votes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def describe(self) -> dict:
-        payload = self.rule.describe() if hasattr(self.rule, "describe") else {}
         return {
             "id": self.id,
             "category": self.category.value,
@@ -60,7 +60,7 @@ class LabelFunction:
             "est_accuracy": self.est_accuracy,
             "est_coverage": self.est_coverage,
             "meta": self.meta,
-            "rule": payload,
+            "rule": self.rule.describe(),
         }
 
 
@@ -106,14 +106,12 @@ def build_label_matrix(lfs: list[LabelFunction], row_ids: list[str]) -> LabelMat
     return LabelMatrix(entries=entries, row_ids=list(row_ids), col_ids=[lf.id for lf in lfs])
 
 
-def estimate_accuracy(lf: LabelFunction, seed: list[LabeledExample]) -> float:
-    """Precision over covered seed examples: correct / (non-abstained + eps)."""
-    if not seed:
-        raise ValueError("accuracy estimation needs a non-empty seed set")
-    votes = apply_lf_many(lf, [ex.doc for ex in seed])
-    gold = np.array([ex.gold for ex in seed])
+def estimate_accuracy(votes: np.ndarray, gold) -> float:
+    """Precision of a seed vote column over its covered rows: correct / (non-abstained + eps)."""
+    if len(votes) == 0:
+        raise ValueError("accuracy estimation needs a non-empty seed vote column")
     voted = votes != ABSTAIN
-    correct = int(np.sum(voted & (votes == gold)))
+    correct = int(np.sum(voted & (votes == np.asarray(gold))))
     return correct / (int(np.sum(voted)) + EPS)
 
 

@@ -42,13 +42,10 @@ class MlpNet:
         self.b2 = np.zeros(num_classes)
         self.loss_history: list[float] = []
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         h = np.maximum(x @ self.w1 + self.b1, 0.0)
         return softmax(h @ self.w2 + self.b2)
-
-    def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
 
     def fit(
         self,

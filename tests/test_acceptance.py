@@ -187,16 +187,19 @@ def test_criterion_2_calibration_oracle():
         for i in range(n_unlabeled):
             table[f"u{i}"] = rng.normal(size=dim)
             unlabeled.append(Document(id=f"u{i}", text=""))
-        feat = _VectorFeaturizer(table)
-        clf_lf = CalibratedClassifierLF(classifier=clf, featurizer=feat)
+        clf_lf = CalibratedClassifierLF(classifier=clf, featurizer=_VectorFeaturizer(table))
         beta = float(rng.choice([0.0, 0.05, 0.1, 0.3, 1.0]))
-        curve = calibrate_threshold(clf_lf, seed, unlabeled, beta=beta, grid_step=0.01)
+        gold = [e.gold for e in seed]
+        seed_probs = clf_lf.predict_proba_docs([e.doc for e in seed])
+        pool_probs = (
+            clf_lf.predict_proba_docs(unlabeled) if unlabeled else np.zeros((0, num_classes))
+        )
+        curve = calibrate_threshold(seed_probs, gold, pool_probs, beta=beta, grid_step=0.01)
 
-        seed_probs = clf.predict_proba_many(feat.transform_many([e.doc for e in seed]))
         max_probs = seed_probs.max(axis=1).tolist()
-        correct = (seed_probs.argmax(axis=1) == np.array([e.gold for e in seed])).tolist()
+        correct = (seed_probs.argmax(axis=1) == np.array(gold)).tolist()
         if len(seed) < 50 and unlabeled:
-            cov_probs = clf.predict_proba_many(feat.transform_many(unlabeled)).max(axis=1).tolist()
+            cov_probs = pool_probs.max(axis=1).tolist()
         else:
             cov_probs = max_probs
         expected = _brute_force_omega(max_probs, correct, cov_probs, beta, 0.01)

@@ -18,6 +18,7 @@ from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace
 from labelforge.errors import DegenerateSubsample, DimensionMismatch
 from labelforge.exploitation import score_candidates
 from labelforge.lf_core import ABSTAIN, Category
+from labelforge.nets import MlpNet
 
 
 class IdentityFeaturizer:
@@ -177,36 +178,30 @@ def make_fixed_lf(probs):
     )
 
 
+NO_POOL = np.zeros((0, 2))
+
+
 def test_calibrate_flat_curve_picks_smallest_omega():
     # all max-probs 0.9 and perfect precision -> best omega 0
-    seed = [LabeledExample(doc=Document(id=f"i{k}", text=""), gold=0) for k in range(4)]
-    clf_lf = make_fixed_lf([[0.9, 0.1]] * 4)
-    curve = calibrate_threshold(clf_lf, seed, [], beta=0.1, grid_step=0.01)
+    curve = calibrate_threshold(np.array([[0.9, 0.1]] * 4), [0] * 4, NO_POOL,
+                                beta=0.1, grid_step=0.01)
     assert curve.best_omega == 0.0
-    assert clf_lf.omega == 0.0
 
 
 def test_calibrate_two_point_example():
     # max-probs ~0.6 (wrong) and 0.9 (right): raising omega past the wrong
     # prediction lifts precision 0.5 -> 1.0 while halving coverage, and
     # WHM(1.0, 0.5, 0.1) > WHM(0.5, 1.0, 0.1), so best omega lands in (0.6, 0.9]
-    seed = [
-        LabeledExample(doc=Document(id="i0", text=""), gold=1),  # predicted 0, wrong
-        LabeledExample(doc=Document(id="i1", text=""), gold=0),  # predicted 0, right
-    ]
-    clf_lf = make_fixed_lf([[0.605, 0.395], [0.9, 0.1]])
-    curve = calibrate_threshold(clf_lf, seed, [], beta=0.1, grid_step=0.01)
+    probs = np.array([[0.605, 0.395], [0.9, 0.1]])  # predicted 0 twice
+    gold = [1, 0]  # the first prediction is wrong, the second right
+    curve = calibrate_threshold(probs, gold, NO_POOL, beta=0.1, grid_step=0.01)
     assert 0.6 < curve.best_omega <= 0.9
     assert whm(1.0, 0.5, 0.1) > whm(0.5, 1.0, 0.1)
 
 
 def test_calibrate_beta_zero_maximizes_precision():
-    seed = [
-        LabeledExample(doc=Document(id="i0", text=""), gold=1),
-        LabeledExample(doc=Document(id="i1", text=""), gold=0),
-    ]
-    clf_lf = make_fixed_lf([[0.605, 0.395], [0.9, 0.1]])
-    curve = calibrate_threshold(clf_lf, seed, [], beta=0.0, grid_step=0.01)
+    probs = np.array([[0.605, 0.395], [0.9, 0.1]])
+    curve = calibrate_threshold(probs, [1, 0], NO_POOL, beta=0.0, grid_step=0.01)
     precisions = [p for _, p, _, _ in curve.grid]
     assert max(p for (o, p, c, w) in curve.grid if o == curve.best_omega) == max(precisions)
     assert 0.6 < curve.best_omega
@@ -240,14 +235,33 @@ def test_calibration_matches_brute_force_oracle():
             p = rng.uniform(0.34, 0.99)
             probs.append([p, 1 - p])
             gold.append(int(rng.integers(0, 2)))
-        seed = [LabeledExample(doc=Document(id=f"i{k}", text=""), gold=gold[k]) for k in range(n)]
-        clf_lf = make_fixed_lf(probs)
         beta = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
-        curve = calibrate_threshold(clf_lf, seed, [], beta=beta, grid_step=0.01)
+        curve = calibrate_threshold(np.array(probs), gold, NO_POOL, beta=beta, grid_step=0.01)
         max_probs = [max(p) for p in probs]
         correct = [int(np.argmax(p)) == g for p, g in zip(probs, gold)]
         expected = brute_force_best_omega(max_probs, correct, max_probs, beta, 0.01)
         assert curve.best_omega == pytest.approx(expected)
+
+
+def test_seed_of_50_takes_coverage_from_the_seed_even_with_a_pool():
+    # half the seed right at 0.9, half wrong at 0.605; every pool max is 0.55,
+    # so pool coverage would keep omega 0, seed coverage drops the wrong half
+    seed_probs = np.array([[0.9, 0.1]] * 25 + [[0.605, 0.395]] * 25)
+    gold = [0] * 25 + [1] * 25
+    pool_probs = np.array([[0.55, 0.45]] * 40)
+    max_seed = seed_probs.max(axis=1).tolist()
+    max_pool = pool_probs.max(axis=1).tolist()
+    correct = [g == 0 for g in gold]
+    by_seed = brute_force_best_omega(max_seed, correct, max_seed, 0.1, 0.01)
+    by_pool = brute_force_best_omega(max_seed, correct, max_pool, 0.1, 0.01)
+    assert 0.6 < by_seed < 0.9 and by_pool == 0.0
+    curve = calibrate_threshold(seed_probs, gold, pool_probs, beta=0.1, grid_step=0.01)
+    assert curve.best_omega == pytest.approx(by_seed)
+    # one seed row fewer and the pool decides
+    small = calibrate_threshold(seed_probs[1:], gold[1:], pool_probs, beta=0.1, grid_step=0.01)
+    assert small.best_omega == brute_force_best_omega(
+        max_seed[1:], correct[1:], max_pool, 0.1, 0.01
+    ) == 0.0
 
 
 def test_coverage_is_nonincreasing_in_omega():
@@ -255,8 +269,7 @@ def test_coverage_is_nonincreasing_in_omega():
     for _ in range(20):
         n = int(rng.integers(4, 30))
         probs = [[p, 1 - p] for p in rng.uniform(0.3, 1.0, size=n)]
-        seed = [LabeledExample(doc=Document(id=f"i{k}", text=""), gold=0) for k in range(n)]
-        curve = calibrate_threshold(make_fixed_lf(probs), seed, [], beta=0.1, grid_step=0.05)
+        curve = calibrate_threshold(np.array(probs), [0] * n, NO_POOL, beta=0.1, grid_step=0.05)
         covs = [c for _, _, c, _ in curve.grid]
         assert all(a >= b - 1e-12 for a, b in zip(covs, covs[1:]))
 
@@ -292,8 +305,8 @@ def test_synthesize_candidates_deterministic_and_seeded():
     ]
     assert skips == []
     again, _ = synthesize_candidates(Category.STRUCTURAL, ds, 3, cfg)
-    score_candidates(lfs, ds)
-    score_candidates(again, ds)
+    score_candidates(lfs, ds, cfg)
+    score_candidates(again, ds, cfg)
     assert [lf.est_accuracy for lf in again] == [lf.est_accuracy for lf in lfs]
     assert [lf.votes.tolist() for lf in again] == [lf.votes.tolist() for lf in lfs]
     assert [lf.threshold for lf in again] == [lf.threshold for lf in lfs]
@@ -304,7 +317,7 @@ def test_synthesize_on_separable_data_estimates_perfect():
     cfg = PipelineConfig(base_seed=1)
     lfs, _ = synthesize_candidates(Category.STRUCTURAL, ds, 1, cfg)
     assert len(lfs) == 1
-    score_candidates(lfs, ds)
+    score_candidates(lfs, ds, cfg)
     assert lfs[0].est_accuracy == pytest.approx(1.0, abs=1e-6)
 
 
@@ -317,7 +330,7 @@ def test_synthesize_semantic_with_mlp_head():
     assert lfs[0].meta["head_width"] == 0
     assert lfs[1].meta["head_width"] == 16
     assert all(lf.est_accuracy is None and lf.votes is None for lf in lfs)  # scored later
-    score_candidates(lfs, ds)
+    score_candidates(lfs, ds, cfg)
     assert all(lf.est_accuracy is not None for lf in lfs)
     assert all(len(lf.votes) == len(ds.unlabeled) for lf in lfs)
 
@@ -336,16 +349,31 @@ def test_abstain_disabled_zeroes_omega():
     ds = toy_dataset()
     cfg = PipelineConfig(base_seed=2, abstain_enabled=False)
     lfs, _ = synthesize_candidates(Category.SEMANTIC, ds, 2, cfg)
+    score_candidates(lfs, ds, cfg)
     assert all(lf.threshold == 0.0 for lf in lfs)
     assert all(lf.rule.omega == 0.0 for lf in lfs)
+    assert all(ABSTAIN not in lf.votes for lf in lfs)
 
 
-def test_calibration_curve_csv_export(tmp_path):
-    seed = [LabeledExample(doc=Document(id=f"i{k}", text=""), gold=0) for k in range(3)]
-    clf_lf = make_fixed_lf([[0.9, 0.1]] * 3)
-    curve = calibrate_threshold(clf_lf, seed, [], beta=0.1, grid_step=0.25)
-    path = str(tmp_path / "curve.csv")
-    curve.to_csv(path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "omega,precision,coverage,whm"
-    assert len(lines) == len(curve.grid) + 1
+def test_each_candidate_predicts_once_per_split(monkeypatch):
+    ds = toy_dataset()
+    cfg = PipelineConfig(base_seed=3)
+    cfg.candidate_training["semantic_head_widths"] = [0, 16]
+    rows_by_classifier = {}
+    for cls in (LinearClassifier, MlpNet):
+        def counting(self, x, real=cls.predict_proba_many):
+            rows_by_classifier.setdefault(id(self), []).append(len(x))
+            return real(self, x)
+
+        monkeypatch.setattr(cls, "predict_proba_many", counting)
+    lfs = []
+    for category in (Category.STRUCTURAL, Category.SEMANTIC):
+        made, _ = synthesize_candidates(category, ds, 2, cfg)
+        score_candidates(made, ds, cfg)
+        lfs.extend(made)
+    assert len(lfs) == 4
+    for lf in lfs:
+        assert sorted(rows_by_classifier[id(lf.rule.classifier)]) == [
+            len(ds.seed), len(ds.unlabeled),
+        ]
+        assert lf.threshold == lf.rule.omega

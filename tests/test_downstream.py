@@ -72,7 +72,7 @@ def test_soft_with_onehot_equals_hard_mode():
 def test_uncovered_rows_excluded():
     docs, probs, _ = corpus(20)
     probs[0] = ProbabilisticLabel(dist=np.array([0.5, 0.5]), covered=False)
-    keep, targets = build_targets(probs, "soft", include_uncovered=False)
+    keep, targets = build_targets(probs, "soft")
     assert 0 not in keep
     assert len(keep) == 19
 
@@ -81,10 +81,10 @@ def test_degenerate_targets():
     docs, _, _ = corpus(10)
     uncovered = [ProbabilisticLabel(dist=np.array([0.5, 0.5]), covered=False) for _ in docs]
     with pytest.raises(DegenerateTargets):
-        build_targets(uncovered, "soft", include_uncovered=False)
+        build_targets(uncovered, "soft")
     one_class = [ProbabilisticLabel(dist=np.array([0.9, 0.1]), covered=True) for _ in docs]
     with pytest.raises(DegenerateTargets):
-        build_targets(one_class, "soft", include_uncovered=False)
+        build_targets(one_class, "soft")
 
 
 def test_loss_trend_nonincreasing_tail():
@@ -108,7 +108,7 @@ def test_evaluate_e2e_constant_classifier():
     class ConstantNet:
         num_classes = 2
 
-        def forward(self, x):
+        def predict_proba_many(self, x):
             out = np.zeros((x.shape[0], 2))
             out[:, 0] = 1.0
             return out

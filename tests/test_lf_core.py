@@ -24,9 +24,18 @@ class FixedRule:
     def apply_many(self, docs):
         return [self.votes.get(doc.id, ABSTAIN) for doc in docs]
 
+    def describe(self):
+        return {"kind": "fixed"}
+
 
 def lf(lf_id, votes, category=Category.SURFACE):
     return LabelFunction(id=lf_id, category=category, rule=FixedRule(votes))
+
+
+def seed_accuracy(one, seed):
+    """Apply one LF to the seed docs, then score that vote column."""
+    votes = apply_lf_many(one, [ex.doc for ex in seed])
+    return estimate_accuracy(votes, [ex.gold for ex in seed])
 
 
 def docs(n):
@@ -93,18 +102,18 @@ def test_estimate_accuracy_hand_count():
     # votes on 4 of 6, 3 correct -> 3 / (4 + 1e-9)
     seed = [LabeledExample(doc=Document(id=f"d{i}", text=""), gold=0) for i in range(6)]
     votes = {"d0": 0, "d1": 0, "d2": 0, "d3": 1}
-    value = estimate_accuracy(lf("a", votes), seed)
+    value = seed_accuracy(lf("a", votes), seed)
     assert value == pytest.approx(3 / (4 + 1e-9))
 
 
 def test_estimate_accuracy_all_abstain_is_zero():
     seed = [LabeledExample(doc=Document(id="d0", text=""), gold=0)]
-    assert estimate_accuracy(lf("a", {}), seed) == 0.0
+    assert seed_accuracy(lf("a", {}), seed) == 0.0
 
 
 def test_estimate_accuracy_perfect_within_eps():
     seed = [LabeledExample(doc=Document(id=f"d{i}", text=""), gold=1) for i in range(5)]
-    value = estimate_accuracy(lf("a", {f"d{i}": 1 for i in range(5)}), seed)
+    value = seed_accuracy(lf("a", {f"d{i}": 1 for i in range(5)}), seed)
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -142,11 +151,11 @@ def test_accuracy_monotone_under_adding_correct_example():
         seed = [LabeledExample(doc=Document(id=f"d{i}", text=""), gold=int(rng.integers(0, 2)))
                 for i in range(n)]
         votes = {f"d{i}": int(rng.integers(0, 2)) for i in range(n) if rng.random() < 0.7}
-        base = estimate_accuracy(lf("a", votes), seed)
+        base = seed_accuracy(lf("a", votes), seed)
         extra = LabeledExample(doc=Document(id="extra", text=""), gold=0)
         votes_plus = dict(votes)
         votes_plus["extra"] = 0
-        grown = estimate_accuracy(lf("a", votes_plus), seed + [extra])
+        grown = seed_accuracy(lf("a", votes_plus), seed + [extra])
         # hand oracle on the grown sample
         correct = sum(1 for ex in seed + [extra] if votes_plus.get(ex.doc.id, ABSTAIN) == ex.gold)
         voted = sum(1 for ex in seed + [extra] if votes_plus.get(ex.doc.id, ABSTAIN) != ABSTAIN)

@@ -236,20 +236,46 @@ def test_run_manifest_atomic_and_timed(run_env):
     }
 
 
+def test_classifier_lfs_record_their_calibrated_omega(run_env):
+    out = os.path.join(run_env["root"], "omega")
+    assert main(["run", "--config", run_env["config"], "--data", run_env["data"],
+                 "--out", out]) == 0
+    lfs = json.load(open(os.path.join(out, "lf_pool.json")))["lfs"]
+    classifier_lfs = [lf for lf in lfs if lf["category"] in ("structural", "semantic")]
+    assert classifier_lfs
+    for lf in classifier_lfs:
+        assert {"omega", "featurization", "trained_on"} <= set(lf["rule"]), lf["id"]
+        assert lf["threshold"] == lf["rule"]["omega"]
+        assert lf["rule"]["trained_on"]["indices"]
+
+
 def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path, monkeypatch):
     from labelforge import exploitation, features, lf_core, pipeline
+    from labelforge.candidates import LinearClassifier
+    from labelforge.nets import MlpNet
     from labelforge.pipeline import run_pipeline
 
     dataset = make_separable_corpus(3, n_unlabeled=300, n_seed=30, n_test=80)
     pool_size = len(dataset.unlabeled)
     counts = {"pool": 0, "in_matrix": 0}
     in_matrix = []
+
+    def count(rows):
+        counts["pool"] += rows == pool_size
+        counts["in_matrix"] += bool(in_matrix)
+
     real_apply = lf_core.apply_lf_many
 
-    def counting_apply(lf, docs):
-        counts["pool"] += len(docs) == pool_size
-        counts["in_matrix"] += bool(in_matrix)
+    def counting_apply(lf, docs):  # surface rules
+        count(len(docs))
         return real_apply(lf, docs)
+
+    for cls in (LinearClassifier, MlpNet):  # classifier LFs: probabilities, then votes
+        def counting_predict(self, x, real=cls.predict_proba_many):
+            count(len(x))
+            return real(self, x)
+
+        monkeypatch.setattr(cls, "predict_proba_many", counting_predict)
 
     real_matrix = pipeline.build_label_matrix
 

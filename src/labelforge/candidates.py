@@ -20,7 +20,7 @@ from .features import (
     EmbeddingFeaturizer, HashingEmbedder, RemoteEmbedder, TfidfFeaturizer, Tokenizer, fit_tfidf,
 )
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
-from .nets import MlpNet, cross_entropy, softmax
+from .nets import MlpNet, softmax
 
 
 @dataclass
@@ -30,7 +30,6 @@ class LinearClassifier:
     weights: np.ndarray  # C x d
     bias: np.ndarray  # C
     trained_on: dict = field(default_factory=dict)
-    loss_history: list[float] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -57,15 +56,12 @@ def fit_logistic(
     b = np.zeros(num_classes)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
-    history = []
     for _ in range(epochs):
         probs = softmax(x @ w.T + b)
-        loss = cross_entropy(probs, onehot) + 0.5 * l2 * float(np.sum(w * w))
-        history.append(loss)
         err = (probs - onehot) / n
         w -= lr * (err.T @ x + l2 * w)
         b -= lr * err.sum(axis=0)
-    return LinearClassifier(weights=w, bias=b, loss_history=history)
+    return LinearClassifier(weights=w, bias=b)
 
 
 def train_candidate(
@@ -154,7 +150,7 @@ class CalibratedClassifierLF:
         return {
             "omega": self.omega,
             "featurization": self.featurizer.describe(),
-            "trained_on": getattr(self.classifier, "trained_on", {}),
+            "trained_on": self.classifier.trained_on,
         }
 
 

@@ -8,7 +8,7 @@ Rows the label model left uncovered are excluded from training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class MlpClassifier:
 
     net: MlpNet
     featurizer: object
-    config: DownstreamConfig = field(default_factory=DownstreamConfig)
 
     def predict_proba_docs(self, docs: list[Document]) -> np.ndarray:
         return self.net.predict_proba_many(self.featurizer.transform_many(docs))
@@ -98,7 +97,7 @@ def train_downstream(
         batch_size=config.batch_size,
         shuffle_seed=config.rng_seed,
     )
-    return MlpClassifier(net=net, featurizer=featurizer, config=config)
+    return MlpClassifier(net=net, featurizer=featurizer)
 
 
 def evaluate_e2e(clf: MlpClassifier, test: list[LabeledExample]) -> EvalReport:

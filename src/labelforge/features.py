@@ -58,31 +58,10 @@ class TfidfModel:
     idf: np.ndarray
     ngram_range: tuple[int, int]
     tokenizer: Tokenizer
-    min_df: int = 1
 
     @property
     def dim(self) -> int:
         return len(self.vocabulary)
-
-    def to_json(self) -> dict:
-        return {
-            "vocabulary": self.vocabulary,
-            "idf": self.idf.tolist(),
-            "ngram_range": list(self.ngram_range),
-            "min_df": self.min_df,
-            "lowercase": self.tokenizer.lowercase,
-            "min_token_len": self.tokenizer.min_token_len,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TfidfModel":
-        return cls(
-            vocabulary=dict(obj["vocabulary"]),
-            idf=np.asarray(obj["idf"], dtype=float),
-            ngram_range=tuple(obj["ngram_range"]),
-            tokenizer=Tokenizer(obj["lowercase"], obj["min_token_len"]),
-            min_df=obj.get("min_df", 1),
-        )
 
 
 def fit_tfidf(
@@ -108,7 +87,7 @@ def fit_tfidf(
     vocabulary = {t: i for i, t in enumerate(terms)}
     n = len(docs)
     idf = np.array([np.log((1 + n) / (1 + df[t])) + 1.0 for t in terms])
-    return TfidfModel(vocabulary, idf, ngram_range, tokenizer, min_df)
+    return TfidfModel(vocabulary, idf, ngram_range, tokenizer)
 
 
 def transform_tfidf(model: TfidfModel, doc: Document) -> np.ndarray:
@@ -157,9 +136,6 @@ class HashingEmbedder:
         if norm > 0:
             vec /= norm
         return vec
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(f"hashing:{self.dim}".encode()).hexdigest()[:16]
 
 
 def _default_embedding_transport(endpoint: str, payload: dict, timeout: float) -> dict:

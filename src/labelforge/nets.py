@@ -23,10 +23,6 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    return float(-np.mean(np.sum(targets * np.log(probs + 1e-12), axis=1)))
-
-
 class MlpNet:
     """dim_in -> hidden ReLU -> C softmax, trained on soft targets."""
 
@@ -35,12 +31,11 @@ class MlpNet:
         self.dim_in = dim_in
         self.hidden = hidden
         self.num_classes = num_classes
-        self.rng_seed = rng_seed
         self.w1 = glorot_uniform(rng, dim_in, hidden)
         self.b1 = np.zeros(hidden)
         self.w2 = glorot_uniform(rng, hidden, num_classes)
         self.b2 = np.zeros(num_classes)
-        self.loss_history: list[float] = []
+        self.trained_on: dict = {}
 
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -63,16 +58,12 @@ class MlpNet:
         size = n if batch_size is None else min(batch_size, n)
         for _ in range(epochs):
             order = rng.permutation(n) if batch_size is not None else np.arange(n)
-            epoch_loss = 0.0
-            batches = 0
             for start in range(0, n, size):
                 idx = order[start:start + size]
                 xb, tb = x[idx], targets[idx]
                 h_pre = xb @ self.w1 + self.b1
                 h = np.maximum(h_pre, 0.0)
                 probs = softmax(h @ self.w2 + self.b2)
-                epoch_loss += cross_entropy(probs, tb)
-                batches += 1
 
                 dz2 = (probs - tb) / xb.shape[0]
                 gw2 = h.T @ dz2 + l2 * self.w2
@@ -86,5 +77,4 @@ class MlpNet:
                 self.b2 -= lr * gb2
                 self.w1 -= lr * gw1
                 self.b1 -= lr * gb1
-            self.loss_history.append(epoch_loss / max(batches, 1))
         return self

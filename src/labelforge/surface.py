@@ -354,6 +354,4 @@ def generate_surface_lfs(
     provider, request: GenerationRequest, round_index: int = 0
 ) -> list[SurfaceRule]:
     """Ask a provider for up to request.count validated surface rules."""
-    if request.count < 1:
-        raise ValueError("request.count must be >= 1")
     return provider.generate(request, round_index=round_index)

@@ -100,16 +100,24 @@ def test_train_on_separable_data_fits_perfectly():
     assert (probs.argmax(axis=1) == np.array([ex.gold for ex in seed])).all()
 
 
+def logistic_objective(clf, x, y, l2=1e-3):
+    """Cross-entropy + 0.5 * l2 * ||W||^2 of the returned weights (bias unpenalized)."""
+    probs = clf.predict_proba_many(x)
+    ce = -np.mean(np.log(probs[np.arange(len(y)), y] + 1e-12))
+    return ce + 0.5 * l2 * float(np.sum(clf.weights * clf.weights))
+
+
 def test_training_loss_monotone_nonincreasing():
+    # zero-init full-batch GD is deterministic, so the k-epoch fit is the k-th iterate
     rng = np.random.default_rng(3)
     for trial in range(5):
         n, d, c = 30, 8, 3
         x = rng.normal(size=(n, d))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         y = rng.integers(0, c, size=n)
-        clf = fit_logistic(x, y, c, epochs=120)
-        diffs = np.diff(clf.loss_history)
-        assert (diffs <= 1e-9).all()
+        losses = [logistic_objective(fit_logistic(x, y, c, epochs=k), x, y) for k in range(121)]
+        assert (np.diff(losses) <= 1e-9).all()
+        assert losses[-1] < losses[0]
 
 
 def test_training_deterministic():
@@ -119,6 +127,12 @@ def test_training_deterministic():
     b = train_candidate(seed, feat, 6, rng_seed=5)
     assert np.array_equal(a.weights, b.weights)
     assert a.trained_on == b.trained_on
+    a = train_candidate(seed, feat, 6, rng_seed=5, head_width=16)
+    b = train_candidate(seed, feat, 6, rng_seed=5, head_width=16)
+    assert np.array_equal(a.w1, b.w1)
+    assert np.array_equal(a.w2, b.w2)
+    assert a.trained_on == b.trained_on
+    assert a.trained_on["head_width"] == 16
 
 
 def test_full_subsample_uses_whole_seed():
@@ -272,6 +286,14 @@ def test_coverage_is_nonincreasing_in_omega():
         curve = calibrate_threshold(np.array(probs), [0] * n, NO_POOL, beta=0.1, grid_step=0.05)
         covs = [c for _, _, c, _ in curve.grid]
         assert all(a >= b - 1e-12 for a, b in zip(covs, covs[1:]))
+
+
+def test_describe_needs_the_classifier_training_record():
+    clf_lf = make_fixed_lf([[0.9, 0.1]])
+    with pytest.raises(AttributeError):
+        clf_lf.describe()
+    clf_lf.classifier.trained_on = {"indices": [0]}
+    assert clf_lf.describe()["trained_on"] == {"indices": [0]}
 
 
 def test_calibrated_lf_thresholding():

@@ -12,7 +12,6 @@ from labelforge.features import (
     HashingEmbedder,
     RemoteEmbedder,
     TfidfFeaturizer,
-    TfidfModel,
     Tokenizer,
     fit_tfidf,
     tokenize,
@@ -89,16 +88,6 @@ def test_fit_permutation_invariant_as_weight_maps():
         assert w1.keys() == w2.keys()
         for t in w1:
             assert w1[t] == pytest.approx(w2[t], abs=1e-12)
-
-
-def test_tfidf_json_round_trip():
-    tok = Tokenizer(min_token_len=1)
-    model = fit_tfidf([doc("a b", "1"), doc("b c", "2")], tokenizer=tok)
-    again = TfidfModel.from_json(json.loads(json.dumps(model.to_json())))
-    assert again.vocabulary == model.vocabulary
-    assert np.allclose(again.idf, model.idf)
-    probe = doc("a b c")
-    assert np.allclose(transform_tfidf(again, probe), transform_tfidf(model, probe))
 
 
 def signed_hash_oracle(text, dim):

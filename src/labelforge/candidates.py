@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, Document, LabeledExample
+from .corpus import Dataset, Document
 from .errors import DegenerateSubsample, DimensionMismatch
 from .features import (
     EmbeddingFeaturizer, HashingEmbedder, RemoteEmbedder, TfidfFeaturizer, Tokenizer, fit_tfidf,
@@ -65,8 +65,8 @@ def fit_logistic(
 
 
 def train_candidate(
-    seed: list[LabeledExample],
-    featurizer,
+    x_seed: np.ndarray,
+    gold: np.ndarray,
     subsample_size: int,
     rng_seed: int,
     epochs: int = 300,
@@ -75,16 +75,16 @@ def train_candidate(
     head_width: int = 0,
     num_classes: int | None = None,
 ):
-    """Train one candidate on a without-replacement seed subsample.
+    """Train one candidate on a without-replacement subsample of the seed rows.
 
-    The subsample must contain at least two classes; up to 10 redraws are
+    ``x_seed`` holds the seed feature rows and ``gold`` their classes. The
+    subsample must contain at least two classes; up to 10 redraws are
     attempted before DegenerateSubsample. head_width 0 is the logistic head,
     anything larger a one-hidden-layer ReLU head of that width.
     """
-    n = len(seed)
+    n = len(gold)
     if not 1 <= subsample_size <= n:
         raise ValueError("subsample_size must be in [1, len(seed)]")
-    gold = np.array([ex.gold for ex in seed])
     rng = np.random.default_rng(rng_seed)
     idx = None
     for _ in range(10):
@@ -99,7 +99,7 @@ def train_candidate(
 
     if num_classes is None:
         num_classes = max(int(gold.max()) + 1, 2)
-    x = featurizer.transform_many([seed[i].doc for i in idx])
+    x = x_seed[idx]
     y = gold[idx]
     descriptor = {"indices": idx.tolist(), "rng_seed": rng_seed, "head_width": head_width}
     if head_width == 0:
@@ -140,11 +140,9 @@ class CalibratedClassifierLF:
     featurizer: object
     omega: float = 0.0
 
-    def predict_proba_docs(self, docs: list[Document]) -> np.ndarray:
-        return self.classifier.predict_proba_many(self.featurizer.transform_many(docs))
-
     def apply_many(self, docs: list[Document]) -> np.ndarray:
-        return threshold_votes(self.predict_proba_docs(docs), self.omega)
+        probs = self.classifier.predict_proba_many(self.featurizer.transform_many(docs))
+        return threshold_votes(probs, self.omega)
 
     def describe(self) -> dict:
         return {
@@ -231,7 +229,8 @@ def synthesize_candidates(
     regs = training["regularizations"]
     widths = training["semantic_head_widths"]
     fractions = training["subsample_fractions"]
-    n_l = len(dataset.seed)
+    gold = np.array([ex.gold for ex in dataset.seed])
+    n_l = len(gold)
 
     lfs: list[LabelFunction] = []
     skips: list[dict] = []
@@ -248,8 +247,8 @@ def synthesize_candidates(
             width = widths[(k - 1) % len(widths)]
         try:
             clf = train_candidate(
-                dataset.seed,
-                featurizer,
+                featurizer.seed,
+                gold,
                 subsample_size,
                 rng_seed,
                 epochs=training["epochs"] if width == 0 else training["mlp_epochs"],
@@ -276,19 +275,18 @@ def synthesize_candidates(
 
 
 def build_featurizers(category: Category, dataset: Dataset, config) -> list:
-    """Fit the featurizer variants a category's candidates draw from."""
+    """Fit the featurizer variants a category's candidates draw from, tables built."""
     if category == Category.STRUCTURAL:
         tokenizer = Tokenizer(min_token_len=config.tfidf["min_token_len"])
-        out = []
-        for ngram_range in config.tfidf["ngram_ranges"]:
-            model = fit_tfidf(
+        return [
+            TfidfFeaturizer(fit_tfidf(
                 dataset.unlabeled,
                 tokenizer=tokenizer,
                 ngram_range=tuple(ngram_range),
                 min_df=config.tfidf["min_df"],
-            )
-            out.append(TfidfFeaturizer(model))
-        return out
+            )).build_tables(dataset)
+            for ngram_range in config.tfidf["ngram_ranges"]
+        ]
     if config.embedding["kind"] == "hashing":
         provider = HashingEmbedder(dim=config.embedding["dim"])
     else:
@@ -298,4 +296,4 @@ def build_featurizers(category: Category, dataset: Dataset, config) -> list:
             dim=config.embedding["dim"],
             cache_path=config.embedding.get("cache_path"),
         )
-    return [EmbeddingFeaturizer(provider)]
+    return [EmbeddingFeaturizer(provider).build_tables(dataset)]

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
-from .errors import DuplicateId, EmptySelection, MalformedRecord, UnknownLabel
+from .errors import DuplicateId, MalformedRecord, UnknownLabel
 
 SPLITS = ("unlabeled", "seed", "test")
 
@@ -105,7 +104,7 @@ def _record_from_csv_row(row: dict) -> dict:
     return rec
 
 
-def _iter_records(path: str, fmt: str):
+def iter_records(path: str, fmt: str):
     """Yield (line_number, record dict) pairs from a JSONL or CSV file."""
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
@@ -140,7 +139,7 @@ def load_dataset(path: str, fmt: str, labels: LabelSpace) -> Dataset:
     unlabeled_gold: dict[str, int] = {}
     seen_ids: set[str] = set()
 
-    for line_no, rec in _iter_records(path, fmt):
+    for line_no, rec in iter_records(path, fmt):
         doc_id = rec.get("id")
         text = rec.get("text")
         if not isinstance(doc_id, str) or not doc_id:
@@ -211,61 +210,3 @@ def save_dataset(dataset: Dataset, path: str, fmt: str = "jsonl") -> None:
                 writer.writerow({k: rec.get(k, "") for k in writer.fieldnames})
     else:
         raise ValueError(f"unsupported format: {fmt!r}")
-
-
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def stratified_seed_sample(
-    examples: list[LabeledExample],
-    fraction: float,
-    rng_seed: int,
-    stratify: bool = False,
-) -> tuple[list[LabeledExample], list[LabeledExample]]:
-    """Split labeled examples into a seed sample and the remainder.
-
-    Sample size is round-half-up of fraction * len(examples); the permutation
-    is fixed by rng_seed. With stratify=True the per-class counts follow the
-    class proportions (largest-remainder allocation).
-    """
-    import numpy as np
-
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    n_total = len(examples)
-    n_seed = round_half_up(fraction * n_total)
-    if n_seed < 1:
-        raise EmptySelection(f"fraction {fraction} of {n_total} examples rounds to 0")
-    rng = np.random.default_rng(rng_seed)
-
-    if not stratify:
-        order = rng.permutation(n_total)
-        picked = set(order[:n_seed].tolist())
-    else:
-        by_class: dict[int, list[int]] = {}
-        for i, ex in enumerate(examples):
-            by_class.setdefault(ex.gold, []).append(i)
-        classes = sorted(by_class)
-        quotas = {c: fraction * len(by_class[c]) for c in classes}
-        counts = {c: int(math.floor(quotas[c])) for c in classes}
-        short = n_seed - sum(counts.values())
-        # hand leftover slots to the largest fractional remainders
-        by_remainder = sorted(classes, key=lambda c: (counts[c] - quotas[c], c))
-        for c in by_remainder[:max(short, 0)]:
-            counts[c] += 1
-        picked = set()
-        for c in classes:
-            idx = np.array(by_class[c])
-            take = min(counts[c], len(idx))
-            picked.update(idx[rng.permutation(len(idx))[:take]].tolist())
-        # rounding drift: top up or trim from a global shuffle
-        if len(picked) < n_seed:
-            for i in rng.permutation(n_total).tolist():
-                if len(picked) >= n_seed:
-                    break
-                picked.add(i)
-
-    seed = [examples[i] for i in range(n_total) if i in picked]
-    remainder = [examples[i] for i in range(n_total) if i not in picked]
-    return seed, remainder

@@ -78,15 +78,14 @@ def build_targets(probs: list[ProbabilisticLabel], mode: str) -> tuple[np.ndarra
 
 def train_downstream(
     probs: list[ProbabilisticLabel],
-    docs: list[Document],
     featurizer,
     config: DownstreamConfig = DownstreamConfig(),
 ) -> MlpClassifier:
-    """Fit the MLP on probabilistic labels; deterministic for a fixed seed."""
-    if len(probs) != len(docs):
-        raise ValueError("probs and docs must align")
+    """Fit the MLP on the labels of the featurizer's pool rows; deterministic for a fixed seed."""
+    if len(probs) != len(featurizer.pool):
+        raise ValueError("probs and pool rows must align")
     keep, targets = build_targets(probs, config.mode)
-    x = featurizer.transform_many([docs[i] for i in keep])
+    x = featurizer.pool[keep]
     num_classes = targets.shape[1]
     net = MlpNet(x.shape[1], config.hidden, num_classes, rng_seed=config.rng_seed)
     net.fit(
@@ -100,14 +99,15 @@ def train_downstream(
     return MlpClassifier(net=net, featurizer=featurizer)
 
 
-def evaluate_e2e(clf: MlpClassifier, test: list[LabeledExample]) -> EvalReport:
-    """Weighted F1 of argmax predictions against the held-out gold labels."""
+def evaluate_e2e(probs: np.ndarray, test: list[LabeledExample]) -> EvalReport:
+    """Weighted F1 of the argmax of the test probabilities against the gold labels."""
     if not test:
         raise ValueError("evaluate_e2e needs a non-empty test split")
-    probs = clf.predict_proba_docs([ex.doc for ex in test])
+    if len(probs) != len(test):
+        raise ValueError("probs and test rows must align")
     pred = probs.argmax(axis=1).tolist()
     gold = [ex.gold for ex in test]
-    num_classes = clf.net.num_classes
+    num_classes = probs.shape[1]
     per_class, weighted = weighted_f1(pred, gold, num_classes)
     return EvalReport(
         coverage=1.0,
@@ -120,8 +120,7 @@ def evaluate_e2e(clf: MlpClassifier, test: list[LabeledExample]) -> EvalReport:
     )
 
 
-def export_predictions_jsonl(path: str, clf: MlpClassifier, docs: list[Document], labels) -> None:
-    probs = clf.predict_proba_docs(docs)
+def export_predictions_jsonl(path: str, probs: np.ndarray, docs: list[Document], labels) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for doc, dist in zip(docs, probs):
             rec = {

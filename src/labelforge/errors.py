@@ -24,10 +24,6 @@ class DuplicateId(LabelForgeError):
         super().__init__(f"duplicate document id: {doc_id!r}")
 
 
-class EmptySelection(LabelForgeError):
-    pass
-
-
 class EmptyLfSet(LabelForgeError):
     pass
 

@@ -16,31 +16,28 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Dataset, Document
 from .errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 @lru_cache(maxsize=262144)
-def _tokenize_cached(text: str, lowercase: bool, min_token_len: int) -> tuple[str, ...]:
-    if lowercase:
-        text = text.lower()
-    return tuple(t for t in _TOKEN_RE.findall(text) if len(t) >= min_token_len)
+def _tokenize_cached(text: str, min_token_len: int) -> tuple[str, ...]:
+    return tuple(t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= min_token_len)
 
 
-def tokenize(text: str, lowercase: bool = True, min_token_len: int = 2) -> tuple[str, ...]:
+def tokenize(text: str, min_token_len: int = 2) -> tuple[str, ...]:
     """Lowercase, split on non-alphanumeric, drop tokens shorter than the floor."""
-    return _tokenize_cached(text, lowercase, min_token_len)
+    return _tokenize_cached(text, min_token_len)
 
 
 @dataclass(frozen=True)
 class Tokenizer:
-    lowercase: bool = True
     min_token_len: int = 2
 
     def __call__(self, text: str) -> tuple[str, ...]:
-        return tokenize(text, self.lowercase, self.min_token_len)
+        return tokenize(text, self.min_token_len)
 
 
 def _ngrams(tokens: tuple[str, ...], ngram_range: tuple[int, int]):
@@ -122,7 +119,7 @@ class HashingEmbedder:
 
     def raw_projection(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim)
-        tokens = tokenize(text, lowercase=True, min_token_len=1)
+        tokens = tokenize(text, min_token_len=1)
         terms = list(tokens) + [" ".join(tokens[i:i + 2]) for i in range(len(tokens) - 1)]
         for term in terms:
             coord = _stable_hash(term, b"lf-coord") % self.dim
@@ -229,32 +226,27 @@ class RemoteEmbedder:
 
 
 class Featurizer:
-    """Doc -> feature vector; each doc id is vectorized once into one row table.
+    """Doc -> feature vector, plus the ``seed`` and ``pool`` row tables of one dataset.
 
-    Subclasses supply ``kind``, ``vectorize(doc)`` and ``describe()``.
+    ``build_tables`` vectorizes each split once, in split row order; callers
+    that hold row indices read those tables. Subclasses supply ``kind``,
+    ``vectorize(doc)`` and ``describe()``.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._row_of: dict[str, int] = {}
-        self._table = np.zeros((0, dim))
 
     def transform_many(self, docs: list[Document]) -> np.ndarray:
-        """Rows for ``docs`` as a fresh array, vectorizing only unseen doc ids."""
-        row_of = self._row_of
-        fresh: dict[str, Document] = {}
-        for doc in docs:
-            if doc.id not in row_of:
-                fresh.setdefault(doc.id, doc)
-        if fresh:
-            start = len(row_of)
-            table = np.empty((start + len(fresh), self.dim))
-            table[:start] = self._table
-            for row, doc in enumerate(fresh.values(), start):
-                table[row] = self.vectorize(doc)
-                row_of[doc.id] = row
-            self._table = table
-        return self._table[[row_of[d.id] for d in docs]]
+        """One (len(docs), dim) array, row i vectorized from docs[i]."""
+        out = np.empty((len(docs), self.dim))
+        for row, doc in enumerate(docs):
+            out[row] = self.vectorize(doc)
+        return out
+
+    def build_tables(self, dataset: Dataset) -> Featurizer:
+        self.seed = self.transform_many([ex.doc for ex in dataset.seed])
+        self.pool = self.transform_many(dataset.unlabeled)
+        return self
 
 
 class TfidfFeaturizer(Featurizer):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import LabelSpace
-from .errors import AllWeightsZero, NoSignal
+from .corpus import LabelSpace, iter_records
+from .errors import AllWeightsZero, MalformedRecord, NoSignal
 from .lf_core import ABSTAIN, LabelMatrix
 
 DS_SMOOTHING = 1e-6
@@ -205,15 +205,20 @@ def export_labels_jsonl(
 
 
 def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[list[ProbabilisticLabel], list[str]]:
+    """Read a labels file; a record that is not {doc_id, dist, covered} raises MalformedRecord."""
     probs: list[ProbabilisticLabel] = []
     doc_ids: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            probs.append(
-                ProbabilisticLabel(dist=np.asarray(rec["dist"], dtype=float), covered=rec["covered"])
-            )
-            doc_ids.append(rec["doc_id"])
+    for line_no, rec in iter_records(path, "jsonl"):
+        dist = rec.get("dist")
+        if not isinstance(rec.get("doc_id"), str):
+            raise MalformedRecord(line_no, "'doc_id' must be a string")
+        if not (
+            isinstance(dist, list) and len(dist) == labels.num_classes
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in dist)
+        ):
+            raise MalformedRecord(line_no, f"'dist' must be a list of {labels.num_classes} numbers")
+        if not isinstance(rec.get("covered"), bool):
+            raise MalformedRecord(line_no, "'covered' must be a bool")
+        probs.append(ProbabilisticLabel(dist=np.asarray(dist, dtype=float), covered=rec["covered"]))
+        doc_ids.append(rec["doc_id"])
     return probs, doc_ids

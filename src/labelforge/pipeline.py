@@ -148,6 +148,7 @@ def label_model_kind(config: PipelineConfig, lfs: list[LabelFunction]):
 
 
 def downstream_featurizer(config: PipelineConfig, dataset: Dataset, structural: list):
+    """The structural featurizer with the downstream n-gram range, else a new one, tables built."""
     target = tuple(config.downstream["ngram_range"])
     for featurizer in structural:
         if tuple(featurizer.model.ngram_range) == target:
@@ -157,7 +158,7 @@ def downstream_featurizer(config: PipelineConfig, dataset: Dataset, structural: 
         dataset.unlabeled, tokenizer=tokenizer, ngram_range=target,
         min_df=config.tfidf["min_df"],
     )
-    return TfidfFeaturizer(model)
+    return TfidfFeaturizer(model).build_tables(dataset)
 
 
 def run_pipeline(
@@ -213,8 +214,10 @@ def run_pipeline(
             mode=config.downstream["mode"],
             rng_seed=config.base_seed,
         )
-        clf = train_downstream(probs, dataset.unlabeled, end_featurizer, ds_cfg)
-        e2e_report = evaluate_e2e(clf, dataset.test) if dataset.test else None
+        clf = train_downstream(probs, end_featurizer, ds_cfg)
+        test_docs = [ex.doc for ex in dataset.test]
+        test_probs = clf.predict_proba_docs(test_docs) if test_docs else None
+        e2e_report = evaluate_e2e(test_probs, dataset.test) if test_docs else None
 
     with _stage(seconds, "write"):
         paths = {
@@ -230,9 +233,7 @@ def run_pipeline(
         clf.checkpoint(paths["model"], config_hash=config.config_hash())
         if dataset.test:
             paths["predictions"] = os.path.join(out_dir, "predictions.jsonl")
-            export_predictions_jsonl(
-                paths["predictions"], clf, [ex.doc for ex in dataset.test], dataset.labels
-            )
+            export_predictions_jsonl(paths["predictions"], test_probs, test_docs, dataset.labels)
         with open(paths["lf_pool"], "w", encoding="utf-8") as fh:
             json.dump(
                 {

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 from labelforge.candidates import (
-    CalibratedClassifierLF,
     LinearClassifier,
     calibrate_threshold,
     whm,
 )
 from labelforge.cli import main
 from labelforge.config import PipelineConfig
-from labelforge.corpus import Document, LabeledExample, LabelSpace, save_dataset
+from labelforge.corpus import LabelSpace, save_dataset
 from labelforge.exploitation import inter_filter, intra_filter
 from labelforge.label_model import (
     DawidSkene,
@@ -133,23 +132,6 @@ def test_criterion_1_formula_oracles():
 # --- criterion 2: calibration oracle -----------------------------------------
 
 
-class _VectorFeaturizer:
-    kind = "vector"
-
-    def __init__(self, table):
-        self.table = table
-        self.dim = len(next(iter(table.values())))
-
-    def transform(self, doc):
-        return self.table[doc.id]
-
-    def transform_many(self, docs):
-        return np.stack([self.table[d.id] for d in docs])
-
-    def describe(self):
-        return {"kind": self.kind}
-
-
 def _brute_force_omega(max_probs, correct, cov_probs, beta, grid_step):
     steps = int(math.floor(1 / grid_step + 1e-9))
     grid = [k * grid_step for k in range(steps + 1)]
@@ -179,26 +161,19 @@ def test_criterion_2_calibration_oracle():
             weights=rng.normal(scale=2.0, size=(num_classes, dim)),
             bias=rng.normal(size=num_classes),
         )
-        table, seed, unlabeled = {}, [], []
+        x_seed, gold = np.zeros((n_seed, dim)), []
         for i in range(n_seed):
-            table[f"s{i}"] = rng.normal(size=dim)
-            seed.append(LabeledExample(doc=Document(id=f"s{i}", text=""),
-                                       gold=int(rng.integers(0, num_classes))))
-        for i in range(n_unlabeled):
-            table[f"u{i}"] = rng.normal(size=dim)
-            unlabeled.append(Document(id=f"u{i}", text=""))
-        clf_lf = CalibratedClassifierLF(classifier=clf, featurizer=_VectorFeaturizer(table))
+            x_seed[i] = rng.normal(size=dim)
+            gold.append(int(rng.integers(0, num_classes)))
+        x_pool = np.array([rng.normal(size=dim) for _ in range(n_unlabeled)]).reshape(-1, dim)
         beta = float(rng.choice([0.0, 0.05, 0.1, 0.3, 1.0]))
-        gold = [e.gold for e in seed]
-        seed_probs = clf_lf.predict_proba_docs([e.doc for e in seed])
-        pool_probs = (
-            clf_lf.predict_proba_docs(unlabeled) if unlabeled else np.zeros((0, num_classes))
-        )
+        seed_probs = clf.predict_proba_many(x_seed)
+        pool_probs = clf.predict_proba_many(x_pool)
         curve = calibrate_threshold(seed_probs, gold, pool_probs, beta=beta, grid_step=0.01)
 
         max_probs = seed_probs.max(axis=1).tolist()
         correct = (seed_probs.argmax(axis=1) == np.array(gold)).tolist()
-        if len(seed) < 50 and unlabeled:
+        if n_seed < 50 and n_unlabeled:
             cov_probs = pool_probs.max(axis=1).tolist()
         else:
             cov_probs = max_probs

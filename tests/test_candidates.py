@@ -21,36 +21,10 @@ from labelforge.lf_core import ABSTAIN, Category
 from labelforge.nets import MlpNet
 
 
-class IdentityFeaturizer:
-    """Feature vectors read straight from doc text: 'x0 x1 ...'."""
-
-    kind = "identity"
-
-    def __init__(self, dim):
-        self.dim = dim
-
-    def transform(self, doc):
-        return np.array([float(v) for v in doc.text.split()])
-
-    def transform_many(self, docs):
-        return np.stack([self.transform(d) for d in docs])
-
-    def describe(self):
-        return {"kind": self.kind, "dim": self.dim}
-
-
-def vec_doc(values, doc_id):
-    return Document(id=doc_id, text=" ".join(str(v) for v in values))
-
-
 def separable_seed(n=10):
-    """One-hot disjoint token features: class 0 -> (1,0), class 1 -> (0,1)."""
-    out = []
-    for i in range(n):
-        gold = i % 2
-        features = [1.0, 0.0] if gold == 0 else [0.0, 1.0]
-        out.append(LabeledExample(doc=vec_doc(features, f"d{i}"), gold=gold))
-    return out
+    """One-hot disjoint features: class 0 -> (1,0), class 1 -> (0,1); returns (x, gold)."""
+    gold = np.arange(n) % 2
+    return np.eye(2)[gold], gold
 
 
 def test_whm_formula_values():
@@ -93,11 +67,10 @@ def test_predict_proba_dimension_mismatch():
 
 
 def test_train_on_separable_data_fits_perfectly():
-    seed = separable_seed(10)
-    feat = IdentityFeaturizer(2)
-    clf = train_candidate(seed, feat, subsample_size=10, rng_seed=0, epochs=200)
-    probs = clf.predict_proba_many(feat.transform_many([ex.doc for ex in seed]))
-    assert (probs.argmax(axis=1) == np.array([ex.gold for ex in seed])).all()
+    x, gold = separable_seed(10)
+    clf = train_candidate(x, gold, subsample_size=10, rng_seed=0, epochs=200)
+    probs = clf.predict_proba_many(x)
+    assert (probs.argmax(axis=1) == gold).all()
 
 
 def logistic_objective(clf, x, y, l2=1e-3):
@@ -121,14 +94,13 @@ def test_training_loss_monotone_nonincreasing():
 
 
 def test_training_deterministic():
-    seed = separable_seed(8)
-    feat = IdentityFeaturizer(2)
-    a = train_candidate(seed, feat, 6, rng_seed=5)
-    b = train_candidate(seed, feat, 6, rng_seed=5)
+    x, gold = separable_seed(8)
+    a = train_candidate(x, gold, 6, rng_seed=5)
+    b = train_candidate(x, gold, 6, rng_seed=5)
     assert np.array_equal(a.weights, b.weights)
     assert a.trained_on == b.trained_on
-    a = train_candidate(seed, feat, 6, rng_seed=5, head_width=16)
-    b = train_candidate(seed, feat, 6, rng_seed=5, head_width=16)
+    a = train_candidate(x, gold, 6, rng_seed=5, head_width=16)
+    b = train_candidate(x, gold, 6, rng_seed=5, head_width=16)
     assert np.array_equal(a.w1, b.w1)
     assert np.array_equal(a.w2, b.w2)
     assert a.trained_on == b.trained_on
@@ -136,17 +108,15 @@ def test_training_deterministic():
 
 
 def test_full_subsample_uses_whole_seed():
-    seed = separable_seed(8)
-    clf = train_candidate(seed, IdentityFeaturizer(2), 8, rng_seed=1)
+    x, gold = separable_seed(8)
+    clf = train_candidate(x, gold, 8, rng_seed=1)
     assert clf.trained_on["indices"] == list(range(8))
 
 
 def test_degenerate_subsample():
-    seed = [
-        LabeledExample(doc=vec_doc([1.0, 0.0], f"d{i}"), gold=0) for i in range(6)
-    ]
+    x = np.tile([1.0, 0.0], (6, 1))
     with pytest.raises(DegenerateSubsample):
-        train_candidate(seed, IdentityFeaturizer(2), 4, rng_seed=0)
+        train_candidate(x, np.zeros(6, dtype=int), 4, rng_seed=0)
 
 
 def test_threshold_grid_covers_unit_interval():

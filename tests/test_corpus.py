@@ -8,11 +8,9 @@ from labelforge.corpus import (
     LabeledExample,
     LabelSpace,
     load_dataset,
-    round_half_up,
     save_dataset,
-    stratified_seed_sample,
 )
-from labelforge.errors import DuplicateId, EmptySelection, MalformedRecord, UnknownLabel
+from labelforge.errors import DuplicateId, MalformedRecord, UnknownLabel
 
 LABELS = LabelSpace(("pos", "neg"))
 
@@ -139,56 +137,6 @@ def make_examples(n, num_classes=2):
         LabeledExample(doc=Document(id=f"d{i}", text=f"text {i}"), gold=i % num_classes)
         for i in range(n)
     ]
-
-
-def test_round_half_up():
-    assert round_half_up(1.5) == 2
-    assert round_half_up(2.5) == 3
-    assert round_half_up(2.4) == 2
-
-
-def test_seed_sample_size_round_half_up():
-    seed, remainder = stratified_seed_sample(make_examples(100), 0.015, rng_seed=1)
-    assert len(seed) == 2
-    assert len(remainder) == 98
-
-
-def test_seed_sample_full_fraction():
-    examples = make_examples(10)
-    seed, remainder = stratified_seed_sample(examples, 1.0, rng_seed=3)
-    assert seed == examples
-    assert remainder == []
-
-
-def test_seed_sample_deterministic():
-    examples = make_examples(40)
-    a = stratified_seed_sample(examples, 0.3, rng_seed=7)
-    b = stratified_seed_sample(examples, 0.3, rng_seed=7)
-    assert a == b
-
-
-def test_seed_sample_empty_selection():
-    with pytest.raises(EmptySelection):
-        stratified_seed_sample(make_examples(10), 0.01, rng_seed=0)
-
-
-def test_seed_sample_partition_property():
-    examples = make_examples(57, num_classes=3)
-    for rng_seed in range(20):
-        seed, remainder = stratified_seed_sample(examples, 0.23, rng_seed=rng_seed)
-        combined = sorted(seed + remainder, key=lambda e: e.doc.id)
-        assert combined == sorted(examples, key=lambda e: e.doc.id)
-        assert not {e.doc.id for e in seed} & {e.doc.id for e in remainder}
-
-
-def test_stratified_flag_respects_class_proportions():
-    examples = make_examples(60, num_classes=3)
-    seed, _ = stratified_seed_sample(examples, 0.3, rng_seed=5, stratify=True)
-    counts = {}
-    for ex in seed:
-        counts[ex.gold] = counts.get(ex.gold, 0) + 1
-    assert len(seed) == 18
-    assert all(count == 6 for count in counts.values())
 
 
 def test_dataset_invariants():

@@ -27,33 +27,38 @@ def corpus(n=120):
 
 
 def featurizer_for(docs):
+    """TF-IDF over ``docs`` whose pool table holds ``docs`` in order."""
     model = fit_tfidf(docs, tokenizer=Tokenizer(min_token_len=2), ngram_range=(1, 1))
-    return TfidfFeaturizer(model)
+    feat = TfidfFeaturizer(model)
+    feat.pool = feat.transform_many(docs)
+    return feat
 
 
 def test_training_deterministic():
     docs, probs, _ = corpus()
     feat = featurizer_for(docs)
     cfg = DownstreamConfig(epochs=5, rng_seed=9)
-    a = train_downstream(probs, docs, feat, cfg)
-    b = train_downstream(probs, docs, feat, cfg)
+    a = train_downstream(probs, feat, cfg)
+    b = train_downstream(probs, feat, cfg)
     assert np.array_equal(a.net.w1, b.net.w1)
     assert np.array_equal(a.net.w2, b.net.w2)
+    with pytest.raises(ValueError):  # one label per pool row
+        train_downstream(probs[:-1], feat, cfg)
 
 
 def test_separable_corpus_high_e2e():
     docs, probs, gold = corpus(200)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, docs, feat, DownstreamConfig(epochs=30, rng_seed=0))
+    clf = train_downstream(probs, feat, DownstreamConfig(epochs=30, rng_seed=0))
     test = [LabeledExample(doc=d, gold=g) for d, g in zip(docs[:60], gold[:60])]
-    report = evaluate_e2e(clf, test)
+    report = evaluate_e2e(clf.predict_proba_docs(docs[:60]), test)
     assert report.weighted_f1 >= 0.95
 
 
 def test_forward_outputs_distribution():
     docs, probs, _ = corpus(40)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, docs, feat, DownstreamConfig(epochs=3, rng_seed=1))
+    clf = train_downstream(probs, feat, DownstreamConfig(epochs=3, rng_seed=1))
     out = clf.predict_proba_docs(docs[:10])
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
     assert (out >= 0).all()
@@ -63,8 +68,8 @@ def test_soft_with_onehot_equals_hard_mode():
     docs, _, gold = corpus(60)
     feat = featurizer_for(docs)
     onehot = [ProbabilisticLabel(dist=np.eye(2)[g], covered=True) for g in gold]
-    soft = train_downstream(onehot, docs, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="soft"))
-    hard = train_downstream(onehot, docs, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="hard"))
+    soft = train_downstream(onehot, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="soft"))
+    hard = train_downstream(onehot, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="hard"))
     assert np.array_equal(soft.net.w1, hard.net.w1)
     assert np.array_equal(soft.net.w2, hard.net.w2)
 
@@ -91,11 +96,11 @@ def test_loss_trend_nonincreasing_tail():
     docs, probs, _ = corpus(150)
     feat = featurizer_for(docs)
     keep, targets = build_targets(probs, "soft")
-    x = feat.transform_many([docs[i] for i in keep])
+    x = feat.pool[keep]
     # a fixed rng_seed fixes init and shuffles, so the e-epoch run replays the first e epochs
     tail = []
     for epochs in range(10, 51):
-        clf = train_downstream(probs, docs, feat, DownstreamConfig(epochs=epochs, rng_seed=2))
+        clf = train_downstream(probs, feat, DownstreamConfig(epochs=epochs, rng_seed=2))
         out = clf.net.predict_proba_many(x)
         tail.append(float(-np.mean(np.sum(targets * np.log(out + 1e-12), axis=1))))
     # full-data loss after each of the final 41 epochs: non-increasing within 5%
@@ -106,26 +111,12 @@ def test_loss_trend_nonincreasing_tail():
 
 
 def test_evaluate_e2e_constant_classifier():
-    # constant-class clf on a balanced 2-class test: weighted F1 = 0.5 * F1_majority
+    # constant-class probabilities on a balanced 2-class test: weighted F1 = 0.5 * F1_majority
     docs = [Document(id=f"t{i}", text="x") for i in range(10)]
     test = [LabeledExample(doc=d, gold=i % 2) for i, d in enumerate(docs)]
-
-    class ConstantNet:
-        num_classes = 2
-
-        def predict_proba_many(self, x):
-            out = np.zeros((x.shape[0], 2))
-            out[:, 0] = 1.0
-            return out
-
-    class DummyFeat:
-        def transform_many(self, docs):
-            return np.zeros((len(docs), 3))
-
-    from labelforge.downstream import MlpClassifier
-
-    clf = MlpClassifier(net=ConstantNet(), featurizer=DummyFeat())
-    report = evaluate_e2e(clf, test)
+    probs = np.zeros((10, 2))
+    probs[:, 0] = 1.0
+    report = evaluate_e2e(probs, test)
     f1_majority = 2 * (0.5 * 1.0) / (0.5 + 1.0)
     assert report.weighted_f1 == pytest.approx(0.5 * f1_majority)
 
@@ -133,9 +124,12 @@ def test_evaluate_e2e_constant_classifier():
 def test_evaluate_e2e_empty_test():
     docs, probs, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, docs, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    clf = train_downstream(probs, feat, DownstreamConfig(epochs=2, rng_seed=0))
     with pytest.raises(ValueError):
-        evaluate_e2e(clf, [])
+        evaluate_e2e(clf.predict_proba_docs([]), [])
+    test = [LabeledExample(doc=docs[0], gold=0)]
+    with pytest.raises(ValueError):  # one row of probabilities per test example
+        evaluate_e2e(clf.predict_proba_docs(docs[:2]), test)
 
 
 def test_glorot_init_bounds_and_seeding():
@@ -150,7 +144,7 @@ def test_glorot_init_bounds_and_seeding():
 def test_checkpoint_written(tmp_path):
     docs, probs, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, docs, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    clf = train_downstream(probs, feat, DownstreamConfig(epochs=2, rng_seed=0))
     path = str(tmp_path / "model.json")
     clf.checkpoint(path, config_hash="abc")
     import json
@@ -167,10 +161,13 @@ def test_predictions_export(tmp_path):
 
     docs, probs, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, docs, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    clf = train_downstream(probs, feat, DownstreamConfig(epochs=2, rng_seed=0))
     path = str(tmp_path / "pred.jsonl")
-    export_predictions_jsonl(path, clf, docs[:3], LabelSpace(("pos", "neg")))
+    test_probs = clf.predict_proba_docs(docs[:3])
+    export_predictions_jsonl(path, test_probs, docs[:3], LabelSpace(("pos", "neg")))
     rows = [json.loads(line) for line in open(path)]
     assert len(rows) == 3
     assert rows[0]["pred"] in ("pos", "neg")
     assert len(rows[0]["dist"]) == 2
+    assert [r["dist"] for r in rows] == test_probs.tolist()
+    assert [r["doc_id"] for r in rows] == [d.id for d in docs[:3]]

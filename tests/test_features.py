@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from labelforge.corpus import Document
+from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace
 from labelforge.errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
 from labelforge.features import (
     EmbeddingFeaturizer,
@@ -92,7 +92,7 @@ def test_fit_permutation_invariant_as_weight_maps():
 
 def signed_hash_oracle(text, dim):
     """Independent recomputation of the documented signed-hash scheme."""
-    toks = tokenize(text, lowercase=True, min_token_len=1)
+    toks = tokenize(text, min_token_len=1)
     terms = list(toks) + [" ".join(toks[i:i + 2]) for i in range(len(toks) - 1)]
     vec = np.zeros(dim)
     for term in terms:
@@ -210,26 +210,32 @@ def test_remote_embedder_unreachable():
 
 
 def test_featurizer_memoization():
-    """Each doc id is vectorized once; rows come back from one table."""
+    """transform_many vectorizes each doc it is given; tables follow split row order."""
     tok = Tokenizer(min_token_len=1)
-    model = fit_tfidf([doc("a b", "1"), doc("b c", "2")], tokenizer=tok)
+    docs = [doc("a b", "1"), doc("b c", "2"), doc("c a a", "3")]
+    model = fit_tfidf(docs, tokenizer=tok)
     feat = TfidfFeaturizer(model)
-    seen = []
-    vectorize = feat.vectorize
-    feat.vectorize = lambda d: seen.append(d.id) or vectorize(d)
-    first = feat.transform_many([doc("a b", "1")])
-    rows = feat.transform_many([doc("b c", "2"), doc("a b", "1"), doc("b c", "2")])
-    assert seen == ["1", "2"]
+    rows = feat.transform_many([docs[1], docs[0], docs[1]])
     assert rows.shape == (3, model.dim)
-    assert np.array_equal(first[0], transform_tfidf(model, doc("a b", "1")))
-    assert np.array_equal(rows[1], first[0]) and np.array_equal(rows[0], rows[2])
-    rows[1] = 0.0  # rows come back as a fresh array, not a view of the table
-    assert np.array_equal(feat.transform_many([doc("a b", "1")]), first)
+    for row, d in zip(rows, [docs[1], docs[0], docs[1]]):
+        assert np.array_equal(row, transform_tfidf(model, d))
     assert feat.transform_many([]).shape == (0, model.dim)
-    assert seen == ["1", "2"]
 
-    efeat = EmbeddingFeaturizer(HashingEmbedder(dim=8))
-    assert efeat.transform_many([doc("a b", "1")]).shape == (1, 8)
+    dataset = Dataset(
+        labels=LabelSpace(("pos", "neg")),
+        unlabeled=[docs[2], docs[0]],
+        seed=[LabeledExample(doc=docs[1], gold=0)],
+    )
+    assert feat.build_tables(dataset) is feat
+    assert feat.seed.shape == (1, model.dim) and feat.pool.shape == (2, model.dim)
+    assert np.array_equal(feat.seed[0], transform_tfidf(model, docs[1]))
+    assert np.array_equal(feat.pool[0], transform_tfidf(model, docs[2]))
+    assert np.array_equal(feat.pool[1], transform_tfidf(model, docs[0]))
+
+    efeat = EmbeddingFeaturizer(HashingEmbedder(dim=8)).build_tables(dataset)
+    assert efeat.transform_many([docs[0]]).shape == (1, 8)
+    expected = np.stack([HashingEmbedder(dim=8).embed(d) for d in dataset.unlabeled])
+    assert np.array_equal(efeat.pool, expected)
 
 
 def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):

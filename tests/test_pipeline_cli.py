@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -160,6 +161,27 @@ def test_cmd_eval_misaligned_ids(run_env, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("record", [
+    {"doc_id": "d0", "dist": [1.0, 0.0, 0.0], "covered": True},
+    {"doc_id": "d0", "dist": [1.0], "covered": True},
+    {"doc_id": "d0", "covered": True},
+    {"doc_id": "d0", "dist": [1.0, "x"], "covered": True},
+    {"doc_id": "d0", "dist": [1.0, 0.0], "covered": 1},
+    {"doc_id": 7, "dist": [1.0, 0.0], "covered": True},
+])
+def test_cmd_eval_malformed_labels_exit_2(run_env, tmp_path, record):
+    labels_path = str(tmp_path / "labels.jsonl")
+    with open(labels_path, "w") as fh:
+        fh.write(json.dumps({"doc_id": "d1", "dist": [0.5, 0.5], "covered": False}) + "\n")
+        fh.write(json.dumps(record) + "\n")
+    code = main(["eval", "--labels", labels_path, "--data", run_env["data"],
+                 "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    err = json.load(open(tmp_path / "error.json"))
+    assert err["stage"] == "eval"
+    assert "line 2" in err["error"]
+
+
 def test_cmd_sweep_fans_out(run_env):
     out = os.path.join(run_env["root"], "sweep")
     code = main(["sweep", "--config", run_env["config"], "--data", run_env["data"],
@@ -286,16 +308,30 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
         finally:
             in_matrix.pop()
 
-    vectorized = []
+    stage_now = []
+    real_stage = pipeline._stage
+
+    @contextmanager
+    def named_stage(seconds, name):
+        stage_now.append(name)
+        try:
+            with real_stage(seconds, name):
+                yield
+        finally:
+            stage_now.pop()
+
+    vectorized, vectorized_in = [], []
     real_tfidf = features.transform_tfidf
     real_embed = features.HashingEmbedder.embed
 
     def counting_tfidf(model, doc):
         vectorized.append((id(model), doc.id))
+        vectorized_in.append(stage_now[-1])
         return real_tfidf(model, doc)
 
     def counting_embed(self, doc):
         vectorized.append((id(self), doc.id))
+        vectorized_in.append(stage_now[-1])
         return real_embed(self, doc)
 
     for module in (lf_core, exploitation):  # where the callers look it up
@@ -303,6 +339,7 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     monkeypatch.setattr(pipeline, "build_label_matrix", flagged_matrix)
     monkeypatch.setattr(features, "transform_tfidf", counting_tfidf)
     monkeypatch.setattr(features.HashingEmbedder, "embed", counting_embed)
+    monkeypatch.setattr(pipeline, "_stage", named_stage)
 
     out = str(tmp_path / "run")
     summary = run_pipeline(small_config(), dataset, out)
@@ -312,3 +349,6 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     assert counts["pool"] == generated
     assert counts["in_matrix"] == 0
     assert vectorized and len(vectorized) == len(set(vectorized))
+    # seed and pool tables in the featurize stage, the test split once for the end classifier
+    assert set(vectorized_in) == {"featurize", "downstream"}
+    assert vectorized_in.count("downstream") == len(dataset.test)

@@ -171,7 +171,7 @@ def cmd_eval(args) -> int:
             raise FileNotFoundError("labels or dataset file missing")
         labels_space = _infer_labels(args.data, args.data_format)
         dataset = load_dataset(args.data, args.data_format, labels_space)
-        probs, doc_ids = load_labels_jsonl(args.labels, labels_space)
+        dists, covered, doc_ids = load_labels_jsonl(args.labels, labels_space)
     except (OSError, LabelForgeError, ValueError) as exc:
         _write_error(os.path.dirname(args.out) or ".", "eval", exc)
         return EXIT_INPUT
@@ -180,7 +180,7 @@ def cmd_eval(args) -> int:
     for ex in list(dataset.seed) + list(dataset.test):
         gold_map.setdefault(ex.doc.id, ex.gold)
     try:
-        report = evaluate_labeling(probs, doc_ids, gold_map).to_json()
+        report = evaluate_labeling(dists, covered, doc_ids, gold_map).to_json()
     except (IdAlignment, ValueError) as exc:
         _write_error(os.path.dirname(args.out) or ".", "eval", exc)
         return EXIT_ALIGNMENT if isinstance(exc, IdAlignment) else EXIT_INPUT

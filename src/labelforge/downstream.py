@@ -14,7 +14,6 @@ import numpy as np
 
 from .corpus import Document, LabeledExample
 from .errors import DegenerateTargets
-from .label_model import ProbabilisticLabel
 from .metrics import EvalReport, confusion_counts, weighted_f1
 from .nets import MlpNet
 
@@ -54,37 +53,33 @@ class MlpClassifier:
             json.dump(payload, fh)
 
 
-def build_targets(probs: list[ProbabilisticLabel], mode: str) -> tuple[np.ndarray, np.ndarray]:
+def build_targets(
+    dists: np.ndarray, covered: np.ndarray, mode: str
+) -> tuple[np.ndarray, np.ndarray]:
     """Select the covered rows and their target distributions.
 
     Returns (row indices, targets). Hard mode one-hot-encodes the argmax, so
     soft training with one-hot distributions is gradient-identical to it.
     """
-    keep = [i for i, p in enumerate(probs) if p.covered]
-    if not keep:
+    keep = np.flatnonzero(covered)
+    if len(keep) == 0:
         raise DegenerateTargets("no covered rows to train on")
-    num_classes = probs[0].dist.shape[0]
-    targets = np.zeros((len(keep), num_classes))
-    for row, i in enumerate(keep):
-        if mode == "hard":
-            targets[row, int(np.argmax(probs[i].dist))] = 1.0
-        else:
-            targets[row] = probs[i].dist
-    hard = targets.argmax(axis=1)
-    if len(set(hard.tolist())) < 2:
+    targets = dists[keep]
+    if mode == "hard":
+        targets = np.eye(dists.shape[1])[targets.argmax(axis=1)]
+    if len(np.unique(targets.argmax(axis=1))) < 2:
         raise DegenerateTargets("covered hard labels span fewer than 2 classes")
-    return np.array(keep), targets
+    return keep, targets
 
 
 def train_downstream(
-    probs: list[ProbabilisticLabel],
-    featurizer,
+    dists: np.ndarray, covered: np.ndarray, featurizer,
     config: DownstreamConfig = DownstreamConfig(),
 ) -> MlpClassifier:
     """Fit the MLP on the labels of the featurizer's pool rows; deterministic for a fixed seed."""
-    if len(probs) != len(featurizer.pool):
-        raise ValueError("probs and pool rows must align")
-    keep, targets = build_targets(probs, config.mode)
+    if len(dists) != len(featurizer.pool):
+        raise ValueError("label rows and pool rows must align")
+    keep, targets = build_targets(dists, covered, config.mode)
     x = featurizer.pool[keep]
     num_classes = targets.shape[1]
     net = MlpNet(x.shape[1], config.hidden, num_classes, rng_seed=config.rng_seed)
@@ -105,8 +100,8 @@ def evaluate_e2e(probs: np.ndarray, test: list[LabeledExample]) -> EvalReport:
         raise ValueError("evaluate_e2e needs a non-empty test split")
     if len(probs) != len(test):
         raise ValueError("probs and test rows must align")
-    pred = probs.argmax(axis=1).tolist()
-    gold = [ex.gold for ex in test]
+    pred = probs.argmax(axis=1)
+    gold = np.array([ex.gold for ex in test])
     num_classes = probs.shape[1]
     per_class, weighted = weighted_f1(pred, gold, num_classes)
     return EvalReport(

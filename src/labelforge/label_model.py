@@ -1,9 +1,10 @@
 """Abstention-aware aggregation of the label matrix into probabilistic labels.
 
-Three aggregators share one contract: every output row is a distribution over
-classes, and rows where every LF abstained come back uniform with
-covered=False so downstream consumers can exclude them. ABSTAIN is treated as
-missing data throughout (never as a class).
+Three aggregators share one contract: labels are an (n, C) table of class
+distributions plus an (n,) bool covered mask, row-aligned with the matrix.
+Rows where every LF abstained come back uniform and uncovered so downstream
+consumers can exclude them. ABSTAIN is treated as missing data throughout
+(never as a class).
 """
 
 from __future__ import annotations
@@ -20,35 +21,26 @@ from .lf_core import ABSTAIN, LabelMatrix
 DS_SMOOTHING = 1e-6
 
 
-@dataclass
-class ProbabilisticLabel:
-    dist: np.ndarray
-    covered: bool
-
-
 @dataclass(frozen=True)
 class MajorityVote:
-    kind: str = "majority_vote"
+    pass
 
 
 @dataclass(frozen=True)
 class WeightedMajorityVote:
     weights: tuple[float, ...]
-    kind: str = "weighted_majority_vote"
 
 
 @dataclass(frozen=True)
 class DawidSkene:
     max_iter: int = 100
     tol: float = 1e-6
-    kind: str = "dawid_skene"
 
 
 @dataclass
 class DawidSkeneModel:
-    """Class priors plus one row-stochastic confusion matrix per LF."""
+    """One row-stochastic confusion matrix per LF, plus the fit's posteriors."""
 
-    class_priors: np.ndarray
     confusion: np.ndarray  # m x C x C, rows sum to 1
     iterations_run: int
     converged: bool
@@ -56,14 +48,16 @@ class DawidSkeneModel:
     log_likelihood_history: list[float] = field(default_factory=list)
 
 
-def _vote_mass(entries: np.ndarray, num_classes: int, weights: np.ndarray) -> np.ndarray:
+def _vote_dists(entries: np.ndarray, num_classes: int, weights: np.ndarray) -> np.ndarray:
+    """Each row's weighted vote share per class; a row where no weight landed is uniform."""
     n, m = entries.shape
     mass = np.zeros((n, num_classes))
     for j in range(m):
         col = entries[:, j]
         voted = col != ABSTAIN
         np.add.at(mass, (np.flatnonzero(voted), col[voted]), weights[j])
-    return mass
+    totals = mass.sum(axis=1, keepdims=True)
+    return np.where(totals > 0, mass / np.maximum(totals, 1e-300), 1.0 / num_classes)
 
 
 def _log_joint(entries: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> np.ndarray:
@@ -93,9 +87,7 @@ def fit_dawid_skene(
     entries = entries[covered]
     m = entries.shape[1]
 
-    mass = _vote_mass(entries, num_classes, np.ones(m))
-    totals = mass.sum(axis=1, keepdims=True)
-    posteriors = np.where(totals > 0, mass / np.maximum(totals, 1e-300), 1.0 / num_classes)
+    posteriors = _vote_dists(entries, num_classes, np.ones(m))
 
     priors = np.full(num_classes, 1.0 / num_classes)
     confusion = np.zeros((m, num_classes, num_classes))
@@ -134,7 +126,6 @@ def fit_dawid_skene(
             break
 
     return DawidSkeneModel(
-        class_priors=priors,
         confusion=confusion,
         iterations_run=iterations,
         converged=converged,
@@ -147,66 +138,55 @@ def aggregate(
     matrix: LabelMatrix,
     kind: MajorityVote | WeightedMajorityVote | DawidSkene,
     labels: LabelSpace,
-) -> list[ProbabilisticLabel]:
-    """Map each matrix row to a distribution over classes."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map each matrix row to a distribution over classes.
+
+    Returns (dists, covered): an (n, C) float table row-aligned with
+    matrix.row_ids, and the (n,) bool mask of rows with at least one vote.
+    Uncovered rows are uniform.
+    """
     if matrix.n_rows == 0 or matrix.n_cols == 0:
         raise ValueError("aggregate needs a non-empty label matrix")
     num_classes = labels.num_classes
     covered = (matrix.entries != ABSTAIN).any(axis=1)
-    uniform = np.full(num_classes, 1.0 / num_classes)
 
-    if isinstance(kind, (MajorityVote, WeightedMajorityVote)):
-        if isinstance(kind, WeightedMajorityVote):
-            weights = np.asarray(kind.weights, dtype=float)
-            if len(weights) != matrix.n_cols:
-                raise ValueError("weights length must match the LF count")
-            if np.any(weights < 0):
-                raise ValueError("weights must be non-negative")
-            if not np.any(weights > 0):
-                raise AllWeightsZero("weighted vote needs a positive weight")
-        else:
-            weights = np.ones(matrix.n_cols)
-        mass = _vote_mass(matrix.entries, num_classes, weights)
-        totals = mass.sum(axis=1, keepdims=True)
-        dists = np.where(totals > 0, mass / np.maximum(totals, 1e-300), uniform)
-    else:
+    if isinstance(kind, DawidSkene):
         model = fit_dawid_skene(matrix, num_classes, kind.max_iter, kind.tol)
-        dists = np.tile(uniform, (matrix.n_rows, 1))
+        dists = np.full((matrix.n_rows, num_classes), 1.0 / num_classes)
         dists[covered] = model.posteriors
-
-    out = []
-    for i in range(matrix.n_rows):
-        dist = dists[i] if covered[i] else uniform
-        out.append(ProbabilisticLabel(dist=dist.copy(), covered=bool(covered[i])))
-    return out
-
-
-def hard_labels(probs: list[ProbabilisticLabel]) -> list[tuple[int, bool]]:
-    """Argmax per row; ties break toward the smallest class index."""
-    return [(int(np.argmax(p.dist)), p.covered) for p in probs]
+        return dists, covered
+    if isinstance(kind, WeightedMajorityVote):
+        weights = np.asarray(kind.weights, dtype=float)
+        if len(weights) != matrix.n_cols:
+            raise ValueError("weights length must match the LF count")
+        if np.any(weights < 0):
+            raise ValueError("weights must be non-negative")
+        if not np.any(weights > 0):
+            raise AllWeightsZero("weighted vote needs a positive weight")
+    else:
+        weights = np.ones(matrix.n_cols)
+    return _vote_dists(matrix.entries, num_classes, weights), covered
 
 
 def export_labels_jsonl(
-    path: str,
-    probs: list[ProbabilisticLabel],
-    doc_ids: list[str],
-    labels: LabelSpace,
+    path: str, dists: np.ndarray, covered: np.ndarray, doc_ids: list[str], labels: LabelSpace
 ) -> None:
-    hard = hard_labels(probs)
+    """One record per row; "hard" names the argmax class (ties go to the smallest index)."""
+    hard = dists.argmax(axis=1).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for (cls, _), prob, doc_id in zip(hard, probs, doc_ids):
-            rec = {
-                "doc_id": doc_id,
-                "dist": [float(v) for v in prob.dist],
-                "covered": prob.covered,
-                "hard": labels.name_of(cls),
-            }
+        for dist, cov, cls, doc_id in zip(dists.tolist(), covered.tolist(), hard, doc_ids):
+            rec = {"doc_id": doc_id, "dist": dist, "covered": cov, "hard": labels.name_of(cls)}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[list[ProbabilisticLabel], list[str]]:
-    """Read a labels file; a record that is not {doc_id, dist, covered} raises MalformedRecord."""
-    probs: list[ProbabilisticLabel] = []
+def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Read a labels file into (dists, covered, doc_ids).
+
+    A record that is not {doc_id, dist, covered}, or whose "hard" does not
+    name the argmax of its dist under this label order, raises MalformedRecord.
+    """
+    dists: list[list[float]] = []
+    covered: list[bool] = []
     doc_ids: list[str] = []
     for line_no, rec in iter_records(path, "jsonl"):
         dist = rec.get("dist")
@@ -219,6 +199,14 @@ def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[list[Probabilistic
             raise MalformedRecord(line_no, f"'dist' must be a list of {labels.num_classes} numbers")
         if not isinstance(rec.get("covered"), bool):
             raise MalformedRecord(line_no, "'covered' must be a bool")
-        probs.append(ProbabilisticLabel(dist=np.asarray(dist, dtype=float), covered=rec["covered"]))
+        argmax_name = labels.name_of(int(np.argmax(dist)))
+        if rec.get("hard", argmax_name) != argmax_name:
+            raise MalformedRecord(
+                line_no, f"'hard' {rec['hard']!r} is not the argmax of 'dist' under the "
+                f"label order {list(labels.class_names)}, which is {argmax_name!r}",
+            )
+        dists.append(dist)
+        covered.append(rec["covered"])
         doc_ids.append(rec["doc_id"])
-    return probs, doc_ids
+    table = np.array(dists, dtype=float).reshape(-1, labels.num_classes)
+    return table, np.array(covered, dtype=bool), doc_ids

@@ -13,10 +13,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .config import write_atomic
 from .errors import IdAlignment, LengthMismatch
-from .label_model import ProbabilisticLabel, hard_labels
 
 
 @dataclass
@@ -41,16 +41,14 @@ class EvalReport:
         }
 
 
-def confusion_counts(pred: list[int], gold: list[int], num_classes: int) -> np.ndarray:
+def confusion_counts(pred: ArrayLike, gold: ArrayLike, num_classes: int) -> np.ndarray:
+    """counts[g, p]: how many items of gold class g were predicted p."""
     counts = np.zeros((num_classes, num_classes), dtype=int)
-    for p, g in zip(pred, gold):
-        counts[g, p] += 1
+    np.add.at(counts, (np.asarray(gold, dtype=int), np.asarray(pred, dtype=int)), 1)
     return counts
 
 
-def weighted_f1(
-    pred: list[int], gold: list[int], num_classes: int
-) -> tuple[list[float], float]:
+def weighted_f1(pred: ArrayLike, gold: ArrayLike, num_classes: int) -> tuple[list[float], float]:
     """Per-class F1 plus the gold-proportion weighted mean.
 
     F1_c is 0 when precision + recall is 0; classes absent from gold carry
@@ -58,7 +56,7 @@ def weighted_f1(
     """
     if len(pred) != len(gold):
         raise LengthMismatch(f"pred has {len(pred)} items, gold has {len(gold)}")
-    if not gold:
+    if len(gold) == 0:
         raise ValueError("weighted_f1 needs at least one example")
     counts = confusion_counts(pred, gold, num_classes)
     per_class = []
@@ -85,35 +83,29 @@ def label_quality(cov: float, weighted: float) -> float:
 
 
 def evaluate_labeling(
-    probs: list[ProbabilisticLabel],
-    doc_ids: list[str],
-    gold: Mapping[str, int],
+    dists: np.ndarray, covered: np.ndarray, doc_ids: list[str], gold: Mapping[str, int]
 ) -> EvalReport:
     """Score aggregated labels against gold looked up by document id.
 
-    Coverage is the fraction of labels flagged covered; F1 runs over the
-    covered rows only.
+    Coverage is the fraction of rows flagged covered; F1 runs over the
+    covered rows only, predicting each row's argmax.
     """
-    if not probs:
+    if len(dists) == 0:
         raise ValueError("evaluate_labeling needs at least one label")
-    if len(probs) != len(doc_ids):
-        raise IdAlignment("probabilistic labels do not align with their doc ids")
+    if not len(dists) == len(covered) == len(doc_ids):
+        raise IdAlignment("label rows do not align with their doc ids")
     missing = set(doc_ids) - set(gold)
     if missing:
         raise IdAlignment(f"{len(missing)} labeled doc ids have no gold label")
-    num_classes = probs[0].dist.shape[0]
-    pred, truth = [], []
-    for (cls, covered), doc_id in zip(hard_labels(probs), doc_ids):
-        if covered:
-            pred.append(cls)
-            truth.append(gold[doc_id])
-    cov = float(np.mean([p.covered for p in probs]))
-    if pred:
+    num_classes = dists.shape[1]
+    pred = dists.argmax(axis=1)[covered]
+    truth = np.fromiter(map(gold.__getitem__, doc_ids), dtype=int, count=len(doc_ids))[covered]
+    cov = float(np.mean(covered))
+    if len(pred):
         per_class, weighted = weighted_f1(pred, truth, num_classes)
-        confusion = confusion_counts(pred, truth, num_classes).tolist()
     else:
         per_class, weighted = [0.0] * num_classes, 0.0
-        confusion = np.zeros((num_classes, num_classes), dtype=int).tolist()
+    confusion = confusion_counts(pred, truth, num_classes).tolist()
     return EvalReport(
         coverage=cov,
         per_class_f1=per_class,

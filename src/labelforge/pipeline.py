@@ -195,14 +195,14 @@ def run_pipeline(
 
     with _stage(seconds, "aggregate"):
         kind = label_model_kind(config, lfs)
-        probs = aggregate(matrix, kind, dataset.labels)
+        dists, covered = aggregate(matrix, kind, dataset.labels)
 
     with _stage(seconds, "metrics"):
         labeling_report = None
         gold_ids = set(dataset.unlabeled_gold)
         if gold_ids and gold_ids == set(matrix.row_ids):
             labeling_report = metrics_mod.evaluate_labeling(
-                probs, matrix.row_ids, dataset.unlabeled_gold
+                dists, covered, matrix.row_ids, dataset.unlabeled_gold
             )
 
     with _stage(seconds, "downstream"):
@@ -214,7 +214,7 @@ def run_pipeline(
             mode=config.downstream["mode"],
             rng_seed=config.base_seed,
         )
-        clf = train_downstream(probs, end_featurizer, ds_cfg)
+        clf = train_downstream(dists, covered, end_featurizer, ds_cfg)
         test_docs = [ex.doc for ex in dataset.test]
         test_probs = clf.predict_proba_docs(test_docs) if test_docs else None
         e2e_report = evaluate_e2e(test_probs, dataset.test) if test_docs else None
@@ -247,7 +247,7 @@ def run_pipeline(
         with open(paths["filter_reports"], "w", encoding="utf-8") as fh:
             json.dump([r.to_json() for r in reports], fh, indent=2, sort_keys=True)
         matrix.to_csv(paths["label_matrix"])
-        export_labels_jsonl(paths["labels"], probs, matrix.row_ids, dataset.labels)
+        export_labels_jsonl(paths["labels"], dists, covered, matrix.row_ids, dataset.labels)
 
         summary = {
             "dataset": dataset_name,

@@ -31,22 +31,24 @@ class SurfaceRule:
 
     patterns: dict[int, set[str]]
     match_mode: str = "token"
-    _token_patterns: dict[int, list[tuple[str, ...]]] = field(
-        init=False, repr=False, default_factory=dict
-    )
+    _needles: dict[int, tuple[str, ...]] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.match_mode not in MATCH_MODES:
             raise ValueError(f"match_mode must be one of {MATCH_MODES}")
-        cleaned: dict[int, set[str]] = {}
+        self.patterns = {
+            int(cls): {p.strip().lower() for p in pats if p and p.strip()}
+            for cls, pats in self.patterns.items()
+        }
+        # A token phrase becomes its tokens space-joined and space-padded:
+        # tokens hold no spaces, so it matches only at whole-token boundaries
+        # of a document rendered the same way.
         for cls, pats in self.patterns.items():
-            kept = {p.strip().lower() for p in pats if p and p.strip()}
-            cleaned[int(cls)] = kept
-        self.patterns = cleaned
-        for cls, pats in cleaned.items():
-            self._token_patterns[cls] = [
-                tokenize(p, min_token_len=1) for p in sorted(pats)
-            ]
+            if self.match_mode == "token":
+                phrases = (tokenize(p, min_token_len=1) for p in pats)
+                self._needles[cls] = tuple(" " + " ".join(t) + " " for t in phrases if t)
+            else:
+                self._needles[cls] = tuple(pats)
 
     def apply_many(self, docs: list[Document]) -> np.ndarray:
         return np.array([eval_surface(self, d) for d in docs], dtype=int)
@@ -64,29 +66,13 @@ class SurfaceRule:
         return out
 
 
-def _contains_phrase(tokens: tuple[str, ...], phrase: tuple[str, ...]) -> bool:
-    if not phrase or len(phrase) > len(tokens):
-        return False
-    span = len(phrase)
-    for i in range(len(tokens) - span + 1):
-        if tokens[i:i + span] == phrase:
-            return True
-    return False
-
-
 def eval_surface(rule: SurfaceRule, doc: Document) -> int:
     """Vote for the single matching class; abstain on zero or conflicting matches."""
-    matched: list[int] = []
     if rule.match_mode == "token":
-        tokens = tokenize(doc.text, min_token_len=1)
-        for cls, phrases in rule._token_patterns.items():
-            if any(_contains_phrase(tokens, ph) for ph in phrases):
-                matched.append(cls)
+        text = " " + " ".join(tokenize(doc.text, min_token_len=1)) + " "
     else:
         text = doc.text.strip().lower()
-        for cls, pats in rule.patterns.items():
-            if any(p in text for p in pats):
-                matched.append(cls)
+    matched = [cls for cls, needles in rule._needles.items() if any(n in text for n in needles)]
     return matched[0] if len(matched) == 1 else ABSTAIN
 
 

@@ -29,7 +29,6 @@ from labelforge.label_model import (
     MajorityVote,
     aggregate,
     fit_dawid_skene,
-    hard_labels,
 )
 from labelforge.lf_core import ABSTAIN, Category, LabelFunction, LabelMatrix
 from labelforge.metrics import label_quality, weighted_f1
@@ -102,7 +101,7 @@ def test_criterion_1_formula_oracles():
         oracle_cov = sum(
             1 for i in range(n) if any(entries[i, j] != ABSTAIN for j in range(m))
         ) / n
-        covered = [p.covered for p in aggregate(matrix, MajorityVote(), three_classes)]
+        _, covered = aggregate(matrix, MajorityVote(), three_classes)
         assert abs(float(np.mean(covered)) - oracle_cov) < 1e-9
 
         size = int(rng.integers(1, 12))
@@ -230,11 +229,10 @@ def test_criterion_3_dawid_skene():
             votes[srng.random(500) >= 0.7] = ABSTAIN
             cols.append(votes)
         m = _matrix(np.stack(cols, axis=1).tolist())
-        mvp = aggregate(m, MajorityVote(), labels)
-        dsp = aggregate(m, DawidSkene(), labels)
-        covered = np.array([p.covered for p in mvp])
-        mv = np.array([h for h, _ in hard_labels(mvp)])
-        ds = np.array([h for h, _ in hard_labels(dsp)])
+        mv_dists, covered = aggregate(m, MajorityVote(), labels)
+        ds_dists, _ = aggregate(m, DawidSkene(), labels)
+        mv = mv_dists.argmax(axis=1)
+        ds = ds_dists.argmax(axis=1)
         if (ds[covered] == g[covered]).mean() >= (mv[covered] == g[covered]).mean():
             wins += 1
     elapsed = time.perf_counter() - start
@@ -361,13 +359,12 @@ def test_criterion_8_invariant_suite():
         if not (rows != ABSTAIN).any():
             continue
         m = _matrix(rows.tolist())
-        probs = aggregate(m, MajorityVote(), labels)
-        for p in probs:
-            assert (p.dist >= 0).all() and abs(p.dist.sum() - 1.0) < 1e-9
+        dists, _ = aggregate(m, MajorityVote(), labels)
+        for dist in dists:
+            assert (dist >= 0).all() and abs(dist.sum() - 1.0) < 1e-9
         perm = rng.permutation(rows.shape[1])
         m2 = _matrix(rows[:, perm].tolist())
-        for a, b in zip(probs, aggregate(m2, MajorityVote(), labels)):
-            assert np.allclose(a.dist, b.dist)
+        assert np.allclose(dists, aggregate(m2, MajorityVote(), labels)[0])
 
         # whm mean property and filter monotonicity
         p_v, c_v = rng.uniform(0.01, 1.0, size=2)

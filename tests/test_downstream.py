@@ -9,21 +9,20 @@ from labelforge.downstream import (
     train_downstream,
 )
 from labelforge.errors import DegenerateTargets
-from labelforge.label_model import ProbabilisticLabel
 from labelforge.nets import MlpNet
 from labelforge.features import TfidfFeaturizer, Tokenizer, fit_tfidf
 
 
 def corpus(n=120):
-    docs, probs, gold = [], [], []
+    """Docs, their (dists, covered) labels (every row covered) and gold classes."""
+    docs, gold = [], []
     for i in range(n):
         cls = i % 2
         text = "sun warm bright light" if cls == 0 else "rain cold dark storm"
         docs.append(Document(id=f"d{i}", text=text + f" pad{i % 3}"))
-        dist = np.array([0.95, 0.05]) if cls == 0 else np.array([0.05, 0.95])
-        probs.append(ProbabilisticLabel(dist=dist, covered=True))
         gold.append(cls)
-    return docs, probs, gold
+    dists = np.where(np.array(gold)[:, None] == 0, [0.95, 0.05], [0.05, 0.95])
+    return docs, (dists, np.ones(n, dtype=bool)), gold
 
 
 def featurizer_for(docs):
@@ -35,30 +34,30 @@ def featurizer_for(docs):
 
 
 def test_training_deterministic():
-    docs, probs, _ = corpus()
+    docs, labels, _ = corpus()
     feat = featurizer_for(docs)
     cfg = DownstreamConfig(epochs=5, rng_seed=9)
-    a = train_downstream(probs, feat, cfg)
-    b = train_downstream(probs, feat, cfg)
+    a = train_downstream(*labels, feat, cfg)
+    b = train_downstream(*labels, feat, cfg)
     assert np.array_equal(a.net.w1, b.net.w1)
     assert np.array_equal(a.net.w2, b.net.w2)
     with pytest.raises(ValueError):  # one label per pool row
-        train_downstream(probs[:-1], feat, cfg)
+        train_downstream(labels[0][:-1], labels[1][:-1], feat, cfg)
 
 
 def test_separable_corpus_high_e2e():
-    docs, probs, gold = corpus(200)
+    docs, labels, gold = corpus(200)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, feat, DownstreamConfig(epochs=30, rng_seed=0))
+    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=30, rng_seed=0))
     test = [LabeledExample(doc=d, gold=g) for d, g in zip(docs[:60], gold[:60])]
     report = evaluate_e2e(clf.predict_proba_docs(docs[:60]), test)
     assert report.weighted_f1 >= 0.95
 
 
 def test_forward_outputs_distribution():
-    docs, probs, _ = corpus(40)
+    docs, labels, _ = corpus(40)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, feat, DownstreamConfig(epochs=3, rng_seed=1))
+    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=3, rng_seed=1))
     out = clf.predict_proba_docs(docs[:10])
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
     assert (out >= 0).all()
@@ -67,40 +66,41 @@ def test_forward_outputs_distribution():
 def test_soft_with_onehot_equals_hard_mode():
     docs, _, gold = corpus(60)
     feat = featurizer_for(docs)
-    onehot = [ProbabilisticLabel(dist=np.eye(2)[g], covered=True) for g in gold]
-    soft = train_downstream(onehot, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="soft"))
-    hard = train_downstream(onehot, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="hard"))
+    onehot = (np.eye(2)[gold], np.ones(len(gold), dtype=bool))
+    soft = train_downstream(*onehot, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="soft"))
+    hard = train_downstream(*onehot, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="hard"))
     assert np.array_equal(soft.net.w1, hard.net.w1)
     assert np.array_equal(soft.net.w2, hard.net.w2)
 
 
 def test_uncovered_rows_excluded():
-    docs, probs, _ = corpus(20)
-    probs[0] = ProbabilisticLabel(dist=np.array([0.5, 0.5]), covered=False)
-    keep, targets = build_targets(probs, "soft")
+    docs, (dists, covered), _ = corpus(20)
+    dists[0] = [0.5, 0.5]
+    covered[0] = False
+    keep, targets = build_targets(dists, covered, "soft")
     assert 0 not in keep
     assert len(keep) == 19
+    assert np.array_equal(targets, dists[1:])
 
 
 def test_degenerate_targets():
     docs, _, _ = corpus(10)
-    uncovered = [ProbabilisticLabel(dist=np.array([0.5, 0.5]), covered=False) for _ in docs]
+    with pytest.raises(DegenerateTargets):  # every row uncovered
+        build_targets(np.full((len(docs), 2), 0.5), np.zeros(len(docs), dtype=bool), "soft")
+    one_class = np.tile([0.9, 0.1], (len(docs), 1))
     with pytest.raises(DegenerateTargets):
-        build_targets(uncovered, "soft")
-    one_class = [ProbabilisticLabel(dist=np.array([0.9, 0.1]), covered=True) for _ in docs]
-    with pytest.raises(DegenerateTargets):
-        build_targets(one_class, "soft")
+        build_targets(one_class, np.ones(len(docs), dtype=bool), "soft")
 
 
 def test_loss_trend_nonincreasing_tail():
-    docs, probs, _ = corpus(150)
+    docs, labels, _ = corpus(150)
     feat = featurizer_for(docs)
-    keep, targets = build_targets(probs, "soft")
+    keep, targets = build_targets(*labels, "soft")
     x = feat.pool[keep]
     # a fixed rng_seed fixes init and shuffles, so the e-epoch run replays the first e epochs
     tail = []
     for epochs in range(10, 51):
-        clf = train_downstream(probs, feat, DownstreamConfig(epochs=epochs, rng_seed=2))
+        clf = train_downstream(*labels, feat, DownstreamConfig(epochs=epochs, rng_seed=2))
         out = clf.net.predict_proba_many(x)
         tail.append(float(-np.mean(np.sum(targets * np.log(out + 1e-12), axis=1))))
     # full-data loss after each of the final 41 epochs: non-increasing within 5%
@@ -122,9 +122,9 @@ def test_evaluate_e2e_constant_classifier():
 
 
 def test_evaluate_e2e_empty_test():
-    docs, probs, _ = corpus(20)
+    docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=2, rng_seed=0))
     with pytest.raises(ValueError):
         evaluate_e2e(clf.predict_proba_docs([]), [])
     test = [LabeledExample(doc=docs[0], gold=0)]
@@ -142,9 +142,9 @@ def test_glorot_init_bounds_and_seeding():
 
 
 def test_checkpoint_written(tmp_path):
-    docs, probs, _ = corpus(20)
+    docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=2, rng_seed=0))
     path = str(tmp_path / "model.json")
     clf.checkpoint(path, config_hash="abc")
     import json
@@ -159,9 +159,9 @@ def test_predictions_export(tmp_path):
     from labelforge.downstream import export_predictions_jsonl
     import json
 
-    docs, probs, _ = corpus(20)
+    docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(probs, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=2, rng_seed=0))
     path = str(tmp_path / "pred.jsonl")
     test_probs = clf.predict_proba_docs(docs[:3])
     export_predictions_jsonl(path, test_probs, docs[:3], LabelSpace(("pos", "neg")))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,14 @@ from labelforge.errors import AllWeightsZero, NoSignal
 from labelforge.label_model import (
     DawidSkene,
     MajorityVote,
-    ProbabilisticLabel,
     WeightedMajorityVote,
     aggregate,
     export_labels_jsonl,
     fit_dawid_skene,
-    hard_labels,
     load_labels_jsonl,
 )
 from labelforge.lf_core import ABSTAIN, LabelMatrix
+from labelforge.metrics import evaluate_labeling
 
 LABELS2 = LabelSpace(("pos", "neg"))
 LABELS3 = LabelSpace(("a", "b", "c"))
@@ -30,21 +31,21 @@ def matrix(rows, prefix="d"):
 
 
 def test_majority_vote_counts():
-    probs = aggregate(matrix([[0, 0, 1, ABSTAIN]]), MajorityVote(), LABELS2)
-    assert np.allclose(probs[0].dist, [2 / 3, 1 / 3])
-    assert probs[0].covered
+    dists, covered = aggregate(matrix([[0, 0, 1, ABSTAIN]]), MajorityVote(), LABELS2)
+    assert np.allclose(dists[0], [2 / 3, 1 / 3])
+    assert covered[0]
 
 
 def test_all_abstain_row_uniform_uncovered():
-    probs = aggregate(matrix([[ABSTAIN, ABSTAIN]]), MajorityVote(), LABELS2)
-    assert np.allclose(probs[0].dist, [0.5, 0.5])
-    assert not probs[0].covered
+    dists, covered = aggregate(matrix([[ABSTAIN, ABSTAIN]]), MajorityVote(), LABELS2)
+    assert np.allclose(dists[0], [0.5, 0.5])
+    assert not covered[0]
 
 
 def test_weighted_vote_mass():
     kind = WeightedMajorityVote(weights=(1.0, 1.0, 3.0))
-    probs = aggregate(matrix([[0, 0, 1]]), kind, LABELS2)
-    assert np.allclose(probs[0].dist, [2 / 5, 3 / 5])
+    dists, _ = aggregate(matrix([[0, 0, 1]]), kind, LABELS2)
+    assert np.allclose(dists[0], [2 / 5, 3 / 5])
 
 
 def test_weighted_all_zero_raises():
@@ -56,11 +57,10 @@ def test_equal_weights_match_majority():
     rng = np.random.default_rng(0)
     rows = rng.integers(-1, 2, size=(50, 5))
     m = matrix(rows.tolist())
-    mv = aggregate(m, MajorityVote(), LABELS2)
-    wv = aggregate(m, WeightedMajorityVote(weights=(2.0,) * 5), LABELS2)
-    for a, b in zip(mv, wv):
-        assert np.allclose(a.dist, b.dist)
-        assert a.covered == b.covered
+    mv_dists, mv_covered = aggregate(m, MajorityVote(), LABELS2)
+    wv_dists, wv_covered = aggregate(m, WeightedMajorityVote(weights=(2.0,) * 5), LABELS2)
+    assert np.allclose(mv_dists, wv_dists)
+    assert np.array_equal(mv_covered, wv_covered)
 
 
 def test_weight_scaling_invariance():
@@ -69,10 +69,9 @@ def test_weight_scaling_invariance():
     weights = tuple(rng.uniform(0.1, 1.0, size=4))
     scaled = tuple(7.3 * w for w in weights)
     m = matrix(rows.tolist())
-    a = aggregate(m, WeightedMajorityVote(weights=weights), LABELS2)
-    b = aggregate(m, WeightedMajorityVote(weights=scaled), LABELS2)
-    for x, y in zip(a, b):
-        assert np.allclose(x.dist, y.dist)
+    a, _ = aggregate(m, WeightedMajorityVote(weights=weights), LABELS2)
+    b, _ = aggregate(m, WeightedMajorityVote(weights=scaled), LABELS2)
+    assert np.allclose(a, b)
 
 
 def test_majority_vote_permutation_invariant():
@@ -81,8 +80,9 @@ def test_majority_vote_permutation_invariant():
     m1 = matrix(rows.tolist())
     perm = rng.permutation(6)
     m2 = matrix(rows[:, perm].tolist())
-    for a, b in zip(aggregate(m1, MajorityVote(), LABELS2), aggregate(m2, MajorityVote(), LABELS2)):
-        assert np.allclose(a.dist, b.dist)
+    a, _ = aggregate(m1, MajorityVote(), LABELS2)
+    b, _ = aggregate(m2, MajorityVote(), LABELS2)
+    assert np.allclose(a, b)
 
 
 def test_every_output_is_distribution():
@@ -91,19 +91,26 @@ def test_every_output_is_distribution():
         rows = rng.integers(-1, 3, size=(25, 3))
         if not (rows != ABSTAIN).any():
             continue
-        probs = aggregate(matrix(rows.tolist()), kind, LABELS3)
-        for p in probs:
-            assert (p.dist >= 0).all()
-            assert p.dist.sum() == pytest.approx(1.0, abs=1e-9)
+        dists, covered = aggregate(matrix(rows.tolist()), kind, LABELS3)
+        assert dists.dtype == np.float64 and dists.shape == (25, 3)
+        assert covered.dtype == np.bool_ and covered.shape == (25,)
+        assert np.array_equal(covered, (rows != ABSTAIN).any(axis=1))
+        assert (dists[~covered] == 1 / 3).all()
+        for dist in dists:
+            assert (dist >= 0).all()
+            assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_hard_labels_tie_breaks_to_smallest():
-    probs = [
-        ProbabilisticLabel(dist=np.array([0.7, 0.3]), covered=True),
-        ProbabilisticLabel(dist=np.array([0.5, 0.5]), covered=True),
-        ProbabilisticLabel(dist=np.array([0.5, 0.5]), covered=False),
-    ]
-    assert hard_labels(probs) == [(0, True), (0, True), (0, False)]
+def test_hard_labels_tie_breaks_to_smallest(tmp_path):
+    dists = np.array([[0.3, 0.7], [0.5, 0.5], [0.5, 0.5]])
+    covered = np.array([True, True, False])
+    path = str(tmp_path / "labels.jsonl")
+    export_labels_jsonl(path, dists, covered, ["d0", "d1", "d2"], LABELS2)
+    assert [json.loads(line)["hard"] for line in open(path)] == ["neg", "pos", "pos"]
+    # gold is class 0 for the tied covered row: a class-0 prediction is a perfect score
+    report = evaluate_labeling(dists, covered, ["d0", "d1", "d2"], {"d0": 1, "d1": 0, "d2": 1})
+    assert report.confusion == [[1, 0], [0, 1]]
+    assert report.weighted_f1 == 1.0
 
 
 # --- Dawid-Skene ---
@@ -205,10 +212,10 @@ def test_ds_log_likelihood_nondecreasing():
 
 def test_ds_abstain_rows_uniform_in_aggregate():
     rows = [[0, 1], [ABSTAIN, ABSTAIN], [1, 1]]
-    probs = aggregate(matrix(rows), DawidSkene(), LABELS2)
-    assert not probs[1].covered
-    assert np.allclose(probs[1].dist, 0.5)
-    assert probs[0].covered and probs[2].covered
+    dists, covered = aggregate(matrix(rows), DawidSkene(), LABELS2)
+    assert not covered[1]
+    assert np.allclose(dists[1], 0.5)
+    assert covered[0] and covered[2]
 
 
 def heterogeneous_matrix(rng, num_docs=500, accs=(0.9, 0.9, 0.55), coverage=0.7, num_classes=2):
@@ -233,26 +240,23 @@ def test_ds_beats_majority_on_heterogeneous_lfs():
         rng = np.random.default_rng(1000 + seed)
         rows, gold = heterogeneous_matrix(rng)
         m = matrix(rows.tolist())
-        mvp = aggregate(m, MajorityVote(), LABELS2)
-        dsp = aggregate(m, DawidSkene(), LABELS2)
-        covered = np.array([p.covered for p in mvp])
-        mv = np.array([h for h, _ in hard_labels(mvp)])
-        ds = np.array([h for h, _ in hard_labels(dsp)])
+        mv_dists, covered = aggregate(m, MajorityVote(), LABELS2)
+        ds_dists, _ = aggregate(m, DawidSkene(), LABELS2)
+        mv = mv_dists.argmax(axis=1)
+        ds = ds_dists.argmax(axis=1)
         if (ds[covered] == gold[covered]).mean() >= (mv[covered] == gold[covered]).mean():
             wins += 1
     assert wins >= 18
 
 
 def test_labels_jsonl_round_trip(tmp_path):
-    probs = [
-        ProbabilisticLabel(dist=np.array([0.75, 0.25]), covered=True),
-        ProbabilisticLabel(dist=np.array([0.5, 0.5]), covered=False),
-    ]
+    dists = np.array([[0.75, 0.25], [0.5, 0.5]])
+    covered = np.array([True, False])
     path = str(tmp_path / "labels.jsonl")
-    export_labels_jsonl(path, probs, ["d0", "d1"], LABELS2)
-    again, doc_ids = load_labels_jsonl(path, LABELS2)
+    export_labels_jsonl(path, dists, covered, ["d0", "d1"], LABELS2)
+    again, again_covered, doc_ids = load_labels_jsonl(path, LABELS2)
     assert doc_ids == ["d0", "d1"]
-    assert np.allclose(again[0].dist, probs[0].dist)
-    assert again[1].covered is False
+    assert np.allclose(again[0], dists[0])
+    assert again_covered.dtype == np.bool_ and np.array_equal(again_covered, covered)
     first = open(path).readline()
     assert '"hard": "pos"' in first

@@ -6,7 +6,7 @@ import pytest
 
 from labelforge.corpus import LabelSpace
 from labelforge.errors import IdAlignment, LengthMismatch
-from labelforge.label_model import MajorityVote, ProbabilisticLabel, aggregate
+from labelforge.label_model import MajorityVote, aggregate
 from labelforge.lf_core import ABSTAIN, LabelMatrix
 from labelforge.metrics import (
     append_ledger_row,
@@ -27,8 +27,8 @@ def matrix(rows):
 
 def covered_share(rows):
     """Coverage as report.json reports it: the share of aggregated rows flagged covered."""
-    probs = aggregate(matrix(rows), MajorityVote(), LabelSpace(("a", "b")))
-    return float(np.mean([p.covered for p in probs]))
+    _, covered = aggregate(matrix(rows), MajorityVote(), LabelSpace(("a", "b")))
+    return float(np.mean(covered))
 
 
 def test_coverage_row_counts():
@@ -120,12 +120,11 @@ def test_label_quality_never_exceeds_factors():
         assert q <= c + 1e-12 and q <= w + 1e-12
 
 
-def probs_for(hard, covered):
-    out = []
-    for h, cov in zip(hard, covered):
-        dist = np.full(2, 0.5) if not cov else np.eye(2)[h]
-        out.append(ProbabilisticLabel(dist=dist, covered=cov))
-    return out
+def labels_for(hard, covered):
+    """(dists, covered): one-hot rows for covered labels, uniform rows otherwise."""
+    covered = np.array(covered)
+    dists = np.where(covered[:, None], np.eye(2)[hard], 0.5)
+    return dists, covered
 
 
 IDS = ["d0", "d1"]
@@ -136,8 +135,8 @@ def gold_for(labels):
 
 
 def test_evaluate_labeling_perfect():
-    probs = probs_for([0, 1], [True, True])
-    report = evaluate_labeling(probs, IDS, gold_for([0, 1]))
+    dists, covered = labels_for([0, 1], [True, True])
+    report = evaluate_labeling(dists, covered, IDS, gold_for([0, 1]))
     assert report.coverage == 1.0
     assert report.weighted_f1 == 1.0
     assert report.label_quality == 1.0
@@ -145,19 +144,19 @@ def test_evaluate_labeling_perfect():
 
 
 def test_evaluate_labeling_half_covered_quality():
-    probs = probs_for([0, 0], [True, False])
-    report = evaluate_labeling(probs, IDS, gold_for([0, 1]))
+    dists, covered = labels_for([0, 0], [True, False])
+    report = evaluate_labeling(dists, covered, IDS, gold_for([0, 1]))
     assert report.coverage == pytest.approx(0.5)
     assert report.weighted_f1 == 1.0  # covered rows only
     assert report.label_quality == pytest.approx(0.5)
 
 
 def test_evaluate_labeling_id_alignment():
-    probs = probs_for([0, 1], [True, True])
+    dists, covered = labels_for([0, 1], [True, True])
     with pytest.raises(IdAlignment):
-        evaluate_labeling(probs, IDS, {"zz": 0, "d1": 1})
+        evaluate_labeling(dists, covered, IDS, {"zz": 0, "d1": 1})
     with pytest.raises(IdAlignment):
-        evaluate_labeling(probs, IDS[:1], gold_for([0, 1]))
+        evaluate_labeling(dists, covered, IDS[:1], gold_for([0, 1]))
 
 
 def test_ledger_append(tmp_path):

@@ -155,10 +155,24 @@ def test_cmd_eval_misaligned_ids(run_env, tmp_path):
     labels_path = str(tmp_path / "labels.jsonl")
     with open(labels_path, "w") as fh:
         fh.write(json.dumps({"doc_id": "unknown-id", "dist": [1.0, 0.0],
-                             "covered": True, "hard": "pos"}) + "\n")
+                             "covered": True, "hard": "neg"}) + "\n")
     code = main(["eval", "--labels", labels_path, "--data", run_env["data"],
                  "--out", str(tmp_path / "out.json")])
     assert code == 3
+
+
+def test_cmd_eval_rejects_labels_written_in_another_class_order(run_env, tmp_path):
+    # the run writes dist in (pos, neg) order; eval infers the sorted (neg, pos)
+    config_path = str(tmp_path / "config.json")
+    small_config(class_names=["pos", "neg"]).save(config_path)
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", config_path, "--data", run_env["data"], "--out", out]) == 0
+    code = main(["eval", "--labels", os.path.join(out, "labels.jsonl"), "--data", run_env["data"],
+                 "--out", str(tmp_path / "eval.json")])
+    assert code == 2
+    err = json.load(open(tmp_path / "error.json"))
+    assert err["stage"] == "eval"
+    assert "line 1" in err["error"]
 
 
 @pytest.mark.parametrize("record", [

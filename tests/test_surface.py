@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -58,6 +59,44 @@ def test_whitespace_and_case_invariance():
     assert eval_surface(rule, doc("  EXCELLENT  ")) == 0
     sub = SurfaceRule(patterns={0: {"excellent"}}, match_mode="substring")
     assert eval_surface(sub, doc("  EXCELLENT  ")) == 0
+
+
+def contains_phrase(tokens, phrase):
+    """Phrase-scan oracle: does ``phrase`` occur as a contiguous run of ``tokens``?"""
+    if not phrase or len(phrase) > len(tokens):
+        return False
+    span = len(phrase)
+    return any(tokens[i:i + span] == phrase for i in range(len(tokens) - span + 1))
+
+
+def phrase_scan_vote(rule, text):
+    """eval_surface by token-window scan (token mode) or raw substring test."""
+    matched = []
+    for cls, pats in rule.patterns.items():
+        if rule.match_mode == "token":
+            tokens = tokenize(text, min_token_len=1)
+            hit = any(contains_phrase(tokens, tokenize(p, min_token_len=1)) for p in pats)
+        else:
+            hit = any(p in text.strip().lower() for p in pats)
+        if hit:
+            matched.append(cls)
+    return matched[0] if len(matched) == 1 else ABSTAIN
+
+
+def test_eval_surface_matches_phrase_scan_oracle():
+    rng = random.Random(0)
+    words = ["good", "Good", "movie", "bad", "a", "ab", "é", "x_y", "_", "-", "", "art", "start"]
+    seps = [" ", "  ", "-", "_", ", ", "\t"]
+
+    def text(max_words):
+        parts = [rng.choice(words) for _ in range(rng.randint(0, max_words))]
+        return "".join(p + rng.choice(seps) for p in parts)
+
+    for trial in range(4000):
+        patterns = {cls: {text(3) for _ in range(rng.randint(1, 3))} for cls in (0, 1)}
+        rule = SurfaceRule(patterns=patterns, match_mode=rng.choice(["token", "substring"]))
+        document = text(8)
+        assert eval_surface(rule, doc(document)) == phrase_scan_vote(rule, document), trial
 
 
 def test_similarity_jaccard():

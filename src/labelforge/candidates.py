@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, Document
+from .corpus import Dataset
 from .errors import DegenerateSubsample, DimensionMismatch
-from .features import (
-    EmbeddingFeaturizer, HashingEmbedder, RemoteEmbedder, TfidfFeaturizer, Tokenizer, fit_tfidf,
-)
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
 from .nets import MlpNet, softmax
 
@@ -133,16 +130,14 @@ class CalibratedClassifierLF:
     """Classifier + featurization + confidence threshold omega.
 
     Votes argmax when the max class probability strictly exceeds omega,
-    abstains otherwise (omega 0 means the LF always votes).
+    abstains otherwise (omega 0 means the LF always votes). Its votes come
+    from ``threshold_votes`` over the probabilities of the featurizer's
+    tables, which ``exploitation.score_candidates`` computes.
     """
 
     classifier: object
     featurizer: object
     omega: float = 0.0
-
-    def apply_many(self, docs: list[Document]) -> np.ndarray:
-        probs = self.classifier.predict_proba_many(self.featurizer.transform_many(docs))
-        return threshold_votes(probs, self.omega)
 
     def describe(self) -> dict:
         return {
@@ -207,14 +202,15 @@ def synthesize_candidates(
     dataset: Dataset,
     count: int,
     config,
-    featurizers: list | None = None,
+    featurizers: list,
     base_seed: int | None = None,
 ) -> tuple[list[LabelFunction], list[dict]]:
     """Produce ``count`` trained classifier LFs for one category.
 
     Candidate k trains on the subsample drawn with rng seed base_seed + k and
-    takes its variation (n-gram range and regularization for structural, head
-    width for semantic) round-robin from the config lists. Degenerate
+    takes its variation (featurizer and regularization for structural, head
+    width for semantic) round-robin from ``featurizers`` (the category's list
+    from ``features.build_featurizers``) and the config lists. Degenerate
     subsamples are skipped, not fatal; skips come back as report dicts.
     Omega stays 0 until ``score_candidates`` calibrates it.
     """
@@ -222,8 +218,6 @@ def synthesize_candidates(
         raise ValueError("count must be >= 1")
     if category not in (Category.STRUCTURAL, Category.SEMANTIC):
         raise ValueError("synthesize_candidates handles structural/semantic only")
-    if featurizers is None:
-        featurizers = build_featurizers(category, dataset, config)
     base = config.base_seed if base_seed is None else base_seed
     training = config.candidate_training
     regs = training["regularizations"]
@@ -272,28 +266,3 @@ def synthesize_candidates(
             },
         ))
     return lfs, skips
-
-
-def build_featurizers(category: Category, dataset: Dataset, config) -> list:
-    """Fit the featurizer variants a category's candidates draw from, tables built."""
-    if category == Category.STRUCTURAL:
-        tokenizer = Tokenizer(min_token_len=config.tfidf["min_token_len"])
-        return [
-            TfidfFeaturizer(fit_tfidf(
-                dataset.unlabeled,
-                tokenizer=tokenizer,
-                ngram_range=tuple(ngram_range),
-                min_df=config.tfidf["min_df"],
-            )).build_tables(dataset)
-            for ngram_range in config.tfidf["ngram_ranges"]
-        ]
-    if config.embedding["kind"] == "hashing":
-        provider = HashingEmbedder(dim=config.embedding["dim"])
-    else:
-        provider = RemoteEmbedder(
-            endpoint=config.embedding["endpoint"],
-            model=config.embedding["model"],
-            dim=config.embedding["dim"],
-            cache_path=config.embedding.get("cache_path"),
-        )
-    return [EmbeddingFeaturizer(provider).build_tables(dataset)]

@@ -11,7 +11,7 @@ import sys
 import time
 
 from .config import PipelineConfig
-from .corpus import LabelSpace, load_dataset, save_dataset
+from .corpus import LabelSpace, iter_records, load_dataset, save_dataset
 from .errors import IdAlignment, LabelForgeError
 from .label_model import load_labels_jsonl
 from .metrics import evaluate_labeling, write_report_json
@@ -52,20 +52,9 @@ def _load_inputs(args) -> tuple[PipelineConfig, object]:
 
 
 def _infer_labels(path: str, fmt: str) -> LabelSpace:
-    names: set[str] = set()
-    if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    if rec.get("label"):
-                        names.add(rec["label"])
-    else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row.get("label"):
-                    names.add(row["label"])
-    return LabelSpace(tuple(sorted(names)))
+    """The sorted string labels of the data file; ``load_dataset`` rejects any other."""
+    labels = (rec.get("label") for _, rec in iter_records(path, fmt))
+    return LabelSpace(tuple(sorted({n for n in labels if isinstance(n, str) and n})))
 
 
 def cmd_run(args) -> int:

@@ -63,6 +63,18 @@ def _default_label_model() -> dict:
     return {"kind": "majority_vote"}
 
 
+LABEL_MODEL_KINDS = ("majority_vote", "weighted_majority_vote", "dawid_skene")
+
+# nested tables every stage reads key by key: each needs all of its default's keys
+_COMPLETE_TABLES = {
+    "k_per_category": _default_k,
+    "tau_dup": _default_tau,
+    "tfidf": _default_tfidf,
+    "candidate_training": _default_candidate_training,
+    "downstream": _default_downstream,
+}
+
+
 @dataclass
 class PipelineConfig:
     """Every tunable of a run; serializes to a stable hash for reports."""
@@ -88,6 +100,16 @@ class PipelineConfig:
     class_names: list = field(default_factory=list)  # empty: infer from data file
 
     def __post_init__(self):
+        for name in ("label_model", *_COMPLETE_TABLES):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be an object")
+        for name, default in _COMPLETE_TABLES.items():
+            missing = sorted(set(default()) - set(getattr(self, name)))
+            if missing:
+                raise ConfigError(f"{name} is missing keys {missing}")
+        kind = self.label_model.get("kind", "majority_vote")
+        if kind not in LABEL_MODEL_KINDS:
+            raise ConfigError(f"label_model kind {kind!r} is not one of {list(LABEL_MODEL_KINDS)}")
         if not 0 <= self.alpha <= 1:
             raise ConfigError("alpha must be in [0, 1]")
         if self.beta < 0:

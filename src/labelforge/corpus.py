@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DuplicateId, MalformedRecord, UnknownLabel
 
 SPLITS = ("unlabeled", "seed", "test")
+
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def tokenize(text: str, min_token_len: int = 2) -> tuple[str, ...]:
+    """Lowercase, split on non-alphanumeric, drop tokens shorter than the floor."""
+    return tuple(t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= min_token_len)
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,11 @@ class LabelSpace:
 class Document:
     id: str
     text: str  # may be empty; label functions must still handle it
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """Every token of the text (no length floor), computed on first read."""
+        return tokenize(self.text, min_token_len=1)
 
 
 @dataclass(frozen=True)

@@ -1,104 +1,100 @@
-"""Deterministic text featurization: tokenizer, TF-IDF, and embeddings.
+"""Deterministic text featurization: TF-IDF and embeddings.
 
-The TF-IDF vectorizer backs structural label functions; embeddings back
-semantic ones. The default embedding provider is a dependency-free signed
-hashing projection so the semantic pathway runs fully offline; a remote
-provider with an on-disk cache covers real encoder services.
+Each featurizer is one fitted model that vectorizes a document from its
+cached tokens. TF-IDF backs structural label functions and the downstream
+classifier; embeddings back semantic ones. The default embedder is a
+dependency-free signed hashing projection so the semantic pathway runs fully
+offline; a remote embedder with an on-disk cache covers real encoder services.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .corpus import Dataset, Document
 from .errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+class Featurizer:
+    """Doc -> feature vector, plus the ``seed`` and ``pool`` row tables of one dataset.
 
-@lru_cache(maxsize=262144)
-def _tokenize_cached(text: str, min_token_len: int) -> tuple[str, ...]:
-    return tuple(t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= min_token_len)
-
-
-def tokenize(text: str, min_token_len: int = 2) -> tuple[str, ...]:
-    """Lowercase, split on non-alphanumeric, drop tokens shorter than the floor."""
-    return _tokenize_cached(text, min_token_len)
-
-
-@dataclass(frozen=True)
-class Tokenizer:
-    min_token_len: int = 2
-
-    def __call__(self, text: str) -> tuple[str, ...]:
-        return tokenize(text, self.min_token_len)
-
-
-def _ngrams(tokens: tuple[str, ...], ngram_range: tuple[int, int]):
-    lo, hi = ngram_range
-    for n in range(lo, hi + 1):
-        for i in range(len(tokens) - n + 1):
-            yield " ".join(tokens[i:i + n])
-
-
-@dataclass
-class TfidfModel:
-    """Vocabulary + smoothed idf; transform output is L2-normalized."""
-
-    vocabulary: dict[str, int]
-    idf: np.ndarray
-    ngram_range: tuple[int, int]
-    tokenizer: Tokenizer
-
-    @property
-    def dim(self) -> int:
-        return len(self.vocabulary)
-
-
-def fit_tfidf(
-    docs: list[Document],
-    tokenizer: Tokenizer = Tokenizer(),
-    ngram_range: tuple[int, int] = (1, 2),
-    min_df: int = 1,
-) -> TfidfModel:
-    """Build the vocabulary from uni/bigram document frequencies.
-
-    idf_t = ln((1 + N) / (1 + df_t)) + 1, strictly positive. Vocabulary terms
-    are index-assigned in sorted order so fitting is order-independent.
+    ``build_tables`` vectorizes each split once, in split row order; callers
+    that hold row indices read those tables. Subclasses set ``dim`` and supply
+    ``kind``, ``vectorize(doc)`` and ``describe()``.
     """
-    if not docs:
-        raise ValueError("fit_tfidf needs at least one document")
-    df: dict[str, int] = {}
-    for doc in docs:
-        for term in set(_ngrams(tokenizer(doc.text), ngram_range)):
-            df[term] = df.get(term, 0) + 1
-    terms = sorted(t for t, c in df.items() if c >= min_df)
-    if not terms:
-        raise EmptyVocabulary("no terms survived tokenization")
-    vocabulary = {t: i for i, t in enumerate(terms)}
-    n = len(docs)
-    idf = np.array([np.log((1 + n) / (1 + df[t])) + 1.0 for t in terms])
-    return TfidfModel(vocabulary, idf, ngram_range, tokenizer)
+
+    def transform_many(self, docs: list[Document]) -> np.ndarray:
+        """One (len(docs), dim) array, row i vectorized from docs[i]."""
+        out = np.empty((len(docs), self.dim))
+        for row, doc in enumerate(docs):
+            out[row] = self.vectorize(doc)
+        return out
+
+    def build_tables(self, dataset: Dataset) -> Featurizer:
+        self.seed = self.transform_many([ex.doc for ex in dataset.seed])
+        self.pool = self.transform_many(dataset.unlabeled)
+        return self
 
 
-def transform_tfidf(model: TfidfModel, doc: Document) -> np.ndarray:
-    """Term counts scaled by idf, then L2-normalized; OOV terms are ignored."""
-    vec = np.zeros(model.dim)
-    for term in _ngrams(model.tokenizer(doc.text), model.ngram_range):
-        col = model.vocabulary.get(term)
-        if col is not None:
-            vec[col] += 1.0
-    vec *= model.idf
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
+class TfidfFeaturizer(Featurizer):
+    """TF-IDF over n-grams of a doc's tokens of at least ``min_token_len`` characters.
+
+    Fitting on ``docs`` builds the vocabulary and the smoothed idf
+    ln((1 + N) / (1 + df_t)) + 1, strictly positive. Vocabulary terms are
+    index-assigned in sorted order so fitting is order-independent. A vector
+    is term counts scaled by idf, then L2-normalized; OOV terms are ignored.
+    """
+
+    kind = "tfidf"
+
+    def __init__(
+        self,
+        docs: list[Document],
+        ngram_range: tuple[int, int] = (1, 2),
+        min_df: int = 1,
+        min_token_len: int = 2,
+    ):
+        if not docs:
+            raise ValueError("TF-IDF fitting needs at least one document")
+        self.ngram_range = tuple(ngram_range)
+        self.min_token_len = min_token_len
+        df: dict[str, int] = {}
+        for doc in docs:
+            for term in set(self._ngrams(doc)):
+                df[term] = df.get(term, 0) + 1
+        terms = sorted(t for t, c in df.items() if c >= min_df)
+        if not terms:
+            raise EmptyVocabulary("no terms survived tokenization")
+        self.vocabulary = {t: i for i, t in enumerate(terms)}
+        n = len(docs)
+        self.idf = np.array([np.log((1 + n) / (1 + df[t])) + 1.0 for t in terms])
+        self.dim = len(terms)
+
+    def _ngrams(self, doc: Document):
+        tokens = [t for t in doc.tokens if len(t) >= self.min_token_len]
+        lo, hi = self.ngram_range
+        for n in range(lo, hi + 1):
+            for i in range(len(tokens) - n + 1):
+                yield " ".join(tokens[i:i + n])
+
+    def vectorize(self, doc: Document) -> np.ndarray:
+        vec = np.zeros(self.dim)
+        for term in self._ngrams(doc):
+            col = self.vocabulary.get(term)
+            if col is not None:
+                vec[col] += 1.0
+        vec *= self.idf
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        return vec
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, "ngram_range": list(self.ngram_range), "dim": self.dim}
 
 
 def _stable_hash(term: str, personal: bytes) -> int:
@@ -106,8 +102,7 @@ def _stable_hash(term: str, personal: bytes) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class HashingEmbedder:
+class HashingEmbedder(Featurizer):
     """Signed-hash projection of unigrams and bigrams onto a fixed dimension.
 
     Each term lands on coordinate blake2b(term) mod dim with a sign drawn from
@@ -115,11 +110,13 @@ class HashingEmbedder:
     depends only on (text, dim), so it is identical across runs and platforms.
     """
 
-    dim: int = 256
+    kind = "embedding"
 
-    def raw_projection(self, text: str) -> np.ndarray:
+    def __init__(self, dim: int = 256):
+        self.dim = dim
+
+    def raw_projection(self, tokens: tuple[str, ...]) -> np.ndarray:
         vec = np.zeros(self.dim)
-        tokens = tokenize(text, min_token_len=1)
         terms = list(tokens) + [" ".join(tokens[i:i + 2]) for i in range(len(tokens) - 1)]
         for term in terms:
             coord = _stable_hash(term, b"lf-coord") % self.dim
@@ -127,12 +124,15 @@ class HashingEmbedder:
             vec[coord] += sign
         return vec
 
-    def embed(self, doc: Document) -> np.ndarray:
-        vec = self.raw_projection(doc.text)
+    def vectorize(self, doc: Document) -> np.ndarray:
+        vec = self.raw_projection(doc.tokens)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
         return vec
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, "provider": type(self).__name__, "dim": self.dim}
 
 
 def _default_embedding_transport(endpoint: str, payload: dict, timeout: float) -> dict:
@@ -148,7 +148,7 @@ def _default_embedding_transport(endpoint: str, payload: dict, timeout: float) -
 
 
 @dataclass
-class RemoteEmbedder:
+class RemoteEmbedder(Featurizer):
     """Embedding service client with a per-document JSONL cache.
 
     Vectors are cached by (provider config hash, doc id) so re-runs are
@@ -162,6 +162,8 @@ class RemoteEmbedder:
     cache_path: str | None = None
     transport: object = None
     _cache: dict[str, list[float]] = field(default_factory=dict)
+
+    kind = "embedding"
 
     def __post_init__(self):
         if self.transport is None:
@@ -204,7 +206,7 @@ class RemoteEmbedder:
         with open(self.cache_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(rec) + "\n")
 
-    def embed(self, doc: Document) -> np.ndarray:
+    def vectorize(self, doc: Document) -> np.ndarray:
         if doc.id in self._cache:
             return np.asarray(self._cache[doc.id], dtype=float)
         payload = {"model": self.model, "input": doc.text}
@@ -224,54 +226,34 @@ class RemoteEmbedder:
         self._append_cache(doc.id, vector)
         return np.asarray(vector, dtype=float)
 
+    def describe(self) -> dict:
+        return {"kind": self.kind, "provider": type(self).__name__, "dim": self.dim}
 
-class Featurizer:
-    """Doc -> feature vector, plus the ``seed`` and ``pool`` row tables of one dataset.
 
-    ``build_tables`` vectorizes each split once, in split row order; callers
-    that hold row indices read those tables. Subclasses supply ``kind``,
-    ``vectorize(doc)`` and ``describe()``.
+def build_featurizers(dataset: Dataset, config) -> tuple[list, list, TfidfFeaturizer]:
+    """The structural and semantic featurizers and the downstream one, tables built.
+
+    The downstream featurizer is the structural one with the downstream
+    n-gram range; only when no structural range matches is another fitted.
     """
+    tfidf = config.tfidf
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def fit(ngram_range) -> TfidfFeaturizer:
+        return TfidfFeaturizer(
+            dataset.unlabeled, ngram_range, tfidf["min_df"], tfidf["min_token_len"]
+        ).build_tables(dataset)
 
-    def transform_many(self, docs: list[Document]) -> np.ndarray:
-        """One (len(docs), dim) array, row i vectorized from docs[i]."""
-        out = np.empty((len(docs), self.dim))
-        for row, doc in enumerate(docs):
-            out[row] = self.vectorize(doc)
-        return out
-
-    def build_tables(self, dataset: Dataset) -> Featurizer:
-        self.seed = self.transform_many([ex.doc for ex in dataset.seed])
-        self.pool = self.transform_many(dataset.unlabeled)
-        return self
-
-
-class TfidfFeaturizer(Featurizer):
-    kind = "tfidf"
-
-    def __init__(self, model: TfidfModel):
-        self.model = model
-        super().__init__(model.dim)
-
-    def vectorize(self, doc: Document) -> np.ndarray:
-        return transform_tfidf(self.model, doc)
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "ngram_range": list(self.model.ngram_range), "dim": self.dim}
-
-
-class EmbeddingFeaturizer(Featurizer):
-    kind = "embedding"
-
-    def __init__(self, provider):
-        self.provider = provider
-        super().__init__(provider.dim)
-
-    def vectorize(self, doc: Document) -> np.ndarray:
-        return self.provider.embed(doc)
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "provider": type(self.provider).__name__, "dim": self.dim}
+    structural = [fit(ngram_range) for ngram_range in tfidf["ngram_ranges"]]
+    embedding = config.embedding
+    if embedding["kind"] == "hashing":
+        semantic = HashingEmbedder(dim=embedding["dim"])
+    else:
+        semantic = RemoteEmbedder(
+            endpoint=embedding["endpoint"],
+            model=embedding["model"],
+            dim=embedding["dim"],
+            cache_path=embedding.get("cache_path"),
+        )
+    target = tuple(config.downstream["ngram_range"])
+    downstream = next((f for f in structural if f.ngram_range == target), None) or fit(target)
+    return structural, [semantic.build_tables(dataset)], downstream

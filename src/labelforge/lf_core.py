@@ -35,12 +35,13 @@ CATEGORIES = (Category.SURFACE, Category.STRUCTURAL, Category.SEMANTIC)
 class LabelFunction:
     """A category-tagged rule payload plus its estimated reliability.
 
-    ``rule`` must expose apply_many(docs) -> one weak label per doc and
-    describe() -> its JSON payload; classifier rules also carry the calibrated
-    confidence threshold (mirrored here as ``threshold``). Scoring computes each
-    LF's votes once on the unlabeled pool and keeps that column as ``votes``
-    (outside describe() and equality); est_coverage, dedup agreement and the
-    label matrix all read it.
+    ``rule`` exposes describe() -> its JSON payload. Classifier rules carry a
+    classifier, its featurizer and the calibrated confidence threshold
+    (mirrored here as ``threshold``) and are voted from the featurizer's row
+    tables; every other rule exposes apply_many(docs) -> one weak label per
+    doc. Scoring computes each LF's votes once on the unlabeled pool and keeps
+    that column as ``votes`` (outside describe() and equality); est_coverage,
+    dedup agreement and the label matrix all read it.
     """
 
     id: str

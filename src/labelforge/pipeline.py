@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 
 from . import metrics as metrics_mod
-from .candidates import build_featurizers, synthesize_candidates
+from .candidates import synthesize_candidates
 from .config import PipelineConfig, RunManifest, file_digest
 from .corpus import Dataset
 from .downstream import (
@@ -24,7 +24,7 @@ from .downstream import (
 )
 from .errors import LabelForgeError, ProviderUnreachable, MalformedProviderReply
 from .exploitation import run_exploitation_loop
-from .features import TfidfFeaturizer, Tokenizer, fit_tfidf
+from .features import build_featurizers
 from .label_model import (
     DawidSkene,
     MajorityVote,
@@ -147,20 +147,6 @@ def label_model_kind(config: PipelineConfig, lfs: list[LabelFunction]):
     raise ValueError(f"unknown label model kind: {kind!r}")
 
 
-def downstream_featurizer(config: PipelineConfig, dataset: Dataset, structural: list):
-    """The structural featurizer with the downstream n-gram range, else a new one, tables built."""
-    target = tuple(config.downstream["ngram_range"])
-    for featurizer in structural:
-        if tuple(featurizer.model.ngram_range) == target:
-            return featurizer
-    tokenizer = Tokenizer(min_token_len=config.tfidf["min_token_len"])
-    model = fit_tfidf(
-        dataset.unlabeled, tokenizer=tokenizer, ngram_range=target,
-        min_df=config.tfidf["min_df"],
-    )
-    return TfidfFeaturizer(model).build_tables(dataset)
-
-
 def run_pipeline(
     config: PipelineConfig,
     dataset: Dataset,
@@ -176,13 +162,8 @@ def run_pipeline(
         manifest.input_digests["dataset"] = file_digest(dataset_path)
 
     with _stage(seconds, "featurize"):
-        featurizers = {
-            Category.STRUCTURAL: build_featurizers(Category.STRUCTURAL, dataset, config),
-            Category.SEMANTIC: build_featurizers(Category.SEMANTIC, dataset, config),
-        }
-        end_featurizer = downstream_featurizer(
-            config, dataset, featurizers[Category.STRUCTURAL]
-        )
+        structural, semantic, end_featurizer = build_featurizers(dataset, config)
+        featurizers = {Category.STRUCTURAL: structural, Category.SEMANTIC: semantic}
 
     with _stage(seconds, "explore_exploit"):
         generators, skip_sink = build_generators(config, dataset, featurizers)

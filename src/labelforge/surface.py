@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document, LabelSpace
+from .corpus import Document, LabelSpace, tokenize
 from .errors import MalformedProviderReply, ProviderUnreachable
-from .features import tokenize
 from .lf_core import ABSTAIN
 
 MATCH_MODES = ("token", "substring")
@@ -69,7 +68,7 @@ class SurfaceRule:
 def eval_surface(rule: SurfaceRule, doc: Document) -> int:
     """Vote for the single matching class; abstain on zero or conflicting matches."""
     if rule.match_mode == "token":
-        text = " " + " ".join(tokenize(doc.text, min_token_len=1)) + " "
+        text = " " + " ".join(doc.tokens) + " "
     else:
         text = doc.text.strip().lower()
     matched = [cls for cls, needles in rule._needles.items() if any(n in text for n in needles)]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from labelforge.candidates import (
     fit_logistic,
     synthesize_candidates,
     threshold_grid,
+    threshold_votes,
     train_candidate,
     whm,
 )
@@ -17,6 +19,7 @@ from labelforge.config import PipelineConfig
 from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace
 from labelforge.errors import DegenerateSubsample, DimensionMismatch
 from labelforge.exploitation import score_candidates
+from labelforge.features import build_featurizers
 from labelforge.lf_core import ABSTAIN, Category
 from labelforge.nets import MlpNet
 
@@ -128,40 +131,6 @@ def test_threshold_grid_covers_unit_interval():
     assert odd[-1] == 1.0
 
 
-class FixedProbClassifier:
-    """predict_proba_many keyed by doc id; used to pin confidence values."""
-
-    def __init__(self, probs_by_id, featurizer):
-        self.probs_by_id = probs_by_id
-        self.featurizer = featurizer
-
-    def predict_proba_many(self, x):
-        # featurizer below encodes the doc id index in the vector
-        return np.stack([self.probs_by_id[int(row[0])] for row in x])
-
-
-class IndexFeaturizer:
-    kind = "index"
-    dim = 1
-
-    def transform(self, doc):
-        return np.array([float(doc.id[1:])])
-
-    def transform_many(self, docs):
-        return np.stack([self.transform(d) for d in docs])
-
-    def describe(self):
-        return {"kind": self.kind}
-
-
-def make_fixed_lf(probs):
-    feat = IndexFeaturizer()
-    probs_by_id = {i: np.asarray(p) for i, p in enumerate(probs)}
-    return CalibratedClassifierLF(
-        classifier=FixedProbClassifier(probs_by_id, feat), featurizer=feat
-    )
-
-
 NO_POOL = np.zeros((0, 2))
 
 
@@ -259,7 +228,8 @@ def test_coverage_is_nonincreasing_in_omega():
 
 
 def test_describe_needs_the_classifier_training_record():
-    clf_lf = make_fixed_lf([[0.9, 0.1]])
+    featurizer = SimpleNamespace(describe=lambda: {"kind": "index"})
+    clf_lf = CalibratedClassifierLF(classifier=SimpleNamespace(), featurizer=featurizer)
     with pytest.raises(AttributeError):
         clf_lf.describe()
     clf_lf.classifier.trained_on = {"indices": [0]}
@@ -267,10 +237,9 @@ def test_describe_needs_the_classifier_training_record():
 
 
 def test_calibrated_lf_thresholding():
-    clf_lf = make_fixed_lf([[0.55, 0.45], [0.9, 0.1]])
-    clf_lf.omega = 0.6
-    votes = clf_lf.apply_many([Document(id="i0", text=""), Document(id="i1", text="")])
-    assert votes.tolist() == [ABSTAIN, 0]
+    probs = np.array([[0.55, 0.45], [0.9, 0.1], [0.4, 0.6]])
+    assert threshold_votes(probs, 0.6).tolist() == [ABSTAIN, 0, ABSTAIN]
+    assert threshold_votes(probs, 0.0).tolist() == [0, 0, 1]
 
 
 def toy_dataset(n_unlabeled=40, n_seed=12):
@@ -288,15 +257,22 @@ def toy_dataset(n_unlabeled=40, n_seed=12):
     return Dataset(labels=labels, unlabeled=unlabeled, seed=seed)
 
 
+def synthesize(category, ds, count, cfg):
+    """``synthesize_candidates`` over the category's featurizers from ``build_featurizers``."""
+    structural, semantic, _ = build_featurizers(ds, cfg)
+    featurizers = structural if category == Category.STRUCTURAL else semantic
+    return synthesize_candidates(category, ds, count, cfg, featurizers)
+
+
 def test_synthesize_candidates_deterministic_and_seeded():
     ds = toy_dataset()
     cfg = PipelineConfig(base_seed=7)
-    lfs, skips = synthesize_candidates(Category.STRUCTURAL, ds, 3, cfg)
+    lfs, skips = synthesize(Category.STRUCTURAL, ds, 3, cfg)
     assert [lf.id for lf in lfs] == [
         "structural-s00008", "structural-s00009", "structural-s00010",
     ]
     assert skips == []
-    again, _ = synthesize_candidates(Category.STRUCTURAL, ds, 3, cfg)
+    again, _ = synthesize(Category.STRUCTURAL, ds, 3, cfg)
     score_candidates(lfs, ds, cfg)
     score_candidates(again, ds, cfg)
     assert [lf.est_accuracy for lf in again] == [lf.est_accuracy for lf in lfs]
@@ -307,7 +283,7 @@ def test_synthesize_candidates_deterministic_and_seeded():
 def test_synthesize_on_separable_data_estimates_perfect():
     ds = toy_dataset()
     cfg = PipelineConfig(base_seed=1)
-    lfs, _ = synthesize_candidates(Category.STRUCTURAL, ds, 1, cfg)
+    lfs, _ = synthesize(Category.STRUCTURAL, ds, 1, cfg)
     assert len(lfs) == 1
     score_candidates(lfs, ds, cfg)
     assert lfs[0].est_accuracy == pytest.approx(1.0, abs=1e-6)
@@ -317,7 +293,7 @@ def test_synthesize_semantic_with_mlp_head():
     ds = toy_dataset()
     cfg = PipelineConfig(base_seed=1)
     cfg.candidate_training["semantic_head_widths"] = [0, 16]
-    lfs, _ = synthesize_candidates(Category.SEMANTIC, ds, 2, cfg)
+    lfs, _ = synthesize(Category.SEMANTIC, ds, 2, cfg)
     assert len(lfs) == 2
     assert lfs[0].meta["head_width"] == 0
     assert lfs[1].meta["head_width"] == 16
@@ -332,7 +308,7 @@ def test_synthesize_all_degenerate_reports_skips():
     seed = [LabeledExample(doc=Document(id=f"s{i}", text="same text"), gold=0) for i in range(6)]
     ds = Dataset(labels=labels, unlabeled=[Document(id="u0", text="same text")], seed=seed)
     cfg = PipelineConfig(base_seed=0)
-    lfs, skips = synthesize_candidates(Category.STRUCTURAL, ds, 3, cfg)
+    lfs, skips = synthesize(Category.STRUCTURAL, ds, 3, cfg)
     assert lfs == []
     assert len(skips) == 3
 
@@ -340,7 +316,7 @@ def test_synthesize_all_degenerate_reports_skips():
 def test_abstain_disabled_zeroes_omega():
     ds = toy_dataset()
     cfg = PipelineConfig(base_seed=2, abstain_enabled=False)
-    lfs, _ = synthesize_candidates(Category.SEMANTIC, ds, 2, cfg)
+    lfs, _ = synthesize(Category.SEMANTIC, ds, 2, cfg)
     score_candidates(lfs, ds, cfg)
     assert all(lf.threshold == 0.0 for lf in lfs)
     assert all(lf.rule.omega == 0.0 for lf in lfs)
@@ -360,7 +336,7 @@ def test_each_candidate_predicts_once_per_split(monkeypatch):
         monkeypatch.setattr(cls, "predict_proba_many", counting)
     lfs = []
     for category in (Category.STRUCTURAL, Category.SEMANTIC):
-        made, _ = synthesize_candidates(category, ds, 2, cfg)
+        made, _ = synthesize(category, ds, 2, cfg)
         score_candidates(made, ds, cfg)
         lfs.extend(made)
     assert len(lfs) == 4

@@ -10,7 +10,7 @@ from labelforge.downstream import (
 )
 from labelforge.errors import DegenerateTargets
 from labelforge.nets import MlpNet
-from labelforge.features import TfidfFeaturizer, Tokenizer, fit_tfidf
+from labelforge.features import TfidfFeaturizer
 
 
 def corpus(n=120):
@@ -27,8 +27,7 @@ def corpus(n=120):
 
 def featurizer_for(docs):
     """TF-IDF over ``docs`` whose pool table holds ``docs`` in order."""
-    model = fit_tfidf(docs, tokenizer=Tokenizer(min_token_len=2), ngram_range=(1, 1))
-    feat = TfidfFeaturizer(model)
+    feat = TfidfFeaturizer(docs, (1, 1))
     feat.pool = feat.transform_many(docs)
     return feat
 

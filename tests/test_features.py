@@ -5,17 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace
+from labelforge.config import PipelineConfig
+from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace, tokenize
 from labelforge.errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
 from labelforge.features import (
-    EmbeddingFeaturizer,
     HashingEmbedder,
     RemoteEmbedder,
     TfidfFeaturizer,
-    Tokenizer,
-    fit_tfidf,
-    tokenize,
-    transform_tfidf,
+    build_featurizers,
 )
 
 
@@ -28,61 +25,56 @@ def test_tokenizer_basics():
     assert tokenize("Hello a", min_token_len=1) == ("hello", "a")
     assert tokenize("under_score") == ("under", "score")
     assert tokenize("") == ()
+    assert doc("Hello, World! a").tokens == ("hello", "world", "a")
 
 
 def test_idf_formula_hand_computed():
     # docs ["a b", "b c"]: df(b)=2, idf(b)=ln(3/3)+1=1.0
-    tok = Tokenizer(min_token_len=1)
-    model = fit_tfidf([doc("a b", "1"), doc("b c", "2")], tokenizer=tok, ngram_range=(1, 1))
-    assert model.idf[model.vocabulary["b"]] == pytest.approx(1.0)
-    assert model.idf[model.vocabulary["a"]] == pytest.approx(math.log(3 / 2) + 1)
+    tfidf = TfidfFeaturizer([doc("a b", "1"), doc("b c", "2")], (1, 1), min_token_len=1)
+    assert tfidf.idf[tfidf.vocabulary["b"]] == pytest.approx(1.0)
+    assert tfidf.idf[tfidf.vocabulary["a"]] == pytest.approx(math.log(3 / 2) + 1)
 
 
 def test_idf_monotone_in_rarity():
-    tok = Tokenizer(min_token_len=1)
     docs = [doc("x common", str(i)) for i in range(4)] + [doc("rare common", "r")]
-    model = fit_tfidf(docs, tokenizer=tok, ngram_range=(1, 1))
-    assert model.idf[model.vocabulary["common"]] < model.idf[model.vocabulary["rare"]]
+    tfidf = TfidfFeaturizer(docs, (1, 1), min_token_len=1)
+    assert tfidf.idf[tfidf.vocabulary["common"]] < tfidf.idf[tfidf.vocabulary["rare"]]
 
 
 def test_empty_vocabulary():
     with pytest.raises(EmptyVocabulary):
-        fit_tfidf([doc("", "1"), doc("!!", "2")])
+        TfidfFeaturizer([doc("", "1"), doc("!!", "2")])
 
 
 def test_transform_unit_norm_and_oov():
-    tok = Tokenizer(min_token_len=1)
     docs = [doc("a b", "1"), doc("b c", "2")]
-    model = fit_tfidf(docs, tokenizer=tok, ngram_range=(1, 1))
-    vec = transform_tfidf(model, docs[0])
+    tfidf = TfidfFeaturizer(docs, (1, 1), min_token_len=1)
+    vec = tfidf.vectorize(docs[0])
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(transform_tfidf(model, doc("zz qq")), 0.0)
+    assert np.allclose(tfidf.vectorize(doc("zz qq")), 0.0)
 
 
 def test_transform_single_token_doc():
-    tok = Tokenizer(min_token_len=1)
-    model = fit_tfidf([doc("a b", "1"), doc("b c", "2")], tokenizer=tok, ngram_range=(1, 1))
-    vec = transform_tfidf(model, doc("b b"))
+    tfidf = TfidfFeaturizer([doc("a b", "1"), doc("b c", "2")], (1, 1), min_token_len=1)
+    vec = tfidf.vectorize(doc("b b"))
     nonzero = np.flatnonzero(vec)
-    assert list(nonzero) == [model.vocabulary["b"]]
-    assert vec[model.vocabulary["b"]] == pytest.approx(1.0)
+    assert list(nonzero) == [tfidf.vocabulary["b"]]
+    assert vec[tfidf.vocabulary["b"]] == pytest.approx(1.0)
 
 
 def test_bigram_vocabulary():
-    tok = Tokenizer(min_token_len=1)
-    model = fit_tfidf([doc("a b c", "1")], tokenizer=tok, ngram_range=(1, 2))
-    assert "a b" in model.vocabulary
-    assert "b c" in model.vocabulary
+    tfidf = TfidfFeaturizer([doc("a b c", "1")], (1, 2), min_token_len=1)
+    assert "a b" in tfidf.vocabulary
+    assert "b c" in tfidf.vocabulary
 
 
 def test_fit_permutation_invariant_as_weight_maps():
-    tok = Tokenizer(min_token_len=1)
     docs = [doc("a b", "1"), doc("b c", "2"), doc("c d a", "3")]
-    m1 = fit_tfidf(docs, tokenizer=tok, ngram_range=(1, 2))
-    m2 = fit_tfidf(list(reversed(docs)), tokenizer=tok, ngram_range=(1, 2))
+    m1 = TfidfFeaturizer(docs, (1, 2), min_token_len=1)
+    m2 = TfidfFeaturizer(list(reversed(docs)), (1, 2), min_token_len=1)
     for d in docs:
-        v1 = transform_tfidf(m1, d)
-        v2 = transform_tfidf(m2, d)
+        v1 = m1.vectorize(d)
+        v2 = m2.vectorize(d)
         w1 = {t: v1[i] for t, i in m1.vocabulary.items() if v1[i]}
         w2 = {t: v2[i] for t, i in m2.vocabulary.items() if v2[i]}
         assert w1.keys() == w2.keys()
@@ -109,26 +101,26 @@ def signed_hash_oracle(text, dim):
 
 def test_hashing_embedder_deterministic():
     emb = HashingEmbedder(dim=64)
-    a = emb.embed(doc("aa bb", "1"))
-    b = emb.embed(doc("aa bb", "2"))
+    a = emb.vectorize(doc("aa bb", "1"))
+    b = emb.vectorize(doc("aa bb", "2"))
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
 def test_hashing_embedder_empty_text():
-    assert np.allclose(HashingEmbedder(dim=16).embed(doc("")), 0.0)
+    assert np.allclose(HashingEmbedder(dim=16).vectorize(doc("")), 0.0)
 
 
 def test_hashing_embedder_matches_oracle():
     emb = HashingEmbedder(dim=64)
     for text in ("aa bb", "aa bb cc", "the quick brown fox"):
-        assert np.allclose(emb.embed(doc(text)), signed_hash_oracle(text, 64))
+        assert np.allclose(emb.vectorize(doc(text)), signed_hash_oracle(text, 64))
 
 
 def test_hashing_cosine_between_overlapping_texts():
     emb = HashingEmbedder(dim=64)
-    a = emb.embed(doc("aa bb"))
-    b = emb.embed(doc("aa bb cc"))
+    a = emb.vectorize(doc("aa bb"))
+    b = emb.vectorize(doc("aa bb cc"))
     cos = float(a @ b)
     expected = float(signed_hash_oracle("aa bb", 64) @ signed_hash_oracle("aa bb cc", 64))
     assert cos == pytest.approx(expected)
@@ -142,8 +134,8 @@ def test_hashing_one_token_changes_at_most_two_raw_coords():
     for _ in range(200):
         base = " ".join(rng.choice(words, size=rng.integers(1, 10)))
         extra = str(rng.choice(words))
-        before = emb.raw_projection(base)
-        after = emb.raw_projection(base + " " + extra)
+        before = emb.raw_projection(tokenize(base, min_token_len=1))
+        after = emb.raw_projection(tokenize(base + " " + extra, min_token_len=1))
         assert int(np.sum(before != after)) <= 2
 
 
@@ -156,13 +148,13 @@ def test_remote_embedder_cache(tmp_path):
 
     cache = str(tmp_path / "cache.jsonl")
     emb = RemoteEmbedder(endpoint="http://x", model="m", dim=2, cache_path=cache, transport=transport)
-    v1 = emb.embed(doc("hello", "a"))
-    v2 = emb.embed(doc("hello", "a"))
+    v1 = emb.vectorize(doc("hello", "a"))
+    v2 = emb.vectorize(doc("hello", "a"))
     assert np.array_equal(v1, v2)
     assert calls == ["hello"]
     # a new provider instance reads the persisted cache
     emb2 = RemoteEmbedder(endpoint="http://x", model="m", dim=2, cache_path=cache, transport=transport)
-    emb2.embed(doc("hello", "a"))
+    emb2.vectorize(doc("hello", "a"))
     assert calls == ["hello"]
 
 
@@ -179,17 +171,17 @@ def test_remote_embedder_cache_survives_torn_last_line(tmp_path):
 
     cache = str(tmp_path / "cache.jsonl")
     first = embedder()
-    first.embed(doc("a", "1"))
-    first.embed(doc("bb", "2"))
+    first.vectorize(doc("a", "1"))
+    first.vectorize(doc("bb", "2"))
     torn = json.dumps({"doc_id": "3", "provider_hash": first.config_hash(), "vector": [3.0, 1.0]})
     with open(cache, "a", encoding="utf-8") as fh:
         fh.write(torn[: len(torn) // 2])
 
-    embedder().embed(doc("dddd", "4"))  # loads records 1-2, then appends record 4
+    embedder().vectorize(doc("dddd", "4"))  # loads records 1-2, then appends record 4
     assert calls == ["a", "bb", "dddd"]
     again = embedder()
     for text, doc_id in (("a", "1"), ("bb", "2"), ("dddd", "4")):
-        assert again.embed(doc(text, doc_id)).tolist() == [float(len(text)), 1.0]
+        assert again.vectorize(doc(text, doc_id)).tolist() == [float(len(text)), 1.0]
     assert calls == ["a", "bb", "dddd"]
     assert all(json.loads(line) for line in open(cache, encoding="utf-8"))
 
@@ -206,20 +198,18 @@ def test_remote_embedder_unreachable():
 
     emb = RemoteEmbedder(endpoint="http://x", model="m", transport=transport)
     with pytest.raises(ProviderUnreachable):
-        emb.embed(doc("x", "a"))
+        emb.vectorize(doc("x", "a"))
 
 
 def test_featurizer_memoization():
     """transform_many vectorizes each doc it is given; tables follow split row order."""
-    tok = Tokenizer(min_token_len=1)
     docs = [doc("a b", "1"), doc("b c", "2"), doc("c a a", "3")]
-    model = fit_tfidf(docs, tokenizer=tok)
-    feat = TfidfFeaturizer(model)
+    feat = TfidfFeaturizer(docs, min_token_len=1)
     rows = feat.transform_many([docs[1], docs[0], docs[1]])
-    assert rows.shape == (3, model.dim)
+    assert rows.shape == (3, feat.dim)
     for row, d in zip(rows, [docs[1], docs[0], docs[1]]):
-        assert np.array_equal(row, transform_tfidf(model, d))
-    assert feat.transform_many([]).shape == (0, model.dim)
+        assert np.array_equal(row, feat.vectorize(d))
+    assert feat.transform_many([]).shape == (0, feat.dim)
 
     dataset = Dataset(
         labels=LabelSpace(("pos", "neg")),
@@ -227,14 +217,14 @@ def test_featurizer_memoization():
         seed=[LabeledExample(doc=docs[1], gold=0)],
     )
     assert feat.build_tables(dataset) is feat
-    assert feat.seed.shape == (1, model.dim) and feat.pool.shape == (2, model.dim)
-    assert np.array_equal(feat.seed[0], transform_tfidf(model, docs[1]))
-    assert np.array_equal(feat.pool[0], transform_tfidf(model, docs[2]))
-    assert np.array_equal(feat.pool[1], transform_tfidf(model, docs[0]))
+    assert feat.seed.shape == (1, feat.dim) and feat.pool.shape == (2, feat.dim)
+    assert np.array_equal(feat.seed[0], feat.vectorize(docs[1]))
+    assert np.array_equal(feat.pool[0], feat.vectorize(docs[2]))
+    assert np.array_equal(feat.pool[1], feat.vectorize(docs[0]))
 
-    efeat = EmbeddingFeaturizer(HashingEmbedder(dim=8)).build_tables(dataset)
+    efeat = HashingEmbedder(dim=8).build_tables(dataset)
     assert efeat.transform_many([docs[0]]).shape == (1, 8)
-    expected = np.stack([HashingEmbedder(dim=8).embed(d) for d in dataset.unlabeled])
+    expected = np.stack([HashingEmbedder(dim=8).vectorize(d) for d in dataset.unlabeled])
     assert np.array_equal(efeat.pool, expected)
 
 
@@ -254,16 +244,16 @@ def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
 
     cache = str(tmp_path / "cache.jsonl")
     emb = RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=flaky)
-    emb.embed(doc("good", "a"))
+    emb.vectorize(doc("good", "a"))
     with pytest.raises(DimensionMismatch):
-        emb.embed(doc("short", "b"))
+        emb.vectorize(doc("short", "b"))
     for text in ("missing", "scalar"):
         with pytest.raises(ProviderUnreachable):
-            emb.embed(doc(text, text))
+            emb.vectorize(doc(text, text))
     assert [json.loads(line)["doc_id"] for line in open(cache, encoding="utf-8")] == ["a"]
 
     fresh = RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=good)
-    rows = EmbeddingFeaturizer(fresh).transform_many([doc("good", "a"), doc("short", "b")])
+    rows = fresh.transform_many([doc("good", "a"), doc("short", "b")])
     assert rows.tolist() == [[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]
 
     short = {"doc_id": "z", "provider_hash": fresh.config_hash(), "vector": [0.5]}
@@ -271,3 +261,38 @@ def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
         fh.write(json.dumps(short) + "\n")
     with pytest.raises(DimensionMismatch):  # a cache written before replies were checked
         RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=good)
+
+
+def test_tfidf_drops_tokens_below_the_length_floor():
+    d = doc("a bb a cc")
+    assert d.tokens == ("a", "bb", "a", "cc")
+    tfidf = TfidfFeaturizer([d], (1, 2))
+    assert sorted(tfidf.vocabulary) == ["bb", "bb cc", "cc"]
+
+
+def test_build_featurizers_fits_each_once_and_describes_them():
+    docs = [doc("sun warm a", "u0"), doc("rain cold b", "u1"), doc("sun cold", "u2")]
+    dataset = Dataset(
+        labels=LabelSpace(("pos", "neg")),
+        unlabeled=docs[:2],
+        seed=[LabeledExample(doc=docs[2], gold=0)],
+    )
+    cfg = PipelineConfig()
+    cfg.embedding = {"kind": "hashing", "dim": 8}
+    structural, semantic, downstream = build_featurizers(dataset, cfg)
+    assert [f.describe() for f in structural] == [
+        {"kind": "tfidf", "ngram_range": [1, 1], "dim": 4},
+        {"kind": "tfidf", "ngram_range": [1, 2], "dim": 6},
+    ]
+    assert [f.describe() for f in semantic] == [
+        {"kind": "embedding", "provider": "HashingEmbedder", "dim": 8},
+    ]
+    assert downstream is structural[0]  # the downstream range (1, 1) is fitted once
+    for feat in structural + semantic:
+        assert feat.seed.shape == (1, feat.dim) and feat.pool.shape == (2, feat.dim)
+
+    cfg.downstream = {**cfg.downstream, "ngram_range": [2, 2]}
+    structural, _, downstream = build_featurizers(dataset, cfg)
+    assert all(downstream is not f for f in structural)
+    assert downstream.describe() == {"kind": "tfidf", "ngram_range": [2, 2], "dim": 2}
+    assert downstream.pool.shape == (2, 2)

@@ -125,6 +125,45 @@ def test_single_class_seed_fails_at_ingest(run_env, tmp_path):
     assert json.load(open(os.path.join(out, "error.json")))["stage"] == "sweep"
 
 
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    '{"id": "x-label", "text": "warm day", "label": 5, "split": "seed"}',
+], ids=["not-an-object", "non-string-label"])
+def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
+    data = str(tmp_path / "bad.jsonl")
+    with open(run_env["data"], encoding="utf-8") as src, open(data, "w", encoding="utf-8") as fh:
+        fh.write(src.read() + line + "\n")
+    n_lines = sum(1 for _ in open(data, encoding="utf-8"))
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", run_env["config"], "--data", data, "--out", out]) == 2
+    err = json.load(open(os.path.join(out, "error.json")))
+    assert err["stage"] == "ingest"
+    assert f"line {n_lines}" in err["error"]
+
+
+@pytest.mark.parametrize("table, value", [
+    ("downstream", {k: v for k, v in small_config().downstream.items() if k != "hidden"}),
+    ("k_per_category", {"surface": 3}),
+    ("tau_dup", {"surface": 0.9, "structural": 0.98}),
+    ("tfidf", {"ngram_ranges": [[1, 1]], "min_df": 1}),
+    ("candidate_training", {"epochs": 10}),
+    ("label_model", {"kind": "bogus"}),
+])
+def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
+    obj = small_config().to_json()
+    obj[table] = value
+    config_path = str(tmp_path / "config.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", config_path, "--data", run_env["data"], "--out", out]) == 2
+    err = json.load(open(os.path.join(out, "error.json")))
+    assert err["stage"] == "ingest"
+    assert table in err["error"]
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_json(obj)
+
+
 def test_failing_stage_reported_under_its_name(run_env, tmp_path, monkeypatch):
     import labelforge.pipeline as pipeline_mod
 
@@ -286,7 +325,7 @@ def test_classifier_lfs_record_their_calibrated_omega(run_env):
 
 
 def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path, monkeypatch):
-    from labelforge import exploitation, features, lf_core, pipeline
+    from labelforge import corpus, exploitation, features, lf_core, pipeline
     from labelforge.candidates import LinearClassifier
     from labelforge.nets import MlpNet
     from labelforge.pipeline import run_pipeline
@@ -335,24 +374,26 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
             stage_now.pop()
 
     vectorized, vectorized_in = [], []
-    real_tfidf = features.transform_tfidf
-    real_embed = features.HashingEmbedder.embed
+    for cls in (features.TfidfFeaturizer, features.HashingEmbedder):
+        def counting_vectorize(self, doc, real=cls.vectorize):
+            vectorized.append((id(self), doc.id))
+            vectorized_in.append(stage_now[-1])
+            return real(self, doc)
 
-    def counting_tfidf(model, doc):
-        vectorized.append((id(model), doc.id))
-        vectorized_in.append(stage_now[-1])
-        return real_tfidf(model, doc)
+        monkeypatch.setattr(cls, "vectorize", counting_vectorize)
 
-    def counting_embed(self, doc):
-        vectorized.append((id(self), doc.id))
-        vectorized_in.append(stage_now[-1])
-        return real_embed(self, doc)
+    tokenized = []
+    real_tokenize = corpus.tokenize
+
+    def counting_tokenize(text, min_token_len=2):  # Document.tokens looks it up in corpus
+        tokenized.append(text)
+        return real_tokenize(text, min_token_len)
+
+    monkeypatch.setattr(corpus, "tokenize", counting_tokenize)
 
     for module in (lf_core, exploitation):  # where the callers look it up
         monkeypatch.setattr(module, "apply_lf_many", counting_apply)
     monkeypatch.setattr(pipeline, "build_label_matrix", flagged_matrix)
-    monkeypatch.setattr(features, "transform_tfidf", counting_tfidf)
-    monkeypatch.setattr(features.HashingEmbedder, "embed", counting_embed)
     monkeypatch.setattr(pipeline, "_stage", named_stage)
 
     out = str(tmp_path / "run")
@@ -366,3 +407,9 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     # seed and pool tables in the featurize stage, the test split once for the end classifier
     assert set(vectorized_in) == {"featurize", "downstream"}
     assert vectorized_in.count("downstream") == len(dataset.test)
+    # one TF-IDF (structural and downstream share the (1, 1) range) and one embedder
+    tabled = len(dataset.unlabeled) + len(dataset.seed)
+    assert vectorized_in.count("featurize") == 2 * tabled
+    # every document is tokenized once, whichever featurizers and rules read its tokens
+    all_docs = list(dataset.all_documents())
+    assert sorted(tokenized) == sorted(d.text for d in all_docs)

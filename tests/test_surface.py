@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from labelforge.corpus import Document, LabelSpace
+from labelforge.corpus import Document, LabelSpace, tokenize
 from labelforge.errors import MalformedProviderReply, ProviderUnreachable
-from labelforge.features import tokenize
 from labelforge.lf_core import ABSTAIN
 from labelforge.surface import (
     GenerationRequest,

@@ -119,8 +119,8 @@ def whm(precision, coverage, beta: float):
 
 
 def threshold_votes(probs: np.ndarray, omega: float) -> np.ndarray:
-    """Argmax class per row, ABSTAIN where the max probability is <= omega."""
-    votes = probs.argmax(axis=1)
+    """Argmax class per row as int8, ABSTAIN where the max probability is <= omega."""
+    votes = probs.argmax(axis=1).astype(np.int8)
     votes[probs.max(axis=1) <= omega] = ABSTAIN
     return votes
 

@@ -145,13 +145,20 @@ class PipelineConfig:
 
 @dataclass
 class RunManifest:
-    """Run-level provenance: hashes, timings, artifact paths."""
+    """Run-level provenance: hashes, timings, artifact paths, why the loop stopped.
+
+    ``stop_reason`` is "filled" when every category reached its target and
+    "round_budget" when max_rounds ran out first; ``shortfall`` is the last
+    round's per-category gap (empty when filled).
+    """
 
     config_hash: str
     input_digests: dict = field(default_factory=dict)
     stage_seconds: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
     status: str = "ok"
+    stop_reason: str = ""
+    shortfall: dict = field(default_factory=dict)
 
     def write_atomic(self, path: str) -> None:
         text = json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"

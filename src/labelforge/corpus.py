@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DuplicateId, MalformedRecord, UnknownLabel
 
 SPLITS = ("unlabeled", "seed", "test")
@@ -63,6 +65,33 @@ class Document:
     def tokens(self) -> tuple[str, ...]:
         """Every token of the text (no length floor), computed on first read."""
         return tokenize(self.text, min_token_len=1)
+
+
+class TokenIndex:
+    """A doc list plus its posting index: token -> sorted int32 array of the rows holding it.
+
+    Built once over a split so that a token-mode surface rule reads its votes
+    from postings instead of rescanning every document.
+    """
+
+    _NO_ROWS = np.zeros(0, dtype=np.int32)
+
+    def __init__(self, docs: list[Document]):
+        self.docs = docs
+        rows: dict[str, list[int]] = {}
+        for row, doc in enumerate(docs):
+            for token in set(doc.tokens):
+                rows.setdefault(token, []).append(row)
+        self.postings = {token: np.array(r, dtype=np.int32) for token, r in rows.items()}
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+    def __iter__(self):
+        return iter(self.docs)
+
+    def rows(self, token: str) -> np.ndarray:
+        return self.postings.get(token, self._NO_ROWS)
 
 
 @dataclass(frozen=True)

@@ -108,21 +108,31 @@ class HashingEmbedder(Featurizer):
     Each term lands on coordinate blake2b(term) mod dim with a sign drawn from
     an independent hash; the accumulated vector is L2-normalized. Output
     depends only on (text, dim), so it is identical across runs and platforms.
+
+    A term is hashed once per embedder: its code (2 * coord, plus 1 when the
+    sign is negative) is kept in ``_codes``. A row counts its codes and takes
+    positive minus negative counts; every sum is a small exact integer, so the
+    float64 bits do not depend on the order terms are added in.
     """
 
     kind = "embedding"
 
     def __init__(self, dim: int = 256):
         self.dim = dim
+        self._codes: dict[str, int] = {}
+
+    def _code(self, term: str) -> int:
+        coord = _stable_hash(term, b"lf-coord") % self.dim
+        negative = _stable_hash(term, b"lf-sign") % 2
+        code = self._codes[term] = 2 * coord + negative
+        return code
 
     def raw_projection(self, tokens: tuple[str, ...]) -> np.ndarray:
-        vec = np.zeros(self.dim)
+        codes = self._codes
         terms = list(tokens) + [" ".join(tokens[i:i + 2]) for i in range(len(tokens) - 1)]
-        for term in terms:
-            coord = _stable_hash(term, b"lf-coord") % self.dim
-            sign = 1.0 if _stable_hash(term, b"lf-sign") % 2 == 0 else -1.0
-            vec[coord] += sign
-        return vec
+        found = [codes[t] if t in codes else self._code(t) for t in terms]
+        counts = np.bincount(found, minlength=2 * self.dim).astype(float)
+        return counts[0::2] - counts[1::2]
 
     def vectorize(self, doc: Document) -> np.ndarray:
         vec = self.raw_projection(doc.tokens)

@@ -79,6 +79,11 @@ def fit_dawid_skene(
     counts by DS_SMOOTHING so confusion rows stay stochastic even when an LF
     never emits some class. Stops when the largest posterior change drops
     below tol.
+
+    A row's posterior depends only on its vote pattern, so the E-step runs
+    once per distinct pattern and is scattered back to rows; the
+    log-likelihood, the convergence test and the M-step still read the
+    per-row values, in row order.
     """
     entries = matrix.entries
     covered = (entries != ABSTAIN).any(axis=1)
@@ -86,6 +91,13 @@ def fit_dawid_skene(
         raise NoSignal("every matrix entry is ABSTAIN")
     entries = entries[covered]
     m = entries.shape[1]
+    patterns, inverse = np.unique(entries, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    # voted_rows[j]: (label, the rows where LF j voted label), labels ascending
+    voted_rows = [
+        [(label, np.flatnonzero(col == label)) for label in np.unique(col[col != ABSTAIN])]
+        for col in entries.T
+    ]
 
     posteriors = _vote_dists(entries, num_classes, np.ones(m))
 
@@ -100,24 +112,19 @@ def fit_dawid_skene(
         priors = posteriors.sum(axis=0) + DS_SMOOTHING
         priors /= priors.sum()
         for j in range(m):
-            col = entries[:, j]
-            voted = col != ABSTAIN
             counts = np.zeros((num_classes, num_classes))
-            if voted.any():
-                sub = posteriors[voted]
-                votes = col[voted]
-                for label in np.unique(votes):
-                    counts[:, label] = sub[votes == label].sum(axis=0)
+            for label, rows in voted_rows[j]:
+                counts[:, label] = posteriors[rows].sum(axis=0)
             counts += DS_SMOOTHING
             confusion[j] = counts / counts.sum(axis=1, keepdims=True)
 
-        # E-step: the log-likelihood and row posteriors share one log-joint
-        log_joint = _log_joint(entries, priors, confusion)
+        # E-step, once per pattern: the log-likelihood and posteriors share one log-joint
+        log_joint = _log_joint(patterns, priors, confusion)
         row_max = log_joint.max(axis=1, keepdims=True)
         new_posteriors = np.exp(log_joint - row_max)
         row_sum = new_posteriors.sum(axis=1, keepdims=True)
-        ll_history.append(float(np.sum(row_max[:, 0] + np.log(row_sum[:, 0]))))
-        new_posteriors /= row_sum
+        ll_history.append(float(np.sum((row_max[:, 0] + np.log(row_sum[:, 0]))[inverse])))
+        new_posteriors = (new_posteriors / row_sum)[inverse]
 
         delta = float(np.max(np.abs(new_posteriors - posteriors)))
         posteriors = new_posteriors

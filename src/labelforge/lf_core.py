@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, TokenIndex
 from .errors import EmptyLfSet, LengthMismatch
 
 ABSTAIN = -1
@@ -65,9 +65,9 @@ class LabelFunction:
         }
 
 
-def apply_lf_many(lf: LabelFunction, docs: list[Document]) -> np.ndarray:
-    """Votes of one LF on each doc."""
-    return np.asarray(lf.rule.apply_many(docs), dtype=int)
+def apply_lf_many(lf: LabelFunction, docs: TokenIndex | list[Document]) -> np.ndarray:
+    """Votes of one LF on each doc, as int8 (classes are fewer than 127, ABSTAIN is -1)."""
+    return np.asarray(lf.rule.apply_many(docs), dtype=np.int8)
 
 
 @dataclass
@@ -101,8 +101,8 @@ def build_label_matrix(lfs: list[LabelFunction], row_ids: list[str]) -> LabelMat
     if any(lf.votes is None or len(lf.votes) != len(row_ids) for lf in lfs):
         raise LengthMismatch("every LF needs one pool vote per matrix row")
     entries = (
-        np.stack([lf.votes for lf in lfs], axis=1)
-        if row_ids else np.zeros((0, len(lfs)), dtype=int)
+        np.stack([lf.votes for lf in lfs], axis=1, dtype=np.int8)
+        if row_ids else np.zeros((0, len(lfs)), dtype=np.int8)
     )
     return LabelMatrix(entries=entries, row_ids=list(row_ids), col_ids=[lf.id for lf in lfs])
 

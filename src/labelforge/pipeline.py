@@ -169,6 +169,8 @@ def run_pipeline(
         generators, skip_sink = build_generators(config, dataset, featurizers)
         pool, reports = run_exploitation_loop(dataset, config, generators)
         pool.skip_reports.extend(skip_sink)
+        manifest.shortfall = dict(reports[-1].shortfall)
+        manifest.stop_reason = "round_budget" if manifest.shortfall else "filled"
 
     with _stage(seconds, "matrix"):
         lfs = pool.all_lfs()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document, LabelSpace, tokenize
+from .corpus import Document, LabelSpace, TokenIndex, tokenize
 from .errors import MalformedProviderReply, ProviderUnreachable
 from .lf_core import ABSTAIN
 
@@ -49,8 +49,25 @@ class SurfaceRule:
             else:
                 self._needles[cls] = tuple(pats)
 
-    def apply_many(self, docs: list[Document]) -> np.ndarray:
-        return np.array([eval_surface(self, d) for d in docs], dtype=int)
+    def apply_many(self, docs: TokenIndex | list[Document]) -> np.ndarray:
+        """One int8 vote per doc; a doc list is indexed first in token mode.
+
+        Token mode reads each needle's rows from the posting index; substring
+        mode (LLM replies only) scans each doc with ``eval_surface``.
+        """
+        if self.match_mode == "substring":
+            return np.array([eval_surface(self, d) for d in docs], dtype=np.int8)
+        index = docs if isinstance(docs, TokenIndex) else TokenIndex(docs)
+        matched = np.zeros(len(index), dtype=np.int8)  # classes with a matching needle
+        votes = np.full(len(index), ABSTAIN, dtype=np.int8)
+        for cls, needles in self._needles.items():
+            hit = np.zeros(len(index), dtype=bool)
+            for needle in needles:
+                hit[_phrase_rows(index, needle)] = True
+            matched += hit
+            votes[hit] = cls
+        votes[matched != 1] = ABSTAIN
+        return votes
 
     def describe(self) -> dict:
         return {
@@ -65,12 +82,31 @@ class SurfaceRule:
         return out
 
 
+def _phrase_rows(index: TokenIndex, needle: str) -> np.ndarray:
+    """Sorted rows whose tokens hold the space-padded phrase ``needle`` as a contiguous run.
+
+    A one-token needle is its posting list. A longer one intersects its
+    tokens' postings, then tests the padded phrase on those rows alone.
+    """
+    tokens = needle.split()
+    rows = index.rows(tokens[0])
+    if len(tokens) == 1:
+        return rows
+    for token in tokens[1:]:
+        rows = np.intersect1d(rows, index.rows(token), assume_unique=True)
+    docs = index.docs
+    adjacent = [needle in " " + " ".join(docs[row].tokens) + " " for row in rows.tolist()]
+    return rows[np.array(adjacent, dtype=bool)]
+
+
 def eval_surface(rule: SurfaceRule, doc: Document) -> int:
-    """Vote for the single matching class; abstain on zero or conflicting matches."""
+    """Vote for the single matching class; abstain on zero or conflicting matches.
+
+    A token-mode rule votes through ``apply_many``, the one token-mode path.
+    """
     if rule.match_mode == "token":
-        text = " " + " ".join(doc.tokens) + " "
-    else:
-        text = doc.text.strip().lower()
+        return int(rule.apply_many([doc])[0])
+    text = doc.text.strip().lower()
     matched = [cls for cls, needles in rule._needles.items() if any(n in text for n in needles)]
     return matched[0] if len(matched) == 1 else ABSTAIN
 
@@ -180,9 +216,14 @@ class OfflineSeededProvider:
     top_t: int = 5
     kind: str = "offline_seeded"
     last_warnings: int = 0
+    # (request, its ranked tokens): the ranking reads only the request, so a
+    # request asked again in a later round is not re-ranked.
+    _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def generate(self, request: GenerationRequest, round_index: int = 0) -> list[SurfaceRule]:
-        ranked = class_token_log_odds(request.examples, request.class_names)
+        if self._ranked is None or self._ranked[0] != request:
+            self._ranked = (request, class_token_log_odds(request.examples, request.class_names))
+        ranked = self._ranked[1]
         num_classes = len(request.class_names)
         offset = round_index * self.top_t
         rng = np.random.default_rng(self.rng_seed + round_index)

@@ -99,6 +99,33 @@ def signed_hash_oracle(text, dim):
     return vec / norm if norm > 0 else vec
 
 
+def test_hashing_tables_equal_per_occurrence_hashing(monkeypatch):
+    from labelforge import features
+
+    rng = np.random.default_rng(4)
+    words = ["aa", "bb", "cc", "dd", "é", "x"]
+    texts = ["", "aa aa aa", "aa bb aa bb"] + [
+        " ".join(rng.choice(words, size=rng.integers(0, 12))) for _ in range(200)
+    ]
+    dataset = Dataset(
+        labels=LabelSpace(("pos", "neg")),
+        unlabeled=[doc(t, f"u{i}") for i, t in enumerate(texts)],
+        seed=[LabeledExample(doc(t, f"s{i}"), i % 2) for i, t in enumerate(texts[:20])],
+    )
+    hashed = []
+    real = features._stable_hash
+
+    def counting(term, personal):
+        hashed.append(term)
+        return real(term, personal)
+
+    monkeypatch.setattr(features, "_stable_hash", counting)
+    emb = HashingEmbedder(dim=16).build_tables(dataset)
+    assert np.array_equal(emb.pool, np.stack([signed_hash_oracle(t, 16) for t in texts]))
+    assert np.array_equal(emb.seed, np.stack([signed_hash_oracle(t, 16) for t in texts[:20]]))
+    assert len(hashed) == 2 * len(set(hashed))  # two hashes per distinct term, no more
+
+
 def test_hashing_embedder_deterministic():
     emb = HashingEmbedder(dim=64)
     a = emb.vectorize(doc("aa bb", "1"))

@@ -22,7 +22,7 @@ LABELS3 = LabelSpace(("a", "b", "c"))
 
 
 def matrix(rows, prefix="d"):
-    entries = np.asarray(rows, dtype=int)
+    entries = np.asarray(rows, dtype=np.int8)
     return LabelMatrix(
         entries=entries,
         row_ids=[f"{prefix}{i}" for i in range(entries.shape[0])],
@@ -192,6 +192,66 @@ def test_ds_constant_lf_confusion_concentrates():
     assert model.confusion[2][:, 0].min() > 0.99
     _, oracle_confusion, _ = brute_force_em(rows, 2, n_iter=100)
     assert np.allclose(model.confusion, oracle_confusion, atol=1e-5)
+
+
+def per_row_em(entries, num_classes, max_iter, tol, smoothing=1e-6):
+    """Reference Dawid-Skene EM that runs every step row by row, over covered rows."""
+    entries = entries[(entries != ABSTAIN).any(axis=1)]
+    n, m = entries.shape
+    mass = np.zeros((n, num_classes))
+    for j in range(m):
+        voted = entries[:, j] != ABSTAIN
+        np.add.at(mass, (np.flatnonzero(voted), entries[voted, j]), 1.0)
+    totals = mass.sum(axis=1, keepdims=True)
+    posteriors = np.where(totals > 0, mass / np.maximum(totals, 1e-300), 1.0 / num_classes)
+    confusion = np.zeros((m, num_classes, num_classes))
+    history = []
+    for iteration in range(1, max_iter + 1):
+        priors = posteriors.sum(axis=0) + smoothing
+        priors /= priors.sum()
+        for j in range(m):
+            col = entries[:, j]
+            voted = col != ABSTAIN
+            counts = np.zeros((num_classes, num_classes))
+            sub, votes = posteriors[voted], col[voted]
+            for label in np.unique(votes):
+                counts[:, label] = sub[votes == label].sum(axis=0)
+            counts += smoothing
+            confusion[j] = counts / counts.sum(axis=1, keepdims=True)
+        log_joint = np.tile(np.log(priors + 1e-300), (n, 1))
+        for j in range(m):
+            voted = entries[:, j] != ABSTAIN
+            log_joint[voted] += np.log(confusion[j][:, entries[voted, j]].T + 1e-300)
+        row_max = log_joint.max(axis=1, keepdims=True)
+        new = np.exp(log_joint - row_max)
+        row_sum = new.sum(axis=1, keepdims=True)
+        history.append(float(np.sum(row_max[:, 0] + np.log(row_sum[:, 0]))))
+        new /= row_sum
+        delta = float(np.max(np.abs(new - posteriors)))
+        posteriors = new
+        if delta < tol:
+            break
+    return posteriors, confusion, history, iteration
+
+
+def test_ds_pattern_em_equals_per_row_em_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        num_classes = int(rng.integers(2, 5))
+        m = int(rng.integers(2, 7))
+        patterns = rng.integers(-1, num_classes, size=(int(rng.integers(1, 25)), m))
+        entries = patterns[rng.integers(0, len(patterns), size=int(rng.integers(1, 300)))]
+        entries[:, int(rng.integers(0, m))] = ABSTAIN  # one LF always abstains
+        entries = entries.astype(np.int8)
+        if not (entries != ABSTAIN).any():
+            continue
+        tol = float(rng.choice([0.0, 1e-4]))
+        model = fit_dawid_skene(matrix(entries), num_classes, max_iter=30, tol=tol)
+        posteriors, confusion, history, iterations = per_row_em(entries, num_classes, 30, tol)
+        assert model.iterations_run == iterations, trial
+        assert np.array_equal(model.posteriors, posteriors), trial
+        assert np.array_equal(model.confusion, confusion), trial
+        assert model.log_likelihood_history == history, trial
 
 
 def test_ds_no_signal():

@@ -173,3 +173,24 @@ def test_matrix_csv_export(tmp_path):
     assert lines[0] == "doc_id,a,b"
     assert lines[1] == "d0,0,-1"
     assert lines[2] == "d1,-1,1"
+
+
+def test_vote_columns_and_matrix_are_int8_and_csv_bytes_hold(tmp_path):
+    from labelforge.candidates import threshold_votes
+
+    ds = docs(3)
+    probs = np.array([[0.9, 0.1], [0.45, 0.55], [0.5, 0.5]])
+    assert threshold_votes(probs, 0.5).dtype == np.int8
+    lfs = [lf("a", {"d0": 0, "d2": 1}), lf("b", {"d1": 1})]
+    matrix = matrix_of(lfs, ds)
+    assert lfs[0].votes.dtype == np.int8
+    assert matrix.entries.dtype == np.int8
+    wide = [lf("c", {}), lf("d", {"d0": 1})]
+    for one in wide:
+        one.votes = np.asarray(apply_lf_many(one, ds), dtype=np.int64)  # cast on stacking
+    assert build_label_matrix(wide, [d.id for d in ds]).entries.dtype == np.int8
+    empty = matrix_of(wide, [])
+    assert empty.entries.shape == (0, 2) and empty.entries.dtype == np.int8
+    path = tmp_path / "m.csv"
+    matrix.to_csv(str(path))
+    assert path.read_bytes() == b"doc_id,a,b\nd0,0,-1\nd1,-1,1\nd2,1,-1\n"

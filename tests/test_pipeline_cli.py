@@ -413,3 +413,27 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     # every document is tokenized once, whichever featurizers and rules read its tokens
     all_docs = list(dataset.all_documents())
     assert sorted(tokenized) == sorted(d.text for d in all_docs)
+
+
+def test_manifest_says_why_the_loop_stopped(tmp_path):
+    from labelforge.pipeline import run_pipeline
+
+    ds = make_separable_corpus(5, n_unlabeled=150, n_seed=20, n_test=0)
+    runs = {
+        "filled": small_config(k_per_category={"surface": 1, "structural": 1, "semantic": 1}),
+        "round_budget": small_config(
+            k_per_category={"surface": 40, "structural": 40, "semantic": 40}, max_rounds=2
+        ),
+    }
+    for want, cfg in runs.items():
+        out = str(tmp_path / want)
+        run_pipeline(cfg, ds, out)
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        last = json.load(open(os.path.join(out, "filter_reports.json")))[-1]
+        assert manifest["stop_reason"] == want
+        assert manifest["shortfall"] == last["shortfall"]
+        assert bool(manifest["shortfall"]) == (want == "round_budget")
+        for digested in ("lf_pool.json", "report.json"):
+            text = open(os.path.join(out, digested)).read()
+            assert "stop_reason" not in text and "shortfall" not in text, digested
+    assert last["round"] == 2

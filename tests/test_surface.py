@@ -2,9 +2,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from labelforge.corpus import Document, LabelSpace, tokenize
+from labelforge.corpus import Document, LabelSpace, TokenIndex, tokenize
 from labelforge.errors import MalformedProviderReply, ProviderUnreachable
 from labelforge.lf_core import ABSTAIN
 from labelforge.surface import (
@@ -98,6 +99,48 @@ def test_eval_surface_matches_phrase_scan_oracle():
         assert eval_surface(rule, doc(document)) == phrase_scan_vote(rule, document), trial
 
 
+def test_posting_index_votes_match_phrase_scan_oracle():
+    # A small vocabulary makes repeated tokens, phrases whose tokens occur
+    # apart, empty docs and tokens claimed by two classes all common.
+    rng = random.Random(1)
+    words = ["good", "bad", "movie", "a", "good", "art", "Start", "é"]
+
+    def text(lo, hi):
+        return " ".join(rng.choice(words) for _ in range(rng.randint(lo, hi)))
+
+    for trial in range(300):
+        texts = [text(0, 9) for _ in range(rng.randint(0, 40))]
+        docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
+        patterns = {cls: {text(1, 3) for _ in range(rng.randint(1, 3))} for cls in (0, 1, 2)}
+        rule = SurfaceRule(patterns=patterns, match_mode="token")
+        want = [phrase_scan_vote(rule, t) for t in texts]
+        votes = rule.apply_many(TokenIndex(docs))
+        assert votes.dtype == np.int8
+        assert votes.tolist() == want, trial
+        assert rule.apply_many(docs).tolist() == want, trial
+
+
+def test_posting_index_rows_and_phrase_adjacency():
+    docs = [doc(t) for t in ("good good movie", "", "movie good", "bad movie good")]
+    index = TokenIndex(docs)
+    assert len(index) == 4 and list(index) == docs
+    assert index.rows("good").tolist() == [0, 2, 3]
+    assert index.rows("good").dtype == np.int32
+    assert index.rows("absent").tolist() == []
+    phrase = SurfaceRule(patterns={0: {"good movie"}, 1: {"bad"}}, match_mode="token")
+    assert phrase.apply_many(index).tolist() == [0, ABSTAIN, ABSTAIN, 1]
+    shared = SurfaceRule(patterns={0: {"movie"}, 1: {"movie good"}}, match_mode="token")
+    assert shared.apply_many(index).tolist() == [0, ABSTAIN, ABSTAIN, ABSTAIN]
+
+
+def test_substring_rules_scan_each_doc():
+    rule = SurfaceRule(patterns={1: {"rude staff"}}, match_mode="substring")
+    docs = [doc("such RUDE STAFF here"), doc("staff was rude"), doc("")]
+    votes = rule.apply_many(TokenIndex(docs))
+    assert votes.dtype == np.int8
+    assert votes.tolist() == [1, ABSTAIN, ABSTAIN]
+
+
 def test_similarity_jaccard():
     a = SurfaceRule(patterns={0: {"a", "b"}, 1: {"c"}})
     b = SurfaceRule(patterns={0: {"b"}, 1: {"c", "d"}})
@@ -164,6 +207,32 @@ def test_offline_provider_deterministic():
     assert [r.patterns for r in a] == [r.patterns for r in b]
     c = OfflineSeededProvider(rng_seed=10).generate(request, round_index=1)
     assert a != c or [r.patterns for r in a] == [r.patterns for r in c]
+
+
+def test_offline_provider_ranks_the_seed_once_per_request(monkeypatch):
+    from labelforge import surface
+
+    examples = tuple((f"tok{i} tok{i + 1} filler", "pos") for i in range(30)) + tuple(
+        (f"neg{i} other", "neg") for i in range(30)
+    )
+    request = GenerationRequest("t", ("pos", "neg"), examples, count=4)
+    fresh = [OfflineSeededProvider(rng_seed=3, top_t=3).generate(request, r) for r in range(10)]
+    calls = []
+    real = surface.class_token_log_odds
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(surface, "class_token_log_odds", counting)
+    provider = OfflineSeededProvider(rng_seed=3, top_t=3)
+    rules = [provider.generate(request, r) for r in range(10)]
+    assert len(calls) == 1
+    assert [[r.patterns for r in rs] for rs in rules] == [[r.patterns for r in rs] for rs in fresh]
+    assert any(rules)
+    other = GenerationRequest("t", ("pos", "neg"), examples[:20], count=4)
+    provider.generate(other, 0)
+    assert len(calls) == 2
 
 
 def test_offline_provider_rounds_disjoint():

@@ -22,6 +22,10 @@ SPLITS = ("unlabeled", "seed", "test")
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# Votes are stored as int8 with ABSTAIN = -1, so every class index, and the
+# count of classes one rule matches on a doc, must fit below 128.
+MAX_CLASSES = 127
+
 
 def tokenize(text: str, min_token_len: int = 2) -> tuple[str, ...]:
     """Lowercase, split on non-alphanumeric, drop tokens shorter than the floor."""
@@ -41,6 +45,8 @@ class LabelSpace:
             raise ValueError("a label space needs at least 2 classes")
         if len(set(names)) != len(names) or any(not n for n in names):
             raise ValueError("class names must be unique and non-empty")
+        if len(names) > MAX_CLASSES:
+            raise ValueError(f"a label space holds at most {MAX_CLASSES} classes, got {len(names)}")
 
     @property
     def num_classes(self) -> int:

@@ -66,7 +66,7 @@ class LabelFunction:
 
 
 def apply_lf_many(lf: LabelFunction, docs: TokenIndex | list[Document]) -> np.ndarray:
-    """Votes of one LF on each doc, as int8 (classes are fewer than 127, ABSTAIN is -1)."""
+    """Votes of one LF on each doc, as int8 (see ``corpus.MAX_CLASSES``; ABSTAIN is -1)."""
     return np.asarray(lf.rule.apply_many(docs), dtype=np.int8)
 
 

@@ -100,12 +100,10 @@ def _phrase_rows(index: TokenIndex, needle: str) -> np.ndarray:
 
 
 def eval_surface(rule: SurfaceRule, doc: Document) -> int:
-    """Vote for the single matching class; abstain on zero or conflicting matches.
+    """Substring-mode vote: the single class with a needle in the text, else abstain.
 
-    A token-mode rule votes through ``apply_many``, the one token-mode path.
+    Token-mode rules vote through ``SurfaceRule.apply_many`` only.
     """
-    if rule.match_mode == "token":
-        return int(rule.apply_many([doc])[0])
     text = doc.text.strip().lower()
     matched = [cls for cls, needles in rule._needles.items() if any(n in text for n in needles)]
     return matched[0] if len(matched) == 1 else ABSTAIN

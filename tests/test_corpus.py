@@ -6,6 +6,7 @@ from labelforge.corpus import (
     Dataset,
     Document,
     LabeledExample,
+    MAX_CLASSES,
     LabelSpace,
     load_dataset,
     save_dataset,
@@ -31,6 +32,9 @@ def test_label_space_validation():
         LabelSpace(("pos", "pos"))
     with pytest.raises(ValueError):
         LabelSpace(("pos", ""))
+    assert LabelSpace(tuple(f"c{k}" for k in range(MAX_CLASSES))).num_classes == 127
+    with pytest.raises(ValueError, match="at most 127"):
+        LabelSpace(tuple(f"c{k}" for k in range(MAX_CLASSES + 1)))
 
 
 def test_load_three_line_jsonl(tmp_path):

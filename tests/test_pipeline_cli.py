@@ -125,6 +125,22 @@ def test_single_class_seed_fails_at_ingest(run_env, tmp_path):
     assert json.load(open(os.path.join(out, "error.json")))["stage"] == "sweep"
 
 
+def test_more_classes_than_int8_votes_hold_fails_at_ingest(run_env, tmp_path):
+    # Votes are int8 with ABSTAIN = -1; class 255 would wrap to ABSTAIN.
+    data = tmp_path / "wide.jsonl"
+    with open(data, "w") as fh:
+        for k in range(128):
+            for split in ("seed", "unlabeled"):
+                rec = {"id": f"{split}{k}", "text": f"word{k} text", "label": f"c{k:03d}",
+                       "split": split}
+                fh.write(json.dumps(rec) + "\n")
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", run_env["config"], "--data", str(data), "--out", out]) == 2
+    err = json.load(open(os.path.join(out, "error.json")))
+    assert err["stage"] == "ingest"
+    assert "at most 127 classes" in err["error"]
+
+
 @pytest.mark.parametrize("line", [
     "[1, 2]",
     '{"id": "x-label", "text": "warm day", "label": 5, "split": "seed"}',

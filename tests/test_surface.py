@@ -30,16 +30,21 @@ def doc(text):
     return Document(id="d", text=text)
 
 
+def vote(rule, text):
+    """The rule's vote on one doc through ``apply_many``, the path for both modes."""
+    return int(rule.apply_many([doc(text)])[0])
+
+
 def test_token_mode_case_insensitive_phrase():
     rule = SurfaceRule(patterns={0: {"great service"}}, match_mode="token")
-    assert eval_surface(rule, doc("Great service today")) == 0
+    assert vote(rule, "Great service today") == 0
 
 
 def test_conflict_abstains():
     rule = SurfaceRule(patterns={0: {"excellent"}, 1: {"terrible"}}, match_mode="token")
-    assert eval_surface(rule, doc("excellent but terrible")) == ABSTAIN
-    assert eval_surface(rule, doc("excellent food")) == 0
-    assert eval_surface(rule, doc("nothing here")) == ABSTAIN
+    assert vote(rule, "excellent but terrible") == ABSTAIN
+    assert vote(rule, "excellent food") == 0
+    assert vote(rule, "nothing here") == ABSTAIN
 
 
 def test_substring_mode_contiguous():
@@ -50,13 +55,13 @@ def test_substring_mode_contiguous():
 
 def test_token_mode_no_partial_word_match():
     rule = SurfaceRule(patterns={0: {"art"}}, match_mode="token")
-    assert eval_surface(rule, doc("start of it")) == ABSTAIN
-    assert eval_surface(rule, doc("fine art here")) == 0
+    assert vote(rule, "start of it") == ABSTAIN
+    assert vote(rule, "fine art here") == 0
 
 
 def test_whitespace_and_case_invariance():
     rule = SurfaceRule(patterns={0: {"excellent"}}, match_mode="token")
-    assert eval_surface(rule, doc("  EXCELLENT  ")) == 0
+    assert vote(rule, "  EXCELLENT  ") == 0
     sub = SurfaceRule(patterns={0: {"excellent"}}, match_mode="substring")
     assert eval_surface(sub, doc("  EXCELLENT  ")) == 0
 
@@ -70,7 +75,7 @@ def contains_phrase(tokens, phrase):
 
 
 def phrase_scan_vote(rule, text):
-    """eval_surface by token-window scan (token mode) or raw substring test."""
+    """A rule's vote by token-window scan (token mode) or raw substring test."""
     matched = []
     for cls, pats in rule.patterns.items():
         if rule.match_mode == "token":
@@ -96,7 +101,7 @@ def test_eval_surface_matches_phrase_scan_oracle():
         patterns = {cls: {text(3) for _ in range(rng.randint(1, 3))} for cls in (0, 1)}
         rule = SurfaceRule(patterns=patterns, match_mode=rng.choice(["token", "substring"]))
         document = text(8)
-        assert eval_surface(rule, doc(document)) == phrase_scan_vote(rule, document), trial
+        assert vote(rule, document) == phrase_scan_vote(rule, document), trial
 
 
 def test_posting_index_votes_match_phrase_scan_oracle():

@@ -19,6 +19,10 @@ from .errors import DegenerateSubsample, DimensionMismatch
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
 from .nets import MlpNet, softmax
 
+# Largest stacked x one fit_logistic call trains on. A stack that outgrows the
+# L2 cache (2 MiB where measured) trains slower than its candidates one by one.
+STACK_BYTES = 1 << 20
+
 
 @dataclass
 class LinearClassifier:
@@ -45,70 +49,44 @@ def fit_logistic(
     num_classes: int,
     epochs: int = 300,
     lr: float = 0.5,
-    l2: float = 1e-3,
-) -> LinearClassifier:
-    """Zero-initialized full-batch GD on cross-entropy + L2 (bias unpenalized)."""
-    n, d = x.shape
-    w = np.zeros((num_classes, d))
-    b = np.zeros(num_classes)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
+    l2: float | list[float] = 1e-3,
+) -> list[LinearClassifier]:
+    """Train k classifiers at once: x is (k, n, d), y (k, n), l2 a scalar or k values.
+
+    Zero-initialized full-batch GD on cross-entropy + L2 (bias unpenalized).
+    Each epoch runs on the whole stack in the (k, n, C) layout, so every
+    classifier gets the weights a k = 1 fit of its own slice would.
+    """
+    k, n, d = x.shape
+    l2 = np.reshape(l2, (-1, 1, 1))
+    w = np.zeros((k, num_classes, d))
+    b = np.zeros((k, 1, num_classes))
+    onehot = np.eye(num_classes)[y]
     for _ in range(epochs):
-        probs = softmax(x @ w.T + b)
+        probs = softmax(np.matmul(x, w.transpose(0, 2, 1)) + b)
         err = (probs - onehot) / n
-        w -= lr * (err.T @ x + l2 * w)
-        b -= lr * err.sum(axis=0)
-    return LinearClassifier(weights=w, bias=b)
+        w -= lr * (np.matmul(err.transpose(0, 2, 1), x) + l2 * w)
+        b -= lr * err.sum(axis=1, keepdims=True)
+    return [LinearClassifier(weights=w[i], bias=b[i, 0]) for i in range(k)]
 
 
-def train_candidate(
-    x_seed: np.ndarray,
-    gold: np.ndarray,
-    subsample_size: int,
-    rng_seed: int,
-    epochs: int = 300,
-    lr: float = 0.5,
-    l2: float = 1e-3,
-    head_width: int = 0,
-    num_classes: int | None = None,
-):
-    """Train one candidate on a without-replacement subsample of the seed rows.
+def draw_subsample(gold: np.ndarray, size: int, rng_seed: int) -> np.ndarray:
+    """Sorted row indices of a without-replacement subsample of the seed rows.
 
-    ``x_seed`` holds the seed feature rows and ``gold`` their classes. The
-    subsample must contain at least two classes; up to 10 redraws are
-    attempted before DegenerateSubsample. head_width 0 is the logistic head,
-    anything larger a one-hidden-layer ReLU head of that width.
+    The subsample must contain at least two classes; up to 10 redraws are
+    attempted before DegenerateSubsample.
     """
     n = len(gold)
-    if not 1 <= subsample_size <= n:
+    if not 1 <= size <= n:
         raise ValueError("subsample_size must be in [1, len(seed)]")
     rng = np.random.default_rng(rng_seed)
-    idx = None
     for _ in range(10):
-        cand = rng.permutation(n)[:subsample_size] if subsample_size < n else np.arange(n)
+        cand = rng.permutation(n)[:size] if size < n else np.arange(n)
         if len(set(gold[cand].tolist())) >= 2:
-            idx = np.sort(cand)
+            return np.sort(cand)
+        if size == n:
             break
-        if subsample_size == n:
-            break
-    if idx is None:
-        raise DegenerateSubsample(f"no 2-class subsample of size {subsample_size} found")
-
-    if num_classes is None:
-        num_classes = max(int(gold.max()) + 1, 2)
-    x = x_seed[idx]
-    y = gold[idx]
-    descriptor = {"indices": idx.tolist(), "rng_seed": rng_seed, "head_width": head_width}
-    if head_width == 0:
-        clf = fit_logistic(x, y, num_classes, epochs=epochs, lr=lr, l2=l2)
-        clf.trained_on = descriptor
-        return clf
-    onehot = np.zeros((len(y), num_classes))
-    onehot[np.arange(len(y)), y] = 1.0
-    net = MlpNet(x.shape[1], head_width, num_classes, rng_seed=rng_seed)
-    net.fit(x, onehot, epochs=epochs, lr=min(lr, 0.1), l2=l2, shuffle_seed=rng_seed)
-    net.trained_on = descriptor
-    return net
+    raise DegenerateSubsample(f"no 2-class subsample of size {size} found")
 
 
 def whm(precision, coverage, beta: float):
@@ -212,6 +190,8 @@ def synthesize_candidates(
     width for semantic) round-robin from ``featurizers`` (the category's list
     from ``features.build_featurizers``) and the config lists. Degenerate
     subsamples are skipped, not fatal; skips come back as report dicts.
+    Logistic candidates that share a featurizer and a subsample size train
+    together through ``fit_logistic``, in stacks of at most STACK_BYTES.
     Omega stays 0 until ``score_candidates`` calibrates it.
     """
     if count < 1:
@@ -223,45 +203,66 @@ def synthesize_candidates(
     regs = training["regularizations"]
     widths = training["semantic_head_widths"]
     fractions = training["subsample_fractions"]
+    num_classes = dataset.labels.num_classes
     gold = np.array([ex.gold for ex in dataset.seed])
     n_l = len(gold)
 
-    lfs: list[LabelFunction] = []
+    drawn: list[dict] = []
     skips: list[dict] = []
     for k in range(1, count + 1):
         rng_seed = base + k
         fraction = fractions[(k - 1) % len(fractions)]
-        subsample_size = min(max(int(math.ceil(fraction * n_l)), 1), n_l)
-        featurizer = featurizers[(k - 1) % len(featurizers)]
+        size = min(max(int(math.ceil(fraction * n_l)), 1), n_l)
         if category == Category.STRUCTURAL:
-            l2 = regs[(k - 1) % len(regs)]
-            width = 0
+            l2, width = regs[(k - 1) % len(regs)], 0
         else:
-            l2 = training["l2"]
-            width = widths[(k - 1) % len(widths)]
+            l2, width = training["l2"], widths[(k - 1) % len(widths)]
         try:
-            clf = train_candidate(
-                featurizer.seed,
-                gold,
-                subsample_size,
-                rng_seed,
-                epochs=training["epochs"] if width == 0 else training["mlp_epochs"],
-                lr=training["lr"] if width == 0 else training["mlp_lr"],
-                l2=l2,
-                head_width=width,
-                num_classes=dataset.labels.num_classes,
-            )
+            idx = draw_subsample(gold, size, rng_seed)
         except DegenerateSubsample as exc:
             skips.append({"candidate": k, "rng_seed": rng_seed, "reason": str(exc)})
             continue
+        drawn.append({"rng_seed": rng_seed, "idx": idx, "l2": l2, "width": width,
+                      "size": size, "featurizer": (k - 1) % len(featurizers)})
+
+    groups: dict[tuple[int, int], list[dict]] = {}
+    for c in drawn:
+        if c["width"] == 0:
+            groups.setdefault((c["featurizer"], c["size"]), []).append(c)
+            continue
+        table = featurizers[c["featurizer"]].seed
+        net = MlpNet(table.shape[1], c["width"], num_classes, rng_seed=c["rng_seed"])
+        c["clf"] = net.fit(table[c["idx"]], np.eye(num_classes)[gold[c["idx"]]],
+                           epochs=training["mlp_epochs"], lr=min(training["mlp_lr"], 0.1),
+                           l2=c["l2"], shuffle_seed=c["rng_seed"])
+    for (f, size), members in groups.items():
+        table = featurizers[f].seed
+        per_stack = max(STACK_BYTES // (size * table.shape[1] * table.itemsize), 1)
+        for start in range(0, len(members), per_stack):
+            stack = members[start:start + per_stack]
+            fitted = fit_logistic(
+                np.stack([table[c["idx"]] for c in stack]),
+                np.stack([gold[c["idx"]] for c in stack]),
+                num_classes, epochs=training["epochs"], lr=training["lr"],
+                l2=[c["l2"] for c in stack],
+            )
+            for c, clf in zip(stack, fitted):
+                c["clf"] = clf
+
+    lfs: list[LabelFunction] = []
+    for c in drawn:
+        clf = c["clf"]
+        clf.trained_on = {"indices": c["idx"].tolist(), "rng_seed": c["rng_seed"],
+                          "head_width": c["width"]}
+        featurizer = featurizers[c["featurizer"]]
         lfs.append(LabelFunction(
-            id=f"{category.value}-s{rng_seed:05d}",
+            id=f"{category.value}-s{c['rng_seed']:05d}",
             category=category,
             rule=CalibratedClassifierLF(classifier=clf, featurizer=featurizer),
             meta={
-                "l2": l2,
-                "head_width": width,
-                "subsample_size": subsample_size,
+                "l2": c["l2"],
+                "head_width": c["width"],
+                "subsample_size": c["size"],
                 "featurization": featurizer.describe(),
             },
         ))

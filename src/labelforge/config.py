@@ -149,7 +149,9 @@ class RunManifest:
 
     ``stop_reason`` is "filled" when every category reached its target and
     "round_budget" when max_rounds ran out first; ``shortfall`` is the last
-    round's per-category gap (empty when filled).
+    round's per-category gap (empty when filled). ``provider_warnings`` sums
+    the surface provider's dropped rules over rounds; ``warnings`` names each
+    class with no seed examples.
     """
 
     config_hash: str
@@ -159,6 +161,8 @@ class RunManifest:
     status: str = "ok"
     stop_reason: str = ""
     shortfall: dict = field(default_factory=dict)
+    provider_warnings: int = 0
+    warnings: list = field(default_factory=list)
 
     def write_atomic(self, path: str) -> None:
         text = json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"

@@ -63,10 +63,11 @@ def _vote_dists(entries: np.ndarray, num_classes: int, weights: np.ndarray) -> n
 def _log_joint(entries: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> np.ndarray:
     """log p(y=c) + sum over voting LFs of log p(vote | y=c), one row per item."""
     log_joint = np.tile(np.log(priors + 1e-300), (entries.shape[0], 1))
+    log_confusion = np.log(confusion + 1e-300)
     for j in range(entries.shape[1]):
         col = entries[:, j]
         voted = col != ABSTAIN
-        log_joint[voted] += np.log(confusion[j][:, col[voted]].T + 1e-300)
+        log_joint[voted] += log_confusion[j][:, col[voted]].T
     return log_joint
 
 

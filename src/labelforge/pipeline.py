@@ -78,8 +78,10 @@ def build_provider(config: PipelineConfig, dataset: Dataset):
     )
 
 
-def build_generators(config: PipelineConfig, dataset: Dataset, featurizers: dict):
-    """Per-category generation closures for the exploitation loop."""
+def build_generators(
+    config: PipelineConfig, dataset: Dataset, featurizers: dict, manifest: RunManifest
+):
+    """Per-category generation closures; surface rounds add provider warnings to ``manifest``."""
     provider = build_provider(config, dataset)
     request = GenerationRequest(
         task_description=config.task_description,
@@ -95,6 +97,7 @@ def build_generators(config: PipelineConfig, dataset: Dataset, featurizers: dict
         except (ProviderUnreachable, MalformedProviderReply) as exc:
             skip_sink.append({"category": "surface", "round": round_index, "reason": str(exc)})
             return []
+        manifest.provider_warnings += provider.last_warnings
         return [
             LabelFunction(
                 id=f"surface-r{round_index:02d}-c{k:02d}",
@@ -160,13 +163,16 @@ def run_pipeline(
     manifest = RunManifest(config_hash=config.config_hash())
     if dataset_path:
         manifest.input_digests["dataset"] = file_digest(dataset_path)
+    seeded = {ex.gold for ex in dataset.seed}
+    manifest.warnings = [f"class {name!r} has no seed examples"
+                         for c, name in enumerate(dataset.labels.class_names) if c not in seeded]
 
     with _stage(seconds, "featurize"):
         structural, semantic, end_featurizer = build_featurizers(dataset, config)
         featurizers = {Category.STRUCTURAL: structural, Category.SEMANTIC: semantic}
 
     with _stage(seconds, "explore_exploit"):
-        generators, skip_sink = build_generators(config, dataset, featurizers)
+        generators, skip_sink = build_generators(config, dataset, featurizers, manifest)
         pool, reports = run_exploitation_loop(dataset, config, generators)
         pool.skip_reports.extend(skip_sink)
         manifest.shortfall = dict(reports[-1].shortfall)

@@ -4,15 +4,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from labelforge import candidates
 from labelforge.candidates import (
     CalibratedClassifierLF,
     LinearClassifier,
     calibrate_threshold,
+    draw_subsample,
     fit_logistic,
     synthesize_candidates,
     threshold_grid,
     threshold_votes,
-    train_candidate,
     whm,
 )
 from labelforge.config import PipelineConfig
@@ -21,7 +22,7 @@ from labelforge.errors import DegenerateSubsample, DimensionMismatch
 from labelforge.exploitation import score_candidates
 from labelforge.features import build_featurizers
 from labelforge.lf_core import ABSTAIN, Category
-from labelforge.nets import MlpNet
+from labelforge.nets import MlpNet, softmax
 
 
 def score_on_splits(lfs, ds, cfg):
@@ -75,9 +76,46 @@ def test_predict_proba_dimension_mismatch():
         clf.predict_proba_many(np.zeros(4))
 
 
+def reference_fit_logistic(x, y, num_classes, epochs=300, lr=0.5, l2=1e-3):
+    """One candidate at a time on 2-D arrays: the trainer before stacking."""
+    n, d = x.shape
+    w = np.zeros((num_classes, d))
+    b = np.zeros(num_classes)
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+    for _ in range(epochs):
+        probs = softmax(x @ w.T + b)
+        err = (probs - onehot) / n
+        w -= lr * (err.T @ x + l2 * w)
+        b -= lr * err.sum(axis=0)
+    return w, b
+
+
+def fit_one(x, y, num_classes, **kw):
+    """``fit_logistic`` as the k = 1 stack."""
+    return fit_logistic(x[None], y[None], num_classes, **kw)[0]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+@pytest.mark.parametrize("n,d", [(32, 21), (320, 64)])
+def test_stacked_fit_equals_per_candidate_reference(k, num_classes, n, d):
+    rng = np.random.default_rng(100 * k + 10 * num_classes + n)
+    x = np.abs(rng.normal(size=(k, n, d)))
+    x /= np.linalg.norm(x, axis=2, keepdims=True)
+    y = rng.integers(0, num_classes, size=(k, n))
+    l2 = [1e-3 * (i + 1) for i in range(k)]
+    fitted = fit_logistic(x, y, num_classes, epochs=80, l2=l2)
+    assert len(fitted) == k
+    for i, clf in enumerate(fitted):
+        w, b = reference_fit_logistic(x[i], y[i], num_classes, epochs=80, l2=l2[i])
+        assert np.array_equal(clf.weights, w)
+        assert np.array_equal(clf.bias, b)
+
+
 def test_train_on_separable_data_fits_perfectly():
     x, gold = separable_seed(10)
-    clf = train_candidate(x, gold, subsample_size=10, rng_seed=0, epochs=200)
+    clf = fit_one(x, gold, 2, epochs=200)
     probs = clf.predict_proba_many(x)
     assert (probs.argmax(axis=1) == gold).all()
 
@@ -97,35 +135,37 @@ def test_training_loss_monotone_nonincreasing():
         x = rng.normal(size=(n, d))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         y = rng.integers(0, c, size=n)
-        losses = [logistic_objective(fit_logistic(x, y, c, epochs=k), x, y) for k in range(121)]
+        losses = [logistic_objective(fit_one(x, y, c, epochs=k), x, y) for k in range(121)]
         assert (np.diff(losses) <= 1e-9).all()
         assert losses[-1] < losses[0]
 
 
 def test_training_deterministic():
     x, gold = separable_seed(8)
-    a = train_candidate(x, gold, 6, rng_seed=5)
-    b = train_candidate(x, gold, 6, rng_seed=5)
+    idx = draw_subsample(gold, 6, rng_seed=5)
+    assert np.array_equal(idx, draw_subsample(gold, 6, rng_seed=5))
+    a = fit_one(x[idx], gold[idx], 2)
+    b = fit_one(x[idx], gold[idx], 2)
     assert np.array_equal(a.weights, b.weights)
-    assert a.trained_on == b.trained_on
-    a = train_candidate(x, gold, 6, rng_seed=5, head_width=16)
-    b = train_candidate(x, gold, 6, rng_seed=5, head_width=16)
-    assert np.array_equal(a.w1, b.w1)
-    assert np.array_equal(a.w2, b.w2)
-    assert a.trained_on == b.trained_on
-    assert a.trained_on["head_width"] == 16
+    ds = toy_dataset()
+    cfg = PipelineConfig(base_seed=5)
+    cfg.candidate_training["semantic_head_widths"] = [16]
+    (a,), _ = synthesize(Category.SEMANTIC, ds, 1, cfg)
+    (b,), _ = synthesize(Category.SEMANTIC, ds, 1, cfg)
+    assert np.array_equal(a.rule.classifier.w1, b.rule.classifier.w1)
+    assert np.array_equal(a.rule.classifier.w2, b.rule.classifier.w2)
+    assert a.rule.classifier.trained_on == b.rule.classifier.trained_on
+    assert a.rule.classifier.trained_on["head_width"] == 16
 
 
 def test_full_subsample_uses_whole_seed():
-    x, gold = separable_seed(8)
-    clf = train_candidate(x, gold, 8, rng_seed=1)
-    assert clf.trained_on["indices"] == list(range(8))
+    _, gold = separable_seed(8)
+    assert draw_subsample(gold, 8, rng_seed=1).tolist() == list(range(8))
 
 
 def test_degenerate_subsample():
-    x = np.tile([1.0, 0.0], (6, 1))
     with pytest.raises(DegenerateSubsample):
-        train_candidate(x, np.zeros(6, dtype=int), 4, rng_seed=0)
+        draw_subsample(np.zeros(6, dtype=int), 4, rng_seed=0)
 
 
 def test_threshold_grid_covers_unit_interval():
@@ -351,3 +391,70 @@ def test_each_candidate_predicts_once_per_split(monkeypatch):
             len(ds.seed), len(ds.unlabeled),
         ]
         assert lf.threshold == lf.rule.omega
+
+
+def reference_synthesize(category, ds, count, cfg, featurizers):
+    """Candidate by candidate, each logistic head through the 2-D reference trainer."""
+    training = cfg.candidate_training
+    gold = np.array([ex.gold for ex in ds.seed])
+    num_classes = ds.labels.num_classes
+    made, skips = [], []
+    for k in range(1, count + 1):
+        rng_seed = cfg.base_seed + k
+        fraction = training["subsample_fractions"][(k - 1) % len(training["subsample_fractions"])]
+        size = min(max(int(math.ceil(fraction * len(gold))), 1), len(gold))
+        featurizer = featurizers[(k - 1) % len(featurizers)]
+        if category == Category.STRUCTURAL:
+            l2, width = training["regularizations"][(k - 1) % len(training["regularizations"])], 0
+        else:
+            widths = training["semantic_head_widths"]
+            l2, width = training["l2"], widths[(k - 1) % len(widths)]
+        try:
+            idx = draw_subsample(gold, size, rng_seed)
+        except DegenerateSubsample as exc:
+            skips.append({"candidate": k, "rng_seed": rng_seed, "reason": str(exc)})
+            continue
+        x, y = featurizer.seed[idx], gold[idx]
+        if width == 0:
+            weights = reference_fit_logistic(
+                x, y, num_classes, training["epochs"], training["lr"], l2
+            )
+        else:
+            net = MlpNet(x.shape[1], width, num_classes, rng_seed=rng_seed)
+            net.fit(x, np.eye(num_classes)[y], epochs=training["mlp_epochs"],
+                    lr=min(training["mlp_lr"], 0.1), l2=l2, shuffle_seed=rng_seed)
+            weights = (net.w1, net.b1, net.w2, net.b2)
+        trained_on = {"indices": idx.tolist(), "rng_seed": rng_seed, "head_width": width}
+        made.append((f"{category.value}-s{rng_seed:05d}", trained_on, weights, featurizer))
+    return made, skips
+
+
+@pytest.mark.parametrize("stack_bytes", [candidates.STACK_BYTES, 1])
+def test_synthesize_equals_per_candidate_reference(monkeypatch, stack_bytes):
+    # two structural featurizers ((1, 1) and (1, 2) n-grams); every third
+    # candidate draws a 1-row subsample, which is degenerate, so candidate 3
+    # is skipped between candidates 1 and 5 of featurizer 0's group
+    monkeypatch.setattr(candidates, "STACK_BYTES", stack_bytes)
+    ds = toy_dataset(n_seed=16)
+    cfg = PipelineConfig(base_seed=4)
+    cfg.candidate_training.update(
+        epochs=60, subsample_fractions=[0.75, 0.75, 0.01], semantic_head_widths=[0, 8, 0],
+    )
+    structural, semantic, _ = build_featurizers(ds, cfg)
+    assert len(structural) == 2
+    for category, featurizers in ((Category.STRUCTURAL, structural), (Category.SEMANTIC, semantic)):
+        lfs, skips = synthesize_candidates(category, ds, 12, cfg, featurizers)
+        want, want_skips = reference_synthesize(category, ds, 12, cfg, featurizers)
+        assert skips == want_skips
+        assert [s["candidate"] for s in skips] == [3, 6, 9, 12]
+        assert [lf.id for lf in lfs] == [w[0] for w in want]
+        for lf, (_, trained_on, weights, featurizer) in zip(lfs, want):
+            clf = lf.rule.classifier
+            assert clf.trained_on == trained_on
+            assert lf.rule.featurizer is featurizer
+            if isinstance(clf, LinearClassifier):
+                got = (clf.weights, clf.bias)
+            else:
+                got = (clf.w1, clf.b1, clf.w2, clf.b2)
+            assert len(got) == len(weights)
+            assert all(np.array_equal(g, w) for g, w in zip(got, weights))

@@ -319,7 +319,9 @@ def test_label_model_kinds_through_pipeline(run_env, tmp_path):
 
 
 def test_run_manifest_atomic_and_timed(run_env):
-    out = os.path.join(run_env["root"], "run1")
+    out = os.path.join(run_env["root"], "manifest_run")
+    assert main(["run", "--config", run_env["config"], "--data", run_env["data"],
+                 "--out", out]) == 0
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert not os.path.exists(os.path.join(out, "manifest.json.tmp"))
     assert set(manifest["stage_seconds"]) >= {
@@ -453,3 +455,51 @@ def test_manifest_says_why_the_loop_stopped(tmp_path):
             text = open(os.path.join(out, digested)).read()
             assert "stop_reason" not in text and "shortfall" not in text, digested
     assert last["round"] == 2
+
+
+def test_manifest_sums_provider_warnings_over_rounds(tmp_path, monkeypatch):
+    from labelforge import pipeline
+    from labelforge.surface import RemoteLlmProvider
+
+    # each reply holds one valid rule and two the provider drops
+    reply = json.dumps([
+        {"match_mode": "token", "patterns": {"pos": ["pos_marker"]}},
+        {"patterns": {"pos": []}},
+        {"match_mode": "regex", "patterns": {"neg": ["x"]}},
+    ])
+    replies = []
+
+    def transport(endpoint, payload, headers, timeout):
+        replies.append(reply)
+        return reply
+
+    def remote(config, dataset):
+        return RemoteLlmProvider(endpoint="http://llm", model="m", labels=dataset.labels,
+                                 transport=transport)
+
+    monkeypatch.setattr(pipeline, "build_provider", remote)
+    out = str(tmp_path / "run")
+    ds = make_separable_corpus(5, n_unlabeled=150, n_seed=20, n_test=0)
+    pipeline.run_pipeline(small_config(max_rounds=2), ds, out)
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert len(replies) == 2  # one reply per round: surface stays short of its 3 LFs
+    assert manifest["provider_warnings"] == 2 * len(replies)
+    assert manifest["warnings"] == []
+    for digested in ("lf_pool.json", "report.json"):
+        assert "provider_warnings" not in open(os.path.join(out, digested)).read(), digested
+
+
+def test_manifest_warns_of_a_class_without_seed_examples(tmp_path):
+    import dataclasses
+
+    from labelforge.corpus import LabelSpace
+    from labelforge.pipeline import run_pipeline
+
+    ds = make_separable_corpus(5, n_unlabeled=150, n_seed=20, n_test=0)
+    ds = dataclasses.replace(ds, labels=LabelSpace(("pos", "neg", "other")))
+    out = str(tmp_path / "run")
+    run_pipeline(small_config(max_rounds=1), ds, out)
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["warnings"] == ["class 'other' has no seed examples"]
+    for digested in ("lf_pool.json", "report.json"):
+        assert "no seed examples" not in open(os.path.join(out, digested)).read(), digested

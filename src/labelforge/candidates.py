@@ -232,9 +232,9 @@ def synthesize_candidates(
             continue
         table = featurizers[c["featurizer"]].seed
         net = MlpNet(table.shape[1], c["width"], num_classes, rng_seed=c["rng_seed"])
-        c["clf"] = net.fit(table[c["idx"]], np.eye(num_classes)[gold[c["idx"]]],
+        c["clf"] = net.fit(table, np.eye(num_classes)[gold[c["idx"]]],
                            epochs=training["mlp_epochs"], lr=min(training["mlp_lr"], 0.1),
-                           l2=c["l2"], shuffle_seed=c["rng_seed"])
+                           l2=c["l2"], shuffle_seed=c["rng_seed"], rows=c["idx"])
     for (f, size), members in groups.items():
         table = featurizers[f].seed
         per_stack = max(STACK_BYTES // (size * table.shape[1] * table.itemsize), 1)

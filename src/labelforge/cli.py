@@ -40,15 +40,19 @@ def _load_inputs(args) -> tuple[PipelineConfig, object]:
         config.base_seed = args.seed_override
     if not os.path.exists(args.data):
         raise FileNotFoundError(f"dataset file not found: {args.data}")
-    if config.class_names:
-        labels = LabelSpace(tuple(config.class_names))
-    else:
-        labels = _infer_labels(args.data, args.data_format)
-    dataset = load_dataset(args.data, args.data_format, labels)
+    dataset = load_dataset(args.data, args.data_format,
+                           _label_space(config, args.data, args.data_format))
     seed_classes = {ex.gold for ex in dataset.seed}
     if len(seed_classes) < 2:
         raise ValueError(f"seed set covers {len(seed_classes)} class(es); at least 2 needed")
     return config, dataset
+
+
+def _label_space(config: PipelineConfig | None, path: str, fmt: str) -> LabelSpace:
+    """The config's ``class_names`` in their order; without them, the data file's labels."""
+    if config is not None and config.class_names:
+        return LabelSpace(tuple(config.class_names))
+    return _infer_labels(path, fmt)
 
 
 def _infer_labels(path: str, fmt: str) -> LabelSpace:
@@ -158,7 +162,8 @@ def cmd_eval(args) -> int:
     try:
         if not os.path.exists(args.labels) or not os.path.exists(args.data):
             raise FileNotFoundError("labels or dataset file missing")
-        labels_space = _infer_labels(args.data, args.data_format)
+        config = PipelineConfig.load(args.config) if args.config else None
+        labels_space = _label_space(config, args.data, args.data_format)
         dataset = load_dataset(args.data, args.data_format, labels_space)
         dists, covered, doc_ids = load_labels_jsonl(args.labels, labels_space)
     except (OSError, LabelForgeError, ValueError) as exc:
@@ -212,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     evl.add_argument("--data", required=True)
     evl.add_argument("--out", required=True)
     evl.add_argument("--data-format", default="jsonl", choices=["jsonl", "csv"])
+    evl.add_argument("--config", default=None,
+                     help="the run's config; its class_names fix the label order")
     evl.set_defaults(func=cmd_eval)
 
     synth = sub.add_parser("gen-synth", help="emit the bundled synthetic corpora")

@@ -4,11 +4,14 @@ A dataset is made of a large unlabeled pool, a small labeled seed set, and an
 optional held-out test split. Records arrive as JSONL or CSV with the schema
 {"id", "text", "label"?, "split"?}; gold labels attached to unlabeled records
 are kept aside for evaluation only and never enter the labeling pipeline.
+Each split is read as token ids over one shared vocabulary (``TokenIndex``),
+from which featurizers and surface rules work.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -29,7 +32,10 @@ MAX_CLASSES = 127
 
 def tokenize(text: str, min_token_len: int = 2) -> tuple[str, ...]:
     """Lowercase, split on non-alphanumeric, drop tokens shorter than the floor."""
-    return tuple(t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= min_token_len)
+    tokens = _TOKEN_RE.findall(text.lower())
+    if min_token_len > 1:
+        tokens = [t for t in tokens if len(t) >= min_token_len]
+    return tuple(tokens)
 
 
 @dataclass(frozen=True)
@@ -74,21 +80,25 @@ class Document:
 
 
 class TokenIndex:
-    """A doc list plus its posting index: token -> sorted int32 array of the rows holding it.
+    """One split as token ids over a shared vocabulary, plus its posting index.
 
-    Built once over a split so that a token-mode surface rule reads its votes
-    from postings instead of rescanning every document.
+    ``token_ids`` (token -> id, a new token takes the next id) may be shared
+    by several indexes. ``ids`` holds the split's tokens as one ``int32``
+    array, row r at ``offsets[r]:offsets[r + 1]``. Featurizers build tables
+    from these arrays, and the postings (token -> sorted ``int32`` rows
+    holding it) that token-mode surface rules vote from come from them too.
     """
 
     _NO_ROWS = np.zeros(0, dtype=np.int32)
 
-    def __init__(self, docs: list[Document]):
+    def __init__(self, docs: list[Document], token_ids: dict[str, int] | None = None):
         self.docs = docs
-        rows: dict[str, list[int]] = {}
-        for row, doc in enumerate(docs):
-            for token in set(doc.tokens):
-                rows.setdefault(token, []).append(row)
-        self.postings = {token: np.array(r, dtype=np.int32) for token, r in rows.items()}
+        self.token_ids = {} if token_ids is None else token_ids
+        tokens = itertools.chain.from_iterable(doc.tokens for doc in docs)
+        self.ids = np.fromiter((self.token_ids.setdefault(t, len(self.token_ids)) for t in tokens),
+                               np.int32)
+        lengths = np.fromiter((len(doc.tokens) for doc in docs), np.int64, len(docs))
+        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -96,8 +106,24 @@ class TokenIndex:
     def __iter__(self):
         return iter(self.docs)
 
+    def token_rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The row of each token of rows lo to hi - 1 (default: all), in ``ids`` order."""
+        hi = len(self.docs) if hi is None else hi
+        return np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(self.offsets[lo:hi + 1]))
+
+    @cached_property
+    def _postings(self) -> tuple[np.ndarray, np.ndarray]:
+        # A stable sort by id keeps each id's rows ascending; keep each (id, row) once.
+        order = np.argsort(self.ids, kind="stable")
+        ids, rows = self.ids[order], self.token_rows()[order]
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+        return rows[first], np.searchsorted(ids[first], np.arange(self.ids.max(initial=-1) + 2))
+
     def rows(self, token: str) -> np.ndarray:
-        return self.postings.get(token, self._NO_ROWS)
+        rows, starts = self._postings
+        i = self.token_ids.get(token, len(starts))
+        return rows[starts[i]:starts[i + 1]] if i + 1 < len(starts) else self._NO_ROWS
 
 
 @dataclass(frozen=True)
@@ -134,6 +160,16 @@ class Dataset:
         for ex in list(self.seed) + list(self.test):
             if not 0 <= ex.gold < self.labels.num_classes:
                 raise ValueError(f"gold label {ex.gold} outside label space")
+
+    @cached_property
+    def seed_index(self) -> TokenIndex:
+        """The seed split as token ids, built on first read."""
+        return TokenIndex([ex.doc for ex in self.seed])
+
+    @cached_property
+    def pool_index(self) -> TokenIndex:
+        """The unlabeled pool as token ids over the seed index's vocabulary."""
+        return TokenIndex(self.unlabeled, self.seed_index.token_ids)
 
     def all_documents(self):
         for doc in self.unlabeled:

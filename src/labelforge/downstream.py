@@ -80,16 +80,16 @@ def train_downstream(
     if len(dists) != len(featurizer.pool):
         raise ValueError("label rows and pool rows must align")
     keep, targets = build_targets(dists, covered, config.mode)
-    x = featurizer.pool[keep]
     num_classes = targets.shape[1]
-    net = MlpNet(x.shape[1], config.hidden, num_classes, rng_seed=config.rng_seed)
+    net = MlpNet(featurizer.pool.shape[1], config.hidden, num_classes, rng_seed=config.rng_seed)
     net.fit(
-        x,
+        featurizer.pool,
         targets,
         epochs=config.epochs,
         lr=config.lr,
         batch_size=config.batch_size,
         shuffle_seed=config.rng_seed,
+        rows=keep,
     )
     return MlpClassifier(net=net, featurizer=featurizer)
 

@@ -1,7 +1,10 @@
 """Deterministic text featurization: TF-IDF and embeddings.
 
-Each featurizer is one fitted model that vectorizes a document from its
-cached tokens. TF-IDF backs structural label functions and the downstream
+Each featurizer is one fitted model that turns a whole split into a row
+table at once. TF-IDF and the hashing embedder read the split's token ids
+(``corpus.TokenIndex``) and build the table with array programs; the
+remote embedder, which needs one service call per document, embeds each
+document's text. TF-IDF backs structural label functions and the downstream
 classifier; embeddings back semantic ones. The default embedder is a
 dependency-free signed hashing projection so the semantic pathway runs fully
 offline; a remote embedder with an on-disk cache covers real encoder services.
@@ -15,28 +18,87 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, Document
+from .corpus import Dataset, Document, TokenIndex
 from .errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
 
 
-class Featurizer:
-    """Doc -> feature vector, plus the ``seed`` and ``pool`` row tables of one dataset.
+def _normalize_rows(table: np.ndarray) -> np.ndarray:
+    """L2-normalize each nonzero row in place by sqrt(row.dot(row)), as ``np.linalg.norm``."""
+    norms = np.sqrt(np.fromiter((row.dot(row) for row in table), float, len(table)))[:, None]
+    return np.divide(table, norms, out=table, where=norms > 0)
 
-    ``build_tables`` vectorizes each split once, in split row order; callers
-    that hold row indices read those tables. Subclasses set ``dim`` and supply
-    ``kind``, ``vectorize(doc)`` and ``describe()``.
+
+def _split_index(docs: TokenIndex | list[Document], token_ids: dict | None = None) -> TokenIndex:
+    """``docs`` as an index over ``token_ids`` (a fresh vocabulary when None)."""
+    if isinstance(docs, TokenIndex) and (token_ids is None or docs.token_ids is token_ids):
+        return docs
+    return TokenIndex(list(docs), token_ids)
+
+
+BLOCK_TOKENS = 1 << 14  # tokens turned into n-grams at once; bounds the transient arrays
+
+
+def _blocks(index: TokenIndex) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of ``index`` holding about BLOCK_TOKENS tokens each."""
+    cuts = np.searchsorted(index.offsets, np.arange(0, index.offsets[-1], BLOCK_TOKENS))
+    edges = np.unique(np.append(cuts, len(index))).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _long_tokens(token_ids: dict[str, int], min_token_len: int) -> np.ndarray:
+    """Per token id: whether the token has at least ``min_token_len`` characters."""
+    return np.fromiter((len(t) >= min_token_len for t in token_ids), bool, len(token_ids))
+
+
+def _ngrams(index: TokenIndex, block: tuple[int, int], ngram_range, long: np.ndarray, base: int):
+    """(row, code) of every n-gram occurrence in a block of rows, as two int64 arrays.
+
+    Tokens that are not ``long`` are dropped first, so they never break
+    adjacency. An n-gram within one row is coded as its token ids in base
+    ``base`` (digit = id + 1). Ids from ``base - 2`` up, tokens a fit never
+    saw, keep their place under the reserved digit ``base - 1``: they break
+    adjacency, and their n-grams match no fitted code.
+    """
+    ids = index.ids[index.offsets[block[0]]:index.offsets[block[1]]]
+    kept = long[ids]
+    token_rows = index.token_rows(*block)[kept].astype(np.int64)
+    digits = np.minimum(ids[kept], base - 2).astype(np.int64) + 1
+    rows, codes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for n in range(ngram_range[0], ngram_range[1] + 1):
+        m = len(digits) - n + 1
+        if m <= 0:
+            continue
+        code = digits[:m].copy()
+        for j in range(1, n):
+            code *= base
+            code += digits[j:j + m]
+        within = token_rows[:m] == token_rows[n - 1:]
+        rows.append(token_rows[:m][within])
+        codes.append(code[within])
+    return np.concatenate(rows), np.concatenate(codes)
+
+
+def _term(code: int, base: int, tokens: list[str]) -> str:
+    """The n-gram string of an ``_ngrams`` code; ``tokens`` lists the tokens by id."""
+    words = []
+    while code:
+        code, digit = divmod(code, base)
+        words.append(tokens[digit - 1])
+    return " ".join(reversed(words))
+
+
+class Featurizer:
+    """Split -> row table, plus the ``seed`` and ``pool`` tables of one dataset.
+
+    ``transform_many(docs)``, docs a ``TokenIndex`` or a doc list, returns one
+    (len(docs), dim) array. ``build_tables`` featurizes each split once, from
+    the dataset's token indexes, in split row order. Subclasses set ``dim``
+    and supply ``kind``, ``transform_many`` and ``describe()``.
     """
 
-    def transform_many(self, docs: list[Document]) -> np.ndarray:
-        """One (len(docs), dim) array, row i vectorized from docs[i]."""
-        out = np.empty((len(docs), self.dim))
-        for row, doc in enumerate(docs):
-            out[row] = self.vectorize(doc)
-        return out
-
     def build_tables(self, dataset: Dataset) -> Featurizer:
-        self.seed = self.transform_many([ex.doc for ex in dataset.seed])
-        self.pool = self.transform_many(dataset.unlabeled)
+        self.seed = self.transform_many(dataset.seed_index)
+        self.pool = self.transform_many(dataset.pool_index)
         return self
 
 
@@ -47,51 +109,65 @@ class TfidfFeaturizer(Featurizer):
     ln((1 + N) / (1 + df_t)) + 1, strictly positive. Vocabulary terms are
     index-assigned in sorted order so fitting is order-independent. A vector
     is term counts scaled by idf, then L2-normalized; OOV terms are ignored.
+
+    The n-grams of a split are counted from its token ids (``_ngrams``);
+    each distinct n-gram code of the fit is mapped to its string once.
     """
 
     kind = "tfidf"
 
     def __init__(
         self,
-        docs: list[Document],
+        docs: TokenIndex | list[Document],
         ngram_range: tuple[int, int] = (1, 2),
         min_df: int = 1,
         min_token_len: int = 2,
     ):
-        if not docs:
+        if not len(docs):
             raise ValueError("TF-IDF fitting needs at least one document")
+        index = _split_index(docs)
         self.ngram_range = tuple(ngram_range)
         self.min_token_len = min_token_len
-        df: dict[str, int] = {}
-        for doc in docs:
-            for term in set(self._ngrams(doc)):
-                df[term] = df.get(term, 0) + 1
-        terms = sorted(t for t, c in df.items() if c >= min_df)
-        if not terms:
+        self.token_ids = index.token_ids
+        self._base = len(self.token_ids) + 2
+        if float(self._base) ** self.ngram_range[1] >= 2.0 ** 63:
+            raise ValueError(f"ngram_range {self.ngram_range} is too wide for int64 n-gram codes")
+        long, in_rows = _long_tokens(self.token_ids, min_token_len), [np.zeros(0, np.int64)]
+        for block in _blocks(index):
+            rows, codes = _ngrams(index, block, self.ngram_range, long, self._base)
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            pairs = np.unique(rows * len(distinct) + inverse)  # distinct (row, code) pairs
+            in_rows.append(distinct[pairs % len(distinct)])
+        codes, df = np.unique(np.concatenate(in_rows), return_counts=True)
+        codes, df = codes[df >= min_df], df[df >= min_df]
+        if not len(codes):
             raise EmptyVocabulary("no terms survived tokenization")
-        self.vocabulary = {t: i for i, t in enumerate(terms)}
-        n = len(docs)
-        self.idf = np.array([np.log((1 + n) / (1 + df[t])) + 1.0 for t in terms])
+        tokens = list(self.token_ids)
+        terms = [_term(code, self._base, tokens) for code in codes.tolist()]
+        order = sorted(range(len(terms)), key=terms.__getitem__)
+        self.vocabulary = {terms[i]: col for col, i in enumerate(order)}
+        self._codes = codes  # ascending; code self._codes[i] is column self._columns[i]
+        self._columns = np.empty(len(codes), dtype=np.int64)
+        self._columns[order] = np.arange(len(codes))
+        n = len(index)
+        self.idf = np.log((1 + n) / (1 + df[order])) + 1.0
         self.dim = len(terms)
 
-    def _ngrams(self, doc: Document):
-        tokens = [t for t in doc.tokens if len(t) >= self.min_token_len]
-        lo, hi = self.ngram_range
-        for n in range(lo, hi + 1):
-            for i in range(len(tokens) - n + 1):
-                yield " ".join(tokens[i:i + n])
-
-    def vectorize(self, doc: Document) -> np.ndarray:
-        vec = np.zeros(self.dim)
-        for term in self._ngrams(doc):
-            col = self.vocabulary.get(term)
-            if col is not None:
-                vec[col] += 1.0
-        vec *= self.idf
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+    def transform_many(self, docs: TokenIndex | list[Document]) -> np.ndarray:
+        index = _split_index(docs, self.token_ids)
+        long = _long_tokens(index.token_ids, self.min_token_len)
+        table = np.zeros((len(index), self.dim))
+        for block in _blocks(index):
+            rows, codes = _ngrams(index, block, self.ngram_range, long, self._base)
+            at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
+            known = self._codes[at] == codes
+            # Counts are exact integers scattered from the distinct (row, col)
+            # keys, so no integer table of the full shape sits beside the float one.
+            keys, counts = np.unique(rows[known] * self.dim + self._columns[at[known]],
+                                     return_counts=True)
+            table.reshape(-1)[keys] = counts
+        table *= self.idf
+        return _normalize_rows(table)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "ngram_range": list(self.ngram_range), "dim": self.dim}
@@ -110,9 +186,10 @@ class HashingEmbedder(Featurizer):
     depends only on (text, dim), so it is identical across runs and platforms.
 
     A term is hashed once per embedder: its code (2 * coord, plus 1 when the
-    sign is negative) is kept in ``_codes``. A row counts its codes and takes
-    positive minus negative counts; every sum is a small exact integer, so the
-    float64 bits do not depend on the order terms are added in.
+    sign is negative) is kept in ``_codes``; each block of a split looks up
+    its distinct n-grams once. A row counts its codes and takes positive minus
+    negative counts: every sum is a small exact integer, so the float64 bits
+    do not depend on the order terms are added in.
     """
 
     kind = "embedding"
@@ -122,24 +199,30 @@ class HashingEmbedder(Featurizer):
         self._codes: dict[str, int] = {}
 
     def _code(self, term: str) -> int:
-        coord = _stable_hash(term, b"lf-coord") % self.dim
-        negative = _stable_hash(term, b"lf-sign") % 2
-        code = self._codes[term] = 2 * coord + negative
+        code = self._codes.get(term)
+        if code is None:
+            coord = _stable_hash(term, b"lf-coord") % self.dim
+            negative = _stable_hash(term, b"lf-sign") % 2
+            code = self._codes[term] = 2 * coord + negative
         return code
 
-    def raw_projection(self, tokens: tuple[str, ...]) -> np.ndarray:
-        codes = self._codes
-        terms = list(tokens) + [" ".join(tokens[i:i + 2]) for i in range(len(tokens) - 1)]
-        found = [codes[t] if t in codes else self._code(t) for t in terms]
-        counts = np.bincount(found, minlength=2 * self.dim).astype(float)
-        return counts[0::2] - counts[1::2]
-
-    def vectorize(self, doc: Document) -> np.ndarray:
-        vec = self.raw_projection(doc.tokens)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+    def transform_many(self, docs: TokenIndex | list[Document]) -> np.ndarray:
+        index = _split_index(docs)
+        tokens = list(index.token_ids)
+        long, base = np.ones(len(tokens), bool), len(tokens) + 2
+        table = np.zeros((len(index), self.dim))
+        cells = table.reshape(-1)
+        for block in _blocks(index):
+            rows, codes = _ngrams(index, block, (1, 2), long, base)
+            terms, at = np.unique(codes, return_inverse=True)
+            codes = np.array([self._code(_term(c, base, tokens)) for c in terms.tolist()],
+                             dtype=np.int64)[at]
+            # key // 2 is the cell row * dim + coord; key % 2 is the sign bit
+            keys, counts = np.unique(rows * (2 * self.dim) + codes, return_counts=True)
+            negative = keys % 2 == 1
+            cells[keys[~negative] // 2] = counts[~negative]
+            cells[keys[negative] // 2] -= counts[negative]
+        return _normalize_rows(table)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "provider": type(self).__name__, "dim": self.dim}
@@ -216,6 +299,12 @@ class RemoteEmbedder(Featurizer):
         with open(self.cache_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(rec) + "\n")
 
+    def transform_many(self, docs: TokenIndex | list[Document]) -> np.ndarray:
+        out = np.empty((len(docs), self.dim))
+        for row, doc in enumerate(docs):
+            out[row] = self.vectorize(doc)
+        return out
+
     def vectorize(self, doc: Document) -> np.ndarray:
         if doc.id in self._cache:
             return np.asarray(self._cache[doc.id], dtype=float)
@@ -250,7 +339,7 @@ def build_featurizers(dataset: Dataset, config) -> tuple[list, list, TfidfFeatur
 
     def fit(ngram_range) -> TfidfFeaturizer:
         return TfidfFeaturizer(
-            dataset.unlabeled, ngram_range, tfidf["min_df"], tfidf["min_token_len"]
+            dataset.pool_index, ngram_range, tfidf["min_df"], tfidf["min_token_len"]
         ).build_tables(dataset)
 
     structural = [fit(ngram_range) for ngram_range in tfidf["ngram_ranges"]]

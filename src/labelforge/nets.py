@@ -51,30 +51,46 @@ class MlpNet:
         batch_size: int | None = None,
         l2: float = 0.0,
         shuffle_seed: int = 0,
+        rows: np.ndarray | None = None,
     ) -> "MlpNet":
-        """Minibatch gradient descent; batch_size None means full batch."""
-        n = x.shape[0]
+        """Minibatch gradient descent on ``x[rows]``; None means all rows, or full batch.
+
+        Batches are slices of the rows permuted into one buffer per epoch. The
+        step works in place, with the float operations of the plain step.
+        """
+        rows = np.arange(len(x)) if rows is None else rows
+        n = len(rows)
         rng = np.random.default_rng(shuffle_seed)
         size = n if batch_size is None else min(batch_size, n)
+        xs, ts = np.empty((n, x.shape[1])), np.empty_like(targets, order="C")
         for _ in range(epochs):
             order = rng.permutation(n) if batch_size is not None else np.arange(n)
+            np.take(x, rows[order], axis=0, out=xs, mode="clip")  # "raise" would buffer a copy
+            np.take(targets, order, axis=0, out=ts, mode="clip")
             for start in range(0, n, size):
-                idx = order[start:start + size]
-                xb, tb = x[idx], targets[idx]
-                h_pre = xb @ self.w1 + self.b1
+                xb, tb = xs[start:start + size], ts[start:start + size]
+                h_pre = xb @ self.w1
+                h_pre += self.b1
                 h = np.maximum(h_pre, 0.0)
-                probs = softmax(h @ self.w2 + self.b2)
+                dz2 = h @ self.w2  # logits, then softmax, then the output error
+                dz2 += self.b2
+                dz2 -= dz2.max(axis=-1, keepdims=True)
+                np.exp(dz2, out=dz2)
+                dz2 /= dz2.sum(axis=-1, keepdims=True)
+                dz2 -= tb
+                dz2 /= xb.shape[0]
 
-                dz2 = (probs - tb) / xb.shape[0]
-                gw2 = h.T @ dz2 + l2 * self.w2
+                gw2 = h.T @ dz2
                 gb2 = dz2.sum(axis=0)
                 dh = dz2 @ self.w2.T
-                dh[h_pre <= 0] = 0.0
-                gw1 = xb.T @ dh + l2 * self.w1
+                np.putmask(dh, h_pre <= 0, 0.0)
+                gw1 = xb.T @ dh
                 gb1 = dh.sum(axis=0)
+                if l2:
+                    gw2 += l2 * self.w2
+                    gw1 += l2 * self.w1
 
-                self.w2 -= lr * gw2
-                self.b2 -= lr * gb2
-                self.w1 -= lr * gw1
-                self.b1 -= lr * gb1
+                for param, grad in ((self.w2, gw2), (self.b2, gb2), (self.w1, gw1), (self.b1, gb1)):
+                    grad *= lr
+                    param -= grad
         return self

@@ -118,23 +118,6 @@ def surface_similarity(a: SurfaceRule, b: SurfaceRule) -> float:
     return len(pa & pb) / len(union)
 
 
-def rule_to_json(rule: SurfaceRule, rule_id: str, labels: LabelSpace) -> dict:
-    return {
-        "id": rule_id,
-        "match_mode": rule.match_mode,
-        "patterns": {
-            labels.name_of(c): sorted(p) for c, p in sorted(rule.patterns.items())
-        },
-    }
-
-
-def rule_from_json(obj: dict, labels: LabelSpace) -> tuple[str, SurfaceRule]:
-    patterns = {
-        labels.index_of(name): set(pats) for name, pats in obj["patterns"].items()
-    }
-    return obj.get("id", ""), SurfaceRule(patterns=patterns, match_mode=obj["match_mode"])
-
-
 @dataclass(frozen=True)
 class GenerationRequest:
     """What the generator sees: the task, the ordered label names, seed examples.

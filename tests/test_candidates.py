@@ -17,18 +17,12 @@ from labelforge.candidates import (
     whm,
 )
 from labelforge.config import PipelineConfig
-from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace, TokenIndex
+from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace
 from labelforge.errors import DegenerateSubsample, DimensionMismatch
 from labelforge.exploitation import score_candidates
 from labelforge.features import build_featurizers
 from labelforge.lf_core import ABSTAIN, Category
 from labelforge.nets import MlpNet, softmax
-
-
-def score_on_splits(lfs, ds, cfg):
-    """score_candidates over fresh seed and pool indexes of ``ds``."""
-    seed_index = TokenIndex([ex.doc for ex in ds.seed])
-    score_candidates(lfs, ds, cfg, seed_index, TokenIndex(ds.unlabeled))
 
 
 def separable_seed(n=10):
@@ -319,8 +313,8 @@ def test_synthesize_candidates_deterministic_and_seeded():
     ]
     assert skips == []
     again, _ = synthesize(Category.STRUCTURAL, ds, 3, cfg)
-    score_on_splits(lfs, ds, cfg)
-    score_on_splits(again, ds, cfg)
+    score_candidates(lfs, ds, cfg)
+    score_candidates(again, ds, cfg)
     assert [lf.est_accuracy for lf in again] == [lf.est_accuracy for lf in lfs]
     assert [lf.votes.tolist() for lf in again] == [lf.votes.tolist() for lf in lfs]
     assert [lf.threshold for lf in again] == [lf.threshold for lf in lfs]
@@ -331,7 +325,7 @@ def test_synthesize_on_separable_data_estimates_perfect():
     cfg = PipelineConfig(base_seed=1)
     lfs, _ = synthesize(Category.STRUCTURAL, ds, 1, cfg)
     assert len(lfs) == 1
-    score_on_splits(lfs, ds, cfg)
+    score_candidates(lfs, ds, cfg)
     assert lfs[0].est_accuracy == pytest.approx(1.0, abs=1e-6)
 
 
@@ -344,7 +338,7 @@ def test_synthesize_semantic_with_mlp_head():
     assert lfs[0].meta["head_width"] == 0
     assert lfs[1].meta["head_width"] == 16
     assert all(lf.est_accuracy is None and lf.votes is None for lf in lfs)  # scored later
-    score_on_splits(lfs, ds, cfg)
+    score_candidates(lfs, ds, cfg)
     assert all(lf.est_accuracy is not None for lf in lfs)
     assert all(len(lf.votes) == len(ds.unlabeled) for lf in lfs)
 
@@ -363,7 +357,7 @@ def test_abstain_disabled_zeroes_omega():
     ds = toy_dataset()
     cfg = PipelineConfig(base_seed=2, abstain_enabled=False)
     lfs, _ = synthesize(Category.SEMANTIC, ds, 2, cfg)
-    score_on_splits(lfs, ds, cfg)
+    score_candidates(lfs, ds, cfg)
     assert all(lf.threshold == 0.0 for lf in lfs)
     assert all(lf.rule.omega == 0.0 for lf in lfs)
     assert all(ABSTAIN not in lf.votes for lf in lfs)
@@ -383,7 +377,7 @@ def test_each_candidate_predicts_once_per_split(monkeypatch):
     lfs = []
     for category in (Category.STRUCTURAL, Category.SEMANTIC):
         made, _ = synthesize(category, ds, 2, cfg)
-        score_on_splits(made, ds, cfg)
+        score_candidates(made, ds, cfg)
         lfs.extend(made)
     assert len(lfs) == 4
     for lf in lfs:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from labelforge.corpus import (
@@ -8,6 +9,7 @@ from labelforge.corpus import (
     LabeledExample,
     MAX_CLASSES,
     LabelSpace,
+    TokenIndex,
     load_dataset,
     save_dataset,
 )
@@ -149,3 +151,19 @@ def test_dataset_invariants():
     doc = Document(id="x", text="t")
     with pytest.raises(ValueError):
         Dataset(labels=LABELS, unlabeled=[doc], seed=[LabeledExample(doc=Document(id="y", text=""), gold=5)])
+
+
+def test_token_index_shares_one_vocabulary():
+    token_ids = {}
+    first = TokenIndex([Document("a", "zebra good")], token_ids)
+    docs = [Document(f"d{i}", t) for i, t in enumerate(("good good movie", "", "movie good"))]
+    index = TokenIndex(docs, token_ids)
+    assert token_ids == {"zebra": 0, "good": 1, "movie": 2}
+    assert first.ids.tolist() == [0, 1]
+    assert index.ids.dtype == np.int32 and index.ids.tolist() == [1, 1, 2, 2, 1]
+    assert index.offsets.tolist() == [0, 3, 3, 5]
+    assert index.token_rows().tolist() == [0, 0, 0, 2, 2]
+    assert index.rows("good").tolist() == [0, 2] and index.rows("movie").tolist() == [0, 2]
+    assert index.rows("zebra").tolist() == []  # in the vocabulary, not in this split
+    TokenIndex([Document("b", "late")], token_ids)  # grows the vocabulary after the postings
+    assert token_ids["late"] == 3 and index.rows("late").tolist() == []

@@ -9,7 +9,7 @@ from labelforge.downstream import (
     train_downstream,
 )
 from labelforge.errors import DegenerateTargets
-from labelforge.nets import MlpNet
+from labelforge.nets import MlpNet, softmax
 from labelforge.features import TfidfFeaturizer
 
 
@@ -170,3 +170,46 @@ def test_predictions_export(tmp_path):
     assert len(rows[0]["dist"]) == 2
     assert [r["dist"] for r in rows] == test_probs.tolist()
     assert [r["doc_id"] for r in rows] == [d.id for d in docs[:3]]
+
+
+def plain_mlp_fit(net, x, targets, epochs, lr, batch_size=None, l2=0.0, shuffle_seed=0):
+    """The out-of-place minibatch step the in-place one replaced, kept as the reference."""
+    n = x.shape[0]
+    rng = np.random.default_rng(shuffle_seed)
+    size = n if batch_size is None else min(batch_size, n)
+    for _ in range(epochs):
+        order = rng.permutation(n) if batch_size is not None else np.arange(n)
+        for start in range(0, n, size):
+            idx = order[start:start + size]
+            xb, tb = x[idx], targets[idx]
+            h_pre = xb @ net.w1 + net.b1
+            h = np.maximum(h_pre, 0.0)
+            probs = softmax(h @ net.w2 + net.b2)
+            dz2 = (probs - tb) / xb.shape[0]
+            gw2 = h.T @ dz2 + l2 * net.w2
+            gb2 = dz2.sum(axis=0)
+            dh = dz2 @ net.w2.T
+            dh[h_pre <= 0] = 0.0
+            gw1 = xb.T @ dh + l2 * net.w1
+            gb1 = dh.sum(axis=0)
+            net.w2 -= lr * gw2
+            net.b2 -= lr * gb2
+            net.w1 -= lr * gw1
+            net.b1 -= lr * gb1
+    return net
+
+
+@pytest.mark.parametrize("batch_size", [32, None])
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("subset", [False, True])
+def test_mlp_fit_equals_the_plain_step(batch_size, l2, subset):
+    rng = np.random.default_rng(5)
+    x = rng.random((203, 27))  # 203 rows: the last batch of 32 is short
+    rows = np.sort(rng.choice(203, size=150, replace=False)) if subset else None
+    targets = softmax(rng.normal(size=(150 if subset else 203, 3)) * 3)
+    kwargs = dict(epochs=4, lr=0.05, batch_size=batch_size, l2=l2, shuffle_seed=7)
+    net = MlpNet(27, 16, 3, rng_seed=2).fit(x, targets, rows=rows, **kwargs)
+    picked = x if rows is None else x[rows]
+    ref = plain_mlp_fit(MlpNet(27, 16, 3, rng_seed=2), picked, targets, **kwargs)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(net, name), getattr(ref, name))

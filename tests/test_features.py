@@ -8,6 +8,7 @@ import pytest
 from labelforge.config import PipelineConfig
 from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace, tokenize
 from labelforge.errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
+from labelforge import features as features_module
 from labelforge.features import (
     HashingEmbedder,
     RemoteEmbedder,
@@ -49,14 +50,14 @@ def test_empty_vocabulary():
 def test_transform_unit_norm_and_oov():
     docs = [doc("a b", "1"), doc("b c", "2")]
     tfidf = TfidfFeaturizer(docs, (1, 1), min_token_len=1)
-    vec = tfidf.vectorize(docs[0])
+    vec = tfidf.transform_many([docs[0]])[0]
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(tfidf.vectorize(doc("zz qq")), 0.0)
+    assert np.allclose(tfidf.transform_many([doc("zz qq")])[0], 0.0)
 
 
 def test_transform_single_token_doc():
     tfidf = TfidfFeaturizer([doc("a b", "1"), doc("b c", "2")], (1, 1), min_token_len=1)
-    vec = tfidf.vectorize(doc("b b"))
+    vec = tfidf.transform_many([doc("b b")])[0]
     nonzero = np.flatnonzero(vec)
     assert list(nonzero) == [tfidf.vocabulary["b"]]
     assert vec[tfidf.vocabulary["b"]] == pytest.approx(1.0)
@@ -73,8 +74,8 @@ def test_fit_permutation_invariant_as_weight_maps():
     m1 = TfidfFeaturizer(docs, (1, 2), min_token_len=1)
     m2 = TfidfFeaturizer(list(reversed(docs)), (1, 2), min_token_len=1)
     for d in docs:
-        v1 = m1.vectorize(d)
-        v2 = m2.vectorize(d)
+        v1 = m1.transform_many([d])[0]
+        v2 = m2.transform_many([d])[0]
         w1 = {t: v1[i] for t, i in m1.vocabulary.items() if v1[i]}
         w2 = {t: v2[i] for t, i in m2.vocabulary.items() if v2[i]}
         assert w1.keys() == w2.keys()
@@ -128,41 +129,41 @@ def test_hashing_tables_equal_per_occurrence_hashing(monkeypatch):
 
 def test_hashing_embedder_deterministic():
     emb = HashingEmbedder(dim=64)
-    a = emb.vectorize(doc("aa bb", "1"))
-    b = emb.vectorize(doc("aa bb", "2"))
+    a = emb.transform_many([doc("aa bb", "1")])[0]
+    b = emb.transform_many([doc("aa bb", "2")])[0]
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
 def test_hashing_embedder_empty_text():
-    assert np.allclose(HashingEmbedder(dim=16).vectorize(doc("")), 0.0)
+    assert np.allclose(HashingEmbedder(dim=16).transform_many([doc("")])[0], 0.0)
 
 
 def test_hashing_embedder_matches_oracle():
     emb = HashingEmbedder(dim=64)
     for text in ("aa bb", "aa bb cc", "the quick brown fox"):
-        assert np.allclose(emb.vectorize(doc(text)), signed_hash_oracle(text, 64))
+        assert np.allclose(emb.transform_many([doc(text)])[0], signed_hash_oracle(text, 64))
 
 
 def test_hashing_cosine_between_overlapping_texts():
     emb = HashingEmbedder(dim=64)
-    a = emb.vectorize(doc("aa bb"))
-    b = emb.vectorize(doc("aa bb cc"))
+    a = emb.transform_many([doc("aa bb")])[0]
+    b = emb.transform_many([doc("aa bb cc")])[0]
     cos = float(a @ b)
     expected = float(signed_hash_oracle("aa bb", 64) @ signed_hash_oracle("aa bb cc", 64))
     assert cos == pytest.approx(expected)
     assert 0.0 < cos < 1.0
 
 
-def test_hashing_one_token_changes_at_most_two_raw_coords():
+def test_hashing_one_token_changes_at_most_two_raw_coords(monkeypatch):
+    monkeypatch.setattr(features_module, "_normalize_rows", lambda table: table)  # raw counts
     emb = HashingEmbedder(dim=512)
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(40)]
     for _ in range(200):
         base = " ".join(rng.choice(words, size=rng.integers(1, 10)))
         extra = str(rng.choice(words))
-        before = emb.raw_projection(tokenize(base, min_token_len=1))
-        after = emb.raw_projection(tokenize(base + " " + extra, min_token_len=1))
+        before, after = emb.transform_many([doc(base), doc(base + " " + extra)])
         assert int(np.sum(before != after)) <= 2
 
 
@@ -229,13 +230,13 @@ def test_remote_embedder_unreachable():
 
 
 def test_featurizer_memoization():
-    """transform_many vectorizes each doc it is given; tables follow split row order."""
+    """transform_many featurizes each doc it is given; tables follow split row order."""
     docs = [doc("a b", "1"), doc("b c", "2"), doc("c a a", "3")]
     feat = TfidfFeaturizer(docs, min_token_len=1)
     rows = feat.transform_many([docs[1], docs[0], docs[1]])
     assert rows.shape == (3, feat.dim)
     for row, d in zip(rows, [docs[1], docs[0], docs[1]]):
-        assert np.array_equal(row, feat.vectorize(d))
+        assert np.array_equal(row, feat.transform_many([d])[0])
     assert feat.transform_many([]).shape == (0, feat.dim)
 
     dataset = Dataset(
@@ -245,13 +246,13 @@ def test_featurizer_memoization():
     )
     assert feat.build_tables(dataset) is feat
     assert feat.seed.shape == (1, feat.dim) and feat.pool.shape == (2, feat.dim)
-    assert np.array_equal(feat.seed[0], feat.vectorize(docs[1]))
-    assert np.array_equal(feat.pool[0], feat.vectorize(docs[2]))
-    assert np.array_equal(feat.pool[1], feat.vectorize(docs[0]))
+    assert np.array_equal(feat.seed[0], feat.transform_many([docs[1]])[0])
+    assert np.array_equal(feat.pool[0], feat.transform_many([docs[2]])[0])
+    assert np.array_equal(feat.pool[1], feat.transform_many([docs[0]])[0])
 
     efeat = HashingEmbedder(dim=8).build_tables(dataset)
     assert efeat.transform_many([docs[0]]).shape == (1, 8)
-    expected = np.stack([HashingEmbedder(dim=8).vectorize(d) for d in dataset.unlabeled])
+    expected = np.stack([HashingEmbedder(dim=8).transform_many([d])[0] for d in dataset.unlabeled])
     assert np.array_equal(efeat.pool, expected)
 
 
@@ -323,3 +324,95 @@ def test_build_featurizers_fits_each_once_and_describes_them():
     assert all(downstream is not f for f in structural)
     assert downstream.describe() == {"kind": "tfidf", "ngram_range": [2, 2], "dim": 2}
     assert downstream.pool.shape == (2, 2)
+
+
+class PerDocTfidf:
+    """The per-document TF-IDF that split tables replaced, kept as the reference."""
+
+    def __init__(self, docs, ngram_range, min_df=1, min_token_len=2):
+        self.ngram_range = tuple(ngram_range)
+        self.min_token_len = min_token_len
+        df = {}
+        for d in docs:
+            for term in set(self._ngrams(d)):
+                df[term] = df.get(term, 0) + 1
+        terms = sorted(t for t, c in df.items() if c >= min_df)
+        self.vocabulary = {t: i for i, t in enumerate(terms)}
+        n = len(docs)
+        self.idf = np.array([np.log((1 + n) / (1 + df[t])) + 1.0 for t in terms])
+        self.dim = len(terms)
+
+    def _ngrams(self, d):
+        tokens = [t for t in d.tokens if len(t) >= self.min_token_len]
+        lo, hi = self.ngram_range
+        for n in range(lo, hi + 1):
+            for i in range(len(tokens) - n + 1):
+                yield " ".join(tokens[i:i + n])
+
+    def vectorize(self, d):
+        vec = np.zeros(self.dim)
+        for term in self._ngrams(d):
+            col = self.vocabulary.get(term)
+            if col is not None:
+                vec[col] += 1.0
+        vec *= self.idf
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        return vec
+
+
+def per_doc_hashing(docs, dim):
+    """The per-document hashing projection that split tables replaced, kept as the reference."""
+    rows = []
+    for d in docs:
+        toks = d.tokens
+        terms = list(toks) + [" ".join(toks[i:i + 2]) for i in range(len(toks) - 1)]
+        found = [
+            2 * (features_module._stable_hash(t, b"lf-coord") % dim)
+            + features_module._stable_hash(t, b"lf-sign") % 2
+            for t in terms
+        ]
+        counts = np.bincount(found, minlength=2 * dim).astype(float)
+        vec = counts[0::2] - counts[1::2]
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        rows.append(vec)
+    return np.stack(rows) if rows else np.zeros((0, dim))
+
+
+def random_split_docs(rng, words, n, prefix):
+    texts = ["", "a", "é é Σ", "bb bb bb", "a bb a cc"] + [
+        " ".join(rng.choice(words, size=rng.integers(0, 14))) for _ in range(n)
+    ]
+    return [doc(t, f"{prefix}{i}") for i, t in enumerate(texts)]
+
+
+@pytest.mark.parametrize("block_tokens", [1 << 16, 5])  # one block per split, and many
+@pytest.mark.parametrize("ngram_range", [(1, 1), (1, 2), (2, 2), (1, 3)])
+def test_split_tables_equal_the_per_doc_reference(ngram_range, block_tokens, monkeypatch):
+    monkeypatch.setattr(features_module, "BLOCK_TOKENS", block_tokens)
+    rng = np.random.default_rng(11)
+    words = ["a", "b", "bb", "cc", "dd", "ee", "Σx", "σ", "naïve", "zz9", "x"]
+    pool = random_split_docs(rng, words, 300, "u")
+    seed = random_split_docs(rng, words, 30, "s")
+    oov = words + ["m"] + [f"new{i}" for i in range(40)]  # tokens the pool never holds
+    test = random_split_docs(rng, oov, 80, "t")
+    dataset = Dataset(
+        labels=LabelSpace(("pos", "neg")),
+        unlabeled=pool,
+        seed=[LabeledExample(d, i % 2) for i, d in enumerate(seed)],
+    )
+    feat = TfidfFeaturizer(dataset.pool_index, ngram_range).build_tables(dataset)
+    ref = PerDocTfidf(pool, ngram_range)
+    assert feat.vocabulary == ref.vocabulary
+    assert np.array_equal(feat.idf, ref.idf)
+    for table, docs in ((feat.pool, pool), (feat.seed, seed), (feat.transform_many(test), test)):
+        assert np.array_equal(table, np.stack([ref.vectorize(d) for d in docs]))
+    for d in test[:12]:  # one-doc splits, some shorter than an n-gram
+        assert np.array_equal(feat.transform_many([d])[0], ref.vectorize(d))
+
+    emb = HashingEmbedder(dim=16).build_tables(dataset)
+    for table, docs in ((emb.pool, pool), (emb.seed, seed), (emb.transform_many(test), test)):
+        assert np.array_equal(table, per_doc_hashing(docs, 16))

@@ -228,6 +228,12 @@ def test_cmd_eval_rejects_labels_written_in_another_class_order(run_env, tmp_pat
     err = json.load(open(tmp_path / "error.json"))
     assert err["stage"] == "eval"
     assert "line 1" in err["error"]
+    # with the run's config, eval takes the (pos, neg) order and reproduces the run's score
+    eval_out = str(tmp_path / "eval.json")
+    assert main(["eval", "--labels", os.path.join(out, "labels.jsonl"), "--data", run_env["data"],
+                 "--out", eval_out, "--config", config_path]) == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert json.load(open(eval_out))["weighted_f1"] == report["weighted_f1"]
 
 
 @pytest.mark.parametrize("record", [
@@ -391,14 +397,13 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
         finally:
             stage_now.pop()
 
-    vectorized, vectorized_in = [], []
+    tables = []  # (featurizer, doc ids of the split, stage) per table built
     for cls in (features.TfidfFeaturizer, features.HashingEmbedder):
-        def counting_vectorize(self, doc, real=cls.vectorize):
-            vectorized.append((id(self), doc.id))
-            vectorized_in.append(stage_now[-1])
-            return real(self, doc)
+        def counting_transform(self, docs, real=cls.transform_many):
+            tables.append((id(self), tuple(d.id for d in docs), stage_now[-1]))
+            return real(self, docs)
 
-        monkeypatch.setattr(cls, "vectorize", counting_vectorize)
+        monkeypatch.setattr(cls, "transform_many", counting_transform)
 
     tokenized = []
     real_tokenize = corpus.tokenize
@@ -421,13 +426,16 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     assert generated > 0 and summary["coverage"] > 0
     assert counts["pool"] == generated
     assert counts["in_matrix"] == 0
-    assert vectorized and len(vectorized) == len(set(vectorized))
     # seed and pool tables in the featurize stage, the test split once for the end classifier
-    assert set(vectorized_in) == {"featurize", "downstream"}
-    assert vectorized_in.count("downstream") == len(dataset.test)
+    assert len(tables) == len(set(tables))
+    assert {stage for _, _, stage in tables} == {"featurize", "downstream"}
+    test_ids = tuple(ex.doc.id for ex in dataset.test)
+    assert [ids for _, ids, stage in tables if stage == "downstream"] == [test_ids]
     # one TF-IDF (structural and downstream share the (1, 1) range) and one embedder
-    tabled = len(dataset.unlabeled) + len(dataset.seed)
-    assert vectorized_in.count("featurize") == 2 * tabled
+    split_ids = {tuple(ex.doc.id for ex in dataset.seed), tuple(d.id for d in dataset.unlabeled)}
+    featurized = [(f, ids) for f, ids, stage in tables if stage == "featurize"]
+    assert len(featurized) == 4 and len({f for f, _ in featurized}) == 2
+    assert {ids for _, ids in featurized} == split_ids
     # every document is tokenized once, whichever featurizers and rules read its tokens
     all_docs = list(dataset.all_documents())
     assert sorted(tokenized) == sorted(d.text for d in all_docs)

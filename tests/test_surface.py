@@ -18,8 +18,6 @@ from labelforge.surface import (
     extract_rule_array,
     generate_surface_lfs,
     parse_provider_reply,
-    rule_from_json,
-    rule_to_json,
     surface_similarity,
 )
 
@@ -153,15 +151,6 @@ def test_similarity_jaccard():
     assert surface_similarity(a, b) == pytest.approx(2 / 4)
     disjoint = SurfaceRule(patterns={0: {"x"}})
     assert surface_similarity(a, disjoint) == 0.0
-
-
-def test_rule_json_round_trip():
-    rule = SurfaceRule(patterns={0: {"good", "fine"}, 1: {"bad"}}, match_mode="substring")
-    obj = rule_to_json(rule, "r1", LABELS)
-    parsed_id, again = rule_from_json(json.loads(json.dumps(obj)), LABELS)
-    assert parsed_id == "r1"
-    assert again.patterns == rule.patterns
-    assert again.match_mode == rule.match_mode
 
 
 def log_odds_oracle(examples, class_names):

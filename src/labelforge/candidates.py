@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Dataset
 from .errors import DegenerateSubsample, DimensionMismatch
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
-from .nets import MlpNet, softmax
+from .nets import MlpNet, class_max, softmax
 
 # Largest stacked x one fit_logistic call trains on. A stack that outgrows the
 # L2 cache (2 MiB where measured) trains slower than its candidates one by one.
@@ -32,14 +32,10 @@ class LinearClassifier:
     bias: np.ndarray  # C
     trained_on: dict = field(default_factory=dict)
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
-        if x.shape[1] != self.dim:
-            raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[1]}")
+        if x.shape[1] != self.weights.shape[1]:
+            raise DimensionMismatch(f"expected dim {self.weights.shape[1]}, got {x.shape[1]}")
         return softmax(x @ self.weights.T + self.bias)
 
 
@@ -99,7 +95,7 @@ def whm(precision, coverage, beta: float):
 def threshold_votes(probs: np.ndarray, omega: float) -> np.ndarray:
     """Argmax class per row as int8, ABSTAIN where the max probability is <= omega."""
     votes = probs.argmax(axis=1).astype(np.int8)
-    votes[probs.max(axis=1) <= omega] = ABSTAIN
+    votes[class_max(probs)[:, 0] <= omega] = ABSTAIN
     return votes
 
 
@@ -125,12 +121,6 @@ class CalibratedClassifierLF:
         }
 
 
-@dataclass
-class CalibrationCurve:
-    grid: list[tuple[float, float, float, float]]  # (omega, precision, coverage, whm)
-    best_omega: float
-
-
 def threshold_grid(grid_step: float) -> list[float]:
     if not 0 < grid_step <= 1:
         raise ValueError("grid_step must be in (0, 1]")
@@ -147,8 +137,8 @@ def calibrate_threshold(
     pool_probs: np.ndarray,
     beta: float,
     grid_step: float = 0.01,
-) -> CalibrationCurve:
-    """Pick omega maximizing WHM(precision, coverage) over the threshold grid.
+) -> float:
+    """The omega maximizing WHM(precision, coverage) over the threshold grid.
 
     Reads class probabilities: seed rows (with their gold classes) and pool
     rows. Precision comes from the seed; coverage from the unlabeled pool when
@@ -162,17 +152,16 @@ def calibrate_threshold(
     def above(values):  # how many values strictly exceed each omega
         return len(values) - np.searchsorted(np.sort(values), omegas, side="right")
 
-    max_seed = seed_probs.max(axis=1)
+    max_seed = class_max(seed_probs)[:, 0]
     correct = seed_probs.argmax(axis=1) == np.asarray(gold)
-    max_cov = pool_probs.max(axis=1) if len(seed_probs) < 50 and len(pool_probs) else max_seed
+    max_cov = class_max(pool_probs)[:, 0] if len(seed_probs) < 50 and len(pool_probs) else max_seed
     prec = above(max_seed[correct]) / (above(max_seed) + EPS)
     cov = above(max_cov) / len(max_cov)
-    grid = list(zip(omegas.tolist(), prec.tolist(), cov.tolist(), whm(prec, cov, beta).tolist()))
     best_omega, best_score = 0.0, -1.0
-    for omega, _, _, score in grid:
+    for omega, score in zip(omegas.tolist(), whm(prec, cov, beta).tolist()):
         if score > best_score + 1e-15:
             best_score, best_omega = score, omega
-    return CalibrationCurve(grid=grid, best_omega=best_omega)
+    return best_omega
 
 
 def synthesize_candidates(

@@ -17,6 +17,7 @@ import numpy as np
 from .corpus import LabelSpace, iter_records
 from .errors import AllWeightsZero, MalformedRecord, NoSignal
 from .lf_core import ABSTAIN, LabelMatrix
+from .nets import class_max, class_sum
 
 DS_SMOOTHING = 1e-6
 
@@ -56,7 +57,7 @@ def _vote_dists(entries: np.ndarray, num_classes: int, weights: np.ndarray) -> n
         col = entries[:, j]
         voted = col != ABSTAIN
         np.add.at(mass, (np.flatnonzero(voted), col[voted]), weights[j])
-    totals = mass.sum(axis=1, keepdims=True)
+    totals = class_sum(mass)
     return np.where(totals > 0, mass / np.maximum(totals, 1e-300), 1.0 / num_classes)
 
 
@@ -121,9 +122,9 @@ def fit_dawid_skene(
 
         # E-step, once per pattern: the log-likelihood and posteriors share one log-joint
         log_joint = _log_joint(patterns, priors, confusion)
-        row_max = log_joint.max(axis=1, keepdims=True)
+        row_max = class_max(log_joint)
         new_posteriors = np.exp(log_joint - row_max)
-        row_sum = new_posteriors.sum(axis=1, keepdims=True)
+        row_sum = class_sum(new_posteriors)
         ll_history.append(float(np.sum((row_max[:, 0] + np.log(row_sum[:, 0]))[inverse])))
         new_posteriors = (new_posteriors / row_sum)[inverse]
 

@@ -168,7 +168,7 @@ def test_criterion_2_calibration_oracle():
         beta = float(rng.choice([0.0, 0.05, 0.1, 0.3, 1.0]))
         seed_probs = clf.predict_proba_many(x_seed)
         pool_probs = clf.predict_proba_many(x_pool)
-        curve = calibrate_threshold(seed_probs, gold, pool_probs, beta=beta, grid_step=0.01)
+        omega = calibrate_threshold(seed_probs, gold, pool_probs, beta=beta, grid_step=0.01)
 
         max_probs = seed_probs.max(axis=1).tolist()
         correct = (seed_probs.argmax(axis=1) == np.array(gold)).tolist()
@@ -177,7 +177,7 @@ def test_criterion_2_calibration_oracle():
         else:
             cov_probs = max_probs
         expected = _brute_force_omega(max_probs, correct, cov_probs, beta, 0.01)
-        assert curve.best_omega == pytest.approx(expected), f"trial {trial}"
+        assert omega == pytest.approx(expected), f"trial {trial}"
     elapsed = time.perf_counter() - start
     report(2, elapsed < 30.0, f"100 random classifiers matched argmax oracle in {elapsed:.2f}s")
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ from labelforge.errors import DegenerateSubsample, DimensionMismatch
 from labelforge.exploitation import score_candidates
 from labelforge.features import build_featurizers
 from labelforge.lf_core import ABSTAIN, Category
-from labelforge.nets import MlpNet, softmax
+from labelforge.nets import MlpNet
 
 
 def separable_seed(n=10):
@@ -70,6 +71,12 @@ def test_predict_proba_dimension_mismatch():
         clf.predict_proba_many(np.zeros(4))
 
 
+def reference_softmax(z):
+    """Softmax from numpy's own reductions over the class axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def reference_fit_logistic(x, y, num_classes, epochs=300, lr=0.5, l2=1e-3):
     """One candidate at a time on 2-D arrays: the trainer before stacking."""
     n, d = x.shape
@@ -78,7 +85,7 @@ def reference_fit_logistic(x, y, num_classes, epochs=300, lr=0.5, l2=1e-3):
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
     for _ in range(epochs):
-        probs = softmax(x @ w.T + b)
+        probs = reference_softmax(x @ w.T + b)
         err = (probs - onehot) / n
         w -= lr * (err.T @ x + l2 * w)
         b -= lr * err.sum(axis=0)
@@ -176,9 +183,9 @@ NO_POOL = np.zeros((0, 2))
 
 def test_calibrate_flat_curve_picks_smallest_omega():
     # all max-probs 0.9 and perfect precision -> best omega 0
-    curve = calibrate_threshold(np.array([[0.9, 0.1]] * 4), [0] * 4, NO_POOL,
+    omega = calibrate_threshold(np.array([[0.9, 0.1]] * 4), [0] * 4, NO_POOL,
                                 beta=0.1, grid_step=0.01)
-    assert curve.best_omega == 0.0
+    assert omega == 0.0
 
 
 def test_calibrate_two_point_example():
@@ -187,17 +194,25 @@ def test_calibrate_two_point_example():
     # WHM(1.0, 0.5, 0.1) > WHM(0.5, 1.0, 0.1), so best omega lands in (0.6, 0.9]
     probs = np.array([[0.605, 0.395], [0.9, 0.1]])  # predicted 0 twice
     gold = [1, 0]  # the first prediction is wrong, the second right
-    curve = calibrate_threshold(probs, gold, NO_POOL, beta=0.1, grid_step=0.01)
-    assert 0.6 < curve.best_omega <= 0.9
+    omega = calibrate_threshold(probs, gold, NO_POOL, beta=0.1, grid_step=0.01)
+    assert 0.6 < omega <= 0.9
     assert whm(1.0, 0.5, 0.1) > whm(0.5, 1.0, 0.1)
 
 
+def seed_precision(probs, gold, omega):
+    """Exact share of the rows voting above omega whose argmax is the gold class (0 if none)."""
+    voted = probs.max(axis=1) > omega
+    right = (probs.argmax(axis=1) == gold)[voted]
+    return Fraction(int(right.sum()), max(len(right), 1))
+
+
 def test_calibrate_beta_zero_maximizes_precision():
-    probs = np.array([[0.605, 0.395], [0.9, 0.1]])
-    curve = calibrate_threshold(probs, [1, 0], NO_POOL, beta=0.0, grid_step=0.01)
-    precisions = [p for _, p, _, _ in curve.grid]
-    assert max(p for (o, p, c, w) in curve.grid if o == curve.best_omega) == max(precisions)
-    assert 0.6 < curve.best_omega
+    probs, gold = np.array([[0.605, 0.395], [0.9, 0.1]]), np.array([1, 0])
+    omega = calibrate_threshold(probs, gold, NO_POOL, beta=0.0, grid_step=0.01)
+    assert seed_precision(probs, gold, omega) == max(
+        seed_precision(probs, gold, w) for w in threshold_grid(0.01)
+    )
+    assert 0.6 < omega
 
 
 def brute_force_best_omega(max_probs, correct, cov_probs, beta, grid_step):
@@ -229,11 +244,11 @@ def test_calibration_matches_brute_force_oracle():
             probs.append([p, 1 - p])
             gold.append(int(rng.integers(0, 2)))
         beta = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
-        curve = calibrate_threshold(np.array(probs), gold, NO_POOL, beta=beta, grid_step=0.01)
+        omega = calibrate_threshold(np.array(probs), gold, NO_POOL, beta=beta, grid_step=0.01)
         max_probs = [max(p) for p in probs]
         correct = [int(np.argmax(p)) == g for p, g in zip(probs, gold)]
         expected = brute_force_best_omega(max_probs, correct, max_probs, beta, 0.01)
-        assert curve.best_omega == pytest.approx(expected)
+        assert omega == pytest.approx(expected)
 
 
 def test_seed_of_50_takes_coverage_from_the_seed_even_with_a_pool():
@@ -248,11 +263,11 @@ def test_seed_of_50_takes_coverage_from_the_seed_even_with_a_pool():
     by_seed = brute_force_best_omega(max_seed, correct, max_seed, 0.1, 0.01)
     by_pool = brute_force_best_omega(max_seed, correct, max_pool, 0.1, 0.01)
     assert 0.6 < by_seed < 0.9 and by_pool == 0.0
-    curve = calibrate_threshold(seed_probs, gold, pool_probs, beta=0.1, grid_step=0.01)
-    assert curve.best_omega == pytest.approx(by_seed)
+    omega = calibrate_threshold(seed_probs, gold, pool_probs, beta=0.1, grid_step=0.01)
+    assert omega == pytest.approx(by_seed)
     # one seed row fewer and the pool decides
     small = calibrate_threshold(seed_probs[1:], gold[1:], pool_probs, beta=0.1, grid_step=0.01)
-    assert small.best_omega == brute_force_best_omega(
+    assert small == brute_force_best_omega(
         max_seed[1:], correct[1:], max_pool, 0.1, 0.01
     ) == 0.0
 
@@ -261,10 +276,9 @@ def test_coverage_is_nonincreasing_in_omega():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(4, 30))
-        probs = [[p, 1 - p] for p in rng.uniform(0.3, 1.0, size=n)]
-        curve = calibrate_threshold(np.array(probs), [0] * n, NO_POOL, beta=0.1, grid_step=0.05)
-        covs = [c for _, _, c, _ in curve.grid]
-        assert all(a >= b - 1e-12 for a, b in zip(covs, covs[1:]))
+        probs = np.array([[p, 1 - p] for p in rng.uniform(0.3, 1.0, size=n)])
+        covs = [(threshold_votes(probs, w) != ABSTAIN).sum() for w in threshold_grid(0.05)]
+        assert all(a >= b for a, b in zip(covs, covs[1:]))
 
 
 def test_describe_needs_the_classifier_training_record():
@@ -280,6 +294,49 @@ def test_calibrated_lf_thresholding():
     probs = np.array([[0.55, 0.45], [0.9, 0.1], [0.4, 0.6]])
     assert threshold_votes(probs, 0.6).tolist() == [ABSTAIN, 0, ABSTAIN]
     assert threshold_votes(probs, 0.0).tolist() == [0, 0, 1]
+
+
+def reference_threshold_votes(probs, omega):
+    votes = probs.argmax(axis=1).astype(np.int8)
+    votes[probs.max(axis=1) <= omega] = ABSTAIN
+    return votes
+
+
+def reference_calibrate_threshold(seed_probs, gold, pool_probs, beta, grid_step):
+    """The threshold search on numpy's row maxima, as calibrate_threshold ran it before."""
+    omegas = np.array(threshold_grid(grid_step))
+
+    def above(values):
+        return len(values) - np.searchsorted(np.sort(values), omegas, side="right")
+
+    max_seed = seed_probs.max(axis=1)
+    correct = seed_probs.argmax(axis=1) == np.asarray(gold)
+    max_cov = pool_probs.max(axis=1) if len(seed_probs) < 50 and len(pool_probs) else max_seed
+    prec = above(max_seed[correct]) / (above(max_seed) + 1e-9)
+    cov = above(max_cov) / len(max_cov)
+    best_omega, best_score = 0.0, -1.0
+    for omega, score in zip(omegas.tolist(), whm(prec, cov, beta).tolist()):
+        if score > best_score + 1e-15:
+            best_score, best_omega = score, omega
+    return best_omega
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
+def test_thresholding_a_4000_row_pool_equals_numpy_row_maxima(num_classes):
+    rng = np.random.default_rng(num_classes)
+    logits = rng.normal(scale=2.0, size=(4000, num_classes))
+    logits[::7] = logits[::7, :1]  # tied classes in every seventh row
+    pool_probs = reference_softmax(logits)
+    seed_probs = reference_softmax(rng.normal(scale=2.0, size=(40, num_classes)))
+    gold = rng.integers(0, num_classes, size=40)
+    for omega in threshold_grid(0.05) + [1.0 / num_classes, float(pool_probs[0].max())]:
+        assert np.array_equal(threshold_votes(pool_probs, omega),
+                              reference_threshold_votes(pool_probs, omega))
+    for rows in (40, 80):  # coverage from the pool below 50 seed rows, from the seed above
+        seed, seed_gold = np.resize(seed_probs, (rows, num_classes)), np.resize(gold, rows)
+        for beta in (0.0, 0.1, 1.0):
+            omega = calibrate_threshold(seed, seed_gold, pool_probs, beta)
+            assert omega == reference_calibrate_threshold(seed, seed_gold, pool_probs, beta, 0.01)
 
 
 def toy_dataset(n_unlabeled=40, n_seed=12):

@@ -330,9 +330,10 @@ def test_run_manifest_atomic_and_timed(run_env):
                  "--out", out]) == 0
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert not os.path.exists(os.path.join(out, "manifest.json.tmp"))
-    assert set(manifest["stage_seconds"]) >= {
-        "featurize", "explore_exploit", "matrix", "aggregate", "metrics", "downstream",
+    assert set(manifest["stage_seconds"]) == {
+        "featurize", "explore_exploit", "matrix", "aggregate", "metrics", "downstream", "write",
     }
+    assert manifest["stage_seconds"]["write"] > 0
 
 
 def test_classifier_lfs_record_their_calibrated_omega(run_env):

@@ -64,6 +64,8 @@ def _default_label_model() -> dict:
 
 
 LABEL_MODEL_KINDS = ("majority_vote", "weighted_majority_vote", "dawid_skene")
+PROVIDER_KINDS = ("offline_seeded", "remote_llm")
+EMBEDDING_KINDS = ("hashing", "remote")
 
 # nested tables every stage reads key by key: each needs all of its default's keys
 _COMPLETE_TABLES = {
@@ -100,16 +102,24 @@ class PipelineConfig:
     class_names: list = field(default_factory=list)  # empty: infer from data file
 
     def __post_init__(self):
-        for name in ("label_model", *_COMPLETE_TABLES):
+        for name in ("label_model", "provider", "embedding", *_COMPLETE_TABLES):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be an object")
         for name, default in _COMPLETE_TABLES.items():
             missing = sorted(set(default()) - set(getattr(self, name)))
             if missing:
                 raise ConfigError(f"{name} is missing keys {missing}")
-        kind = self.label_model.get("kind", "majority_vote")
-        if kind not in LABEL_MODEL_KINDS:
-            raise ConfigError(f"label_model kind {kind!r} is not one of {list(LABEL_MODEL_KINDS)}")
+        for name, kind, kinds in (
+            ("label_model", self.label_model.get("kind", "majority_vote"), LABEL_MODEL_KINDS),
+            ("provider", self.provider.get("kind"), PROVIDER_KINDS),
+            ("embedding", self.embedding.get("kind"), EMBEDDING_KINDS),
+        ):
+            if kind not in kinds:
+                raise ConfigError(f"{name} kind {kind!r} is not one of {list(kinds)}")
+        if self.embedding["kind"] == "remote" and not (
+            self.embedding.get("endpoint") and self.embedding.get("model")
+        ):
+            raise ConfigError("a remote embedding needs an endpoint and a model")
         if not 0 <= self.alpha <= 1:
             raise ConfigError("alpha must be in [0, 1]")
         if self.beta < 0:
@@ -132,11 +142,6 @@ class PipelineConfig:
     def load(cls, path: str) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))

@@ -171,6 +171,11 @@ class Dataset:
         """The unlabeled pool as token ids over the seed index's vocabulary."""
         return TokenIndex(self.unlabeled, self.seed_index.token_ids)
 
+    @cached_property
+    def test_index(self) -> TokenIndex:
+        """The test split as token ids over the pool index's vocabulary, after seed and pool."""
+        return TokenIndex([ex.doc for ex in self.test], self.pool_index.token_ids)
+
     def all_documents(self):
         for doc in self.unlabeled:
             yield doc

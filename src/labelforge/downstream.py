@@ -8,7 +8,6 @@ Rows the label model left uncovered are excluded from training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,39 +17,20 @@ from .metrics import EvalReport, confusion_counts, weighted_f1
 from .nets import MlpNet
 
 
-@dataclass
-class DownstreamConfig:
-    hidden: int = 100
-    epochs: int = 50
-    batch_size: int = 32
-    lr: float = 0.01
-    mode: str = "soft"  # "soft" | "hard"
-    rng_seed: int = 0
-
-
-@dataclass
-class MlpClassifier:
-    """One-hidden-layer ReLU net over the downstream featurization."""
-
-    net: MlpNet
-    featurizer: object
-
-    def predict_proba_docs(self, docs: list[Document]) -> np.ndarray:
-        return self.net.predict_proba_many(self.featurizer.transform_many(docs))
-
-    def checkpoint(self, path: str, config_hash: str = "") -> None:
-        payload = {
-            "dim_in": self.net.dim_in,
-            "hidden": self.net.hidden,
-            "num_classes": self.net.num_classes,
-            "w1": self.net.w1.tolist(),
-            "b1": self.net.b1.tolist(),
-            "w2": self.net.w2.tolist(),
-            "b2": self.net.b2.tolist(),
-            "config_hash": config_hash,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+def write_checkpoint(net: MlpNet, path: str, config_hash: str) -> None:
+    """The net's shapes, weights and the run's config hash as one JSON object."""
+    payload = {
+        "dim_in": net.dim_in,
+        "hidden": net.hidden,
+        "num_classes": net.num_classes,
+        "w1": net.w1.tolist(),
+        "b1": net.b1.tolist(),
+        "w2": net.w2.tolist(),
+        "b2": net.b2.tolist(),
+        "config_hash": config_hash,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
 
 
 def build_targets(
@@ -72,26 +52,20 @@ def build_targets(
     return keep, targets
 
 
-def train_downstream(
-    dists: np.ndarray, covered: np.ndarray, featurizer,
-    config: DownstreamConfig = DownstreamConfig(),
-) -> MlpClassifier:
-    """Fit the MLP on the labels of the featurizer's pool rows; deterministic for a fixed seed."""
+def train_downstream(dists: np.ndarray, covered: np.ndarray, featurizer, config) -> MlpNet:
+    """Fit the MLP on the labels of the featurizer's pool rows; deterministic for a fixed seed.
+
+    Reads the ``downstream`` table of the pipeline ``config`` and seeds the
+    net's initialization and shuffling with its ``base_seed``.
+    """
     if len(dists) != len(featurizer.pool):
         raise ValueError("label rows and pool rows must align")
-    keep, targets = build_targets(dists, covered, config.mode)
-    num_classes = targets.shape[1]
-    net = MlpNet(featurizer.pool.shape[1], config.hidden, num_classes, rng_seed=config.rng_seed)
-    net.fit(
-        featurizer.pool,
-        targets,
-        epochs=config.epochs,
-        lr=config.lr,
-        batch_size=config.batch_size,
-        shuffle_seed=config.rng_seed,
-        rows=keep,
-    )
-    return MlpClassifier(net=net, featurizer=featurizer)
+    table = config.downstream
+    keep, targets = build_targets(dists, covered, table["mode"])
+    net = MlpNet(featurizer.pool.shape[1], table["hidden"], targets.shape[1],
+                 rng_seed=config.base_seed)
+    return net.fit(featurizer.pool, targets, epochs=table["epochs"], lr=table["lr"],
+                   batch_size=table["batch_size"], shuffle_seed=config.base_seed, rows=keep)
 
 
 def evaluate_e2e(probs: np.ndarray, test: list[LabeledExample]) -> EvalReport:

@@ -28,13 +28,6 @@ def _normalize_rows(table: np.ndarray) -> np.ndarray:
     return np.divide(table, norms, out=table, where=norms > 0)
 
 
-def _split_index(docs: TokenIndex | list[Document], token_ids: dict | None = None) -> TokenIndex:
-    """``docs`` as an index over ``token_ids`` (a fresh vocabulary when None)."""
-    if isinstance(docs, TokenIndex) and (token_ids is None or docs.token_ids is token_ids):
-        return docs
-    return TokenIndex(list(docs), token_ids)
-
-
 BLOCK_TOKENS = 1 << 14  # tokens turned into n-grams at once; bounds the transient arrays
 
 
@@ -90,8 +83,8 @@ def _term(code: int, base: int, tokens: list[str]) -> str:
 class Featurizer:
     """Split -> row table, plus the ``seed`` and ``pool`` tables of one dataset.
 
-    ``transform_many(docs)``, docs a ``TokenIndex`` or a doc list, returns one
-    (len(docs), dim) array. ``build_tables`` featurizes each split once, from
+    ``transform_many(index)``, index a split's ``TokenIndex``, returns one
+    (len(index), dim) array. ``build_tables`` featurizes each split once, from
     the dataset's token indexes, in split row order. Subclasses set ``dim``
     and supply ``kind``, ``transform_many`` and ``describe()``.
     """
@@ -105,7 +98,7 @@ class Featurizer:
 class TfidfFeaturizer(Featurizer):
     """TF-IDF over n-grams of a doc's tokens of at least ``min_token_len`` characters.
 
-    Fitting on ``docs`` builds the vocabulary and the smoothed idf
+    Fitting on a split's ``index`` builds the vocabulary and the smoothed idf
     ln((1 + N) / (1 + df_t)) + 1, strictly positive. Vocabulary terms are
     index-assigned in sorted order so fitting is order-independent. A vector
     is term counts scaled by idf, then L2-normalized; OOV terms are ignored.
@@ -118,14 +111,13 @@ class TfidfFeaturizer(Featurizer):
 
     def __init__(
         self,
-        docs: TokenIndex | list[Document],
+        index: TokenIndex,
         ngram_range: tuple[int, int] = (1, 2),
         min_df: int = 1,
         min_token_len: int = 2,
     ):
-        if not len(docs):
+        if not len(index):
             raise ValueError("TF-IDF fitting needs at least one document")
-        index = _split_index(docs)
         self.ngram_range = tuple(ngram_range)
         self.min_token_len = min_token_len
         self.token_ids = index.token_ids
@@ -153,8 +145,9 @@ class TfidfFeaturizer(Featurizer):
         self.idf = np.log((1 + n) / (1 + df[order])) + 1.0
         self.dim = len(terms)
 
-    def transform_many(self, docs: TokenIndex | list[Document]) -> np.ndarray:
-        index = _split_index(docs, self.token_ids)
+    def transform_many(self, index: TokenIndex) -> np.ndarray:
+        if index.token_ids is not self.token_ids:
+            raise ValueError("TF-IDF transforms only indexes over the vocabulary it was fitted on")
         long = _long_tokens(index.token_ids, self.min_token_len)
         table = np.zeros((len(index), self.dim))
         for block in _blocks(index):
@@ -206,8 +199,7 @@ class HashingEmbedder(Featurizer):
             code = self._codes[term] = 2 * coord + negative
         return code
 
-    def transform_many(self, docs: TokenIndex | list[Document]) -> np.ndarray:
-        index = _split_index(docs)
+    def transform_many(self, index: TokenIndex) -> np.ndarray:
         tokens = list(index.token_ids)
         long, base = np.ones(len(tokens), bool), len(tokens) + 2
         table = np.zeros((len(index), self.dim))
@@ -254,7 +246,8 @@ class RemoteEmbedder(Featurizer):
     timeout: float = 30.0
     cache_path: str | None = None
     transport: object = None
-    _cache: dict[str, list[float]] = field(default_factory=dict)
+    _cache: dict[str, list[float]] = field(default_factory=dict, init=False, repr=False,
+                                           compare=False)
 
     kind = "embedding"
 
@@ -299,9 +292,9 @@ class RemoteEmbedder(Featurizer):
         with open(self.cache_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(rec) + "\n")
 
-    def transform_many(self, docs: TokenIndex | list[Document]) -> np.ndarray:
-        out = np.empty((len(docs), self.dim))
-        for row, doc in enumerate(docs):
+    def transform_many(self, index: TokenIndex) -> np.ndarray:
+        out = np.empty((len(index), self.dim))
+        for row, doc in enumerate(index):
             out[row] = self.vectorize(doc)
         return out
 

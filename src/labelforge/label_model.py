@@ -1,10 +1,11 @@
 """Abstention-aware aggregation of the label matrix into probabilistic labels.
 
-Three aggregators share one contract: labels are an (n, C) table of class
-distributions plus an (n,) bool covered mask, row-aligned with the matrix.
-Rows where every LF abstained come back uniform and uncovered so downstream
-consumers can exclude them. ABSTAIN is treated as missing data throughout
-(never as a class).
+Three aggregators, picked by the config's ``label_model`` table, share one
+contract: labels are an (n, C) table of class distributions plus an (n,)
+bool covered mask, row-aligned with the matrix. Rows where every LF
+abstained come back uniform and uncovered so downstream consumers can
+exclude them. ABSTAIN is treated as missing data throughout (never as a
+class).
 """
 
 from __future__ import annotations
@@ -20,22 +21,6 @@ from .lf_core import ABSTAIN, LabelMatrix
 from .nets import class_max, class_sum
 
 DS_SMOOTHING = 1e-6
-
-
-@dataclass(frozen=True)
-class MajorityVote:
-    pass
-
-
-@dataclass(frozen=True)
-class WeightedMajorityVote:
-    weights: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DawidSkene:
-    max_iter: int = 100
-    tol: float = 1e-6
 
 
 @dataclass
@@ -144,11 +129,14 @@ def fit_dawid_skene(
 
 
 def aggregate(
-    matrix: LabelMatrix,
-    kind: MajorityVote | WeightedMajorityVote | DawidSkene,
-    labels: LabelSpace,
+    matrix: LabelMatrix, label_model: dict, labels: LabelSpace, accuracies: list[float] | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map each matrix row to a distribution over classes.
+
+    ``label_model`` is the config table: its "kind" (default majority vote)
+    picks the aggregator. A weighted vote without "weights" (or with None)
+    weighs each LF by its entry of ``accuracies``; Dawid-Skene reads
+    "max_iter" and "tol" when they are set.
 
     Returns (dists, covered): an (n, C) float table row-aligned with
     matrix.row_ids, and the (n,) bool mask of rows with at least one vote.
@@ -158,22 +146,27 @@ def aggregate(
         raise ValueError("aggregate needs a non-empty label matrix")
     num_classes = labels.num_classes
     covered = (matrix.entries != ABSTAIN).any(axis=1)
+    kind = label_model.get("kind", "majority_vote")
 
-    if isinstance(kind, DawidSkene):
-        model = fit_dawid_skene(matrix, num_classes, kind.max_iter, kind.tol)
+    if kind == "dawid_skene":
+        fit_args = {key: label_model[key] for key in ("max_iter", "tol") if key in label_model}
+        model = fit_dawid_skene(matrix, num_classes, **fit_args)
         dists = np.full((matrix.n_rows, num_classes), 1.0 / num_classes)
         dists[covered] = model.posteriors
         return dists, covered
-    if isinstance(kind, WeightedMajorityVote):
-        weights = np.asarray(kind.weights, dtype=float)
+    if kind == "weighted_majority_vote":
+        weights = label_model.get("weights")
+        weights = np.asarray(accuracies if weights is None else weights, dtype=float)
         if len(weights) != matrix.n_cols:
             raise ValueError("weights length must match the LF count")
         if np.any(weights < 0):
             raise ValueError("weights must be non-negative")
         if not np.any(weights > 0):
             raise AllWeightsZero("weighted vote needs a positive weight")
-    else:
+    elif kind == "majority_vote":
         weights = np.ones(matrix.n_cols)
+    else:
+        raise ValueError(f"unknown label model kind: {kind!r}")
     return _vote_dists(matrix.entries, num_classes, weights), covered
 
 

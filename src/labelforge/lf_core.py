@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document, TokenIndex
+from .corpus import TokenIndex
 from .errors import EmptyLfSet, LengthMismatch
 
 ABSTAIN = -1
@@ -38,10 +38,11 @@ class LabelFunction:
     ``rule`` exposes describe() -> its JSON payload. Classifier rules carry a
     classifier, its featurizer and the calibrated confidence threshold
     (mirrored here as ``threshold``) and are voted from the featurizer's row
-    tables; every other rule exposes apply_many(docs) -> one weak label per
-    doc. Scoring computes each LF's votes once on the unlabeled pool and keeps
-    that column as ``votes`` (outside describe() and equality); est_coverage,
-    dedup agreement and the label matrix all read it.
+    tables; every other rule exposes apply_many(index) -> one weak label per
+    row of a split's ``corpus.TokenIndex``. Scoring computes each LF's votes
+    once on the unlabeled pool and keeps that column as ``votes`` (outside
+    describe() and equality); est_coverage, dedup agreement and the label
+    matrix all read it.
     """
 
     id: str
@@ -65,9 +66,9 @@ class LabelFunction:
         }
 
 
-def apply_lf_many(lf: LabelFunction, docs: TokenIndex | list[Document]) -> np.ndarray:
-    """Votes of one LF on each doc, as int8 (see ``corpus.MAX_CLASSES``; ABSTAIN is -1)."""
-    return np.asarray(lf.rule.apply_many(docs), dtype=np.int8)
+def apply_lf_many(lf: LabelFunction, index: TokenIndex) -> np.ndarray:
+    """Votes of one LF on each row of a split's index, as int8 (see ``corpus.MAX_CLASSES``)."""
+    return np.asarray(lf.rule.apply_many(index), dtype=np.int8)
 
 
 @dataclass

@@ -16,22 +16,11 @@ from . import metrics as metrics_mod
 from .candidates import synthesize_candidates
 from .config import PipelineConfig, RunManifest, file_digest
 from .corpus import Dataset
-from .downstream import (
-    DownstreamConfig,
-    evaluate_e2e,
-    export_predictions_jsonl,
-    train_downstream,
-)
+from .downstream import evaluate_e2e, export_predictions_jsonl, train_downstream, write_checkpoint
 from .errors import LabelForgeError, ProviderUnreachable, MalformedProviderReply
 from .exploitation import run_exploitation_loop
 from .features import build_featurizers
-from .label_model import (
-    DawidSkene,
-    MajorityVote,
-    WeightedMajorityVote,
-    aggregate,
-    export_labels_jsonl,
-)
+from .label_model import aggregate, export_labels_jsonl
 from .lf_core import Category, LabelFunction, build_label_matrix
 from .surface import (
     GenerationRequest,
@@ -133,23 +122,6 @@ def build_generators(
     return generators, skip_sink
 
 
-def label_model_kind(config: PipelineConfig, lfs: list[LabelFunction]):
-    choice = config.label_model
-    kind = choice.get("kind", "majority_vote")
-    if kind == "majority_vote":
-        return MajorityVote()
-    if kind == "weighted_majority_vote":
-        weights = choice.get("weights")
-        if weights is None:
-            weights = [lf.est_accuracy or 0.0 for lf in lfs]
-        return WeightedMajorityVote(weights=tuple(weights))
-    if kind == "dawid_skene":
-        return DawidSkene(
-            max_iter=choice.get("max_iter", 100), tol=choice.get("tol", 1e-6)
-        )
-    raise ValueError(f"unknown label model kind: {kind!r}")
-
-
 def run_pipeline(
     config: PipelineConfig,
     dataset: Dataset,
@@ -183,8 +155,8 @@ def run_pipeline(
         matrix = build_label_matrix(lfs, [d.id for d in dataset.unlabeled])
 
     with _stage(seconds, "aggregate"):
-        kind = label_model_kind(config, lfs)
-        dists, covered = aggregate(matrix, kind, dataset.labels)
+        accuracies = [lf.est_accuracy or 0.0 for lf in lfs]
+        dists, covered = aggregate(matrix, config.label_model, dataset.labels, accuracies)
 
     with _stage(seconds, "metrics"):
         labeling_report = None
@@ -195,18 +167,11 @@ def run_pipeline(
             )
 
     with _stage(seconds, "downstream"):
-        ds_cfg = DownstreamConfig(
-            hidden=config.downstream["hidden"],
-            epochs=config.downstream["epochs"],
-            batch_size=config.downstream["batch_size"],
-            lr=config.downstream["lr"],
-            mode=config.downstream["mode"],
-            rng_seed=config.base_seed,
-        )
-        clf = train_downstream(dists, covered, end_featurizer, ds_cfg)
-        test_docs = [ex.doc for ex in dataset.test]
-        test_probs = clf.predict_proba_docs(test_docs) if test_docs else None
-        e2e_report = evaluate_e2e(test_probs, dataset.test) if test_docs else None
+        net = train_downstream(dists, covered, end_featurizer, config)
+        test_probs = e2e_report = None
+        if dataset.test:
+            test_probs = net.predict_proba_many(end_featurizer.transform_many(dataset.test_index))
+            e2e_report = evaluate_e2e(test_probs, dataset.test)
 
     with _stage(seconds, "write"):
         write_start = time.perf_counter()  # the manifest records the seconds up to its own write
@@ -220,10 +185,11 @@ def run_pipeline(
             "manifest": os.path.join(out_dir, "manifest.json"),
             "ledger": os.path.join(out_dir, "ledger.csv"),
         }
-        clf.checkpoint(paths["model"], config_hash=config.config_hash())
+        write_checkpoint(net, paths["model"], config.config_hash())
         if dataset.test:
             paths["predictions"] = os.path.join(out_dir, "predictions.jsonl")
-            export_predictions_jsonl(paths["predictions"], test_probs, test_docs, dataset.labels)
+            export_predictions_jsonl(paths["predictions"], test_probs, dataset.test_index.docs,
+                                     dataset.labels)
         with open(paths["lf_pool"], "w", encoding="utf-8") as fh:
             json.dump(
                 {

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document, LabelSpace, TokenIndex, tokenize
+from .corpus import LabelSpace, TokenIndex, tokenize
 from .errors import MalformedProviderReply, ProviderUnreachable
 from .lf_core import ABSTAIN
 
@@ -49,21 +49,22 @@ class SurfaceRule:
             else:
                 self._needles[cls] = tuple(pats)
 
-    def apply_many(self, docs: TokenIndex | list[Document]) -> np.ndarray:
-        """One int8 vote per doc; a doc list is indexed first in token mode.
+    def apply_many(self, index: TokenIndex) -> np.ndarray:
+        """One int8 vote per row of a split's index: the single class with a match, else abstain.
 
         Token mode reads each needle's rows from the posting index; substring
-        mode (LLM replies only) scans each doc with ``eval_surface``.
+        mode (LLM replies only) looks for each needle in each lowercased text.
         """
-        if self.match_mode == "substring":
-            return np.array([eval_surface(self, d) for d in docs], dtype=np.int8)
-        index = docs if isinstance(docs, TokenIndex) else TokenIndex(docs)
+        texts = [doc.text.lower() for doc in index] if self.match_mode == "substring" else None
         matched = np.zeros(len(index), dtype=np.int8)  # classes with a matching needle
         votes = np.full(len(index), ABSTAIN, dtype=np.int8)
         for cls, needles in self._needles.items():
-            hit = np.zeros(len(index), dtype=bool)
-            for needle in needles:
-                hit[_phrase_rows(index, needle)] = True
+            if texts is not None:
+                hit = np.fromiter((any(n in t for n in needles) for t in texts), bool, len(texts))
+            else:
+                hit = np.zeros(len(index), dtype=bool)
+                for needle in needles:
+                    hit[_phrase_rows(index, needle)] = True
             matched += hit
             votes[hit] = cls
         votes[matched != 1] = ABSTAIN
@@ -97,16 +98,6 @@ def _phrase_rows(index: TokenIndex, needle: str) -> np.ndarray:
     docs = index.docs
     adjacent = [needle in " " + " ".join(docs[row].tokens) + " " for row in rows.tolist()]
     return rows[np.array(adjacent, dtype=bool)]
-
-
-def eval_surface(rule: SurfaceRule, doc: Document) -> int:
-    """Substring-mode vote: the single class with a needle in the text, else abstain.
-
-    Token-mode rules vote through ``SurfaceRule.apply_many`` only.
-    """
-    text = doc.text.strip().lower()
-    matched = [cls for cls, needles in rule._needles.items() if any(n in text for n in needles)]
-    return matched[0] if len(matched) == 1 else ABSTAIN
 
 
 def surface_similarity(a: SurfaceRule, b: SurfaceRule) -> float:
@@ -195,8 +186,7 @@ class OfflineSeededProvider:
 
     rng_seed: int = 0
     top_t: int = 5
-    kind: str = "offline_seeded"
-    last_warnings: int = 0
+    last_warnings: int = field(default=0, init=False)
     # (request, its ranked tokens): the ranking reads only the request, so a
     # request asked again in a later round is not re-ranked.
     _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -316,8 +306,7 @@ class RemoteLlmProvider:
     labels: LabelSpace | None = None
     transport: object = None
     sleep: object = time.sleep
-    kind: str = "remote_llm"
-    last_warnings: int = 0
+    last_warnings: int = field(default=0, init=False)
 
     def __post_init__(self):
         self.endpoint = self.endpoint or os.environ.get("LABELFORGE_LLM_ENDPOINT")

@@ -25,8 +25,6 @@ from labelforge.config import PipelineConfig
 from labelforge.corpus import LabelSpace, save_dataset
 from labelforge.exploitation import inter_filter, intra_filter
 from labelforge.label_model import (
-    DawidSkene,
-    MajorityVote,
     aggregate,
     fit_dawid_skene,
 )
@@ -40,6 +38,7 @@ from labelforge.synth import (
 )
 
 ACCEPTANCE_SEEDS = (0, 1, 2, 3, 4)
+MV = {"kind": "majority_vote"}
 
 
 def report(criterion, passed, detail=""):
@@ -101,7 +100,7 @@ def test_criterion_1_formula_oracles():
         oracle_cov = sum(
             1 for i in range(n) if any(entries[i, j] != ABSTAIN for j in range(m))
         ) / n
-        _, covered = aggregate(matrix, MajorityVote(), three_classes)
+        _, covered = aggregate(matrix, MV, three_classes, None)
         assert abs(float(np.mean(covered)) - oracle_cov) < 1e-9
 
         size = int(rng.integers(1, 12))
@@ -229,8 +228,8 @@ def test_criterion_3_dawid_skene():
             votes[srng.random(500) >= 0.7] = ABSTAIN
             cols.append(votes)
         m = _matrix(np.stack(cols, axis=1).tolist())
-        mv_dists, covered = aggregate(m, MajorityVote(), labels)
-        ds_dists, _ = aggregate(m, DawidSkene(), labels)
+        mv_dists, covered = aggregate(m, MV, labels, None)
+        ds_dists, _ = aggregate(m, {"kind": "dawid_skene"}, labels, None)
         mv = mv_dists.argmax(axis=1)
         ds = ds_dists.argmax(axis=1)
         if (ds[covered] == g[covered]).mean() >= (mv[covered] == g[covered]).mean():
@@ -320,7 +319,8 @@ def test_criterion_7_determinism(tmp_path):
     data_path = str(tmp_path / "separable.jsonl")
     save_dataset(make_separable_corpus(0), data_path)
     config_path = str(tmp_path / "config.json")
-    scaled_default_config().save(config_path)
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(scaled_default_config().to_json(), fh)
 
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["run", "--config", config_path, "--data", data_path, "--out", out_a]) == 0
@@ -359,12 +359,12 @@ def test_criterion_8_invariant_suite():
         if not (rows != ABSTAIN).any():
             continue
         m = _matrix(rows.tolist())
-        dists, _ = aggregate(m, MajorityVote(), labels)
+        dists, _ = aggregate(m, MV, labels, None)
         for dist in dists:
             assert (dist >= 0).all() and abs(dist.sum() - 1.0) < 1e-9
         perm = rng.permutation(rows.shape[1])
         m2 = _matrix(rows[:, perm].tolist())
-        assert np.allclose(dists, aggregate(m2, MajorityVote(), labels)[0])
+        assert np.allclose(dists, aggregate(m2, MV, labels, None)[0])
 
         # whm mean property and filter monotonicity
         p_v, c_v = rng.uniform(0.01, 1.0, size=2)

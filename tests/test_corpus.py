@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from labelforge import corpus
 from labelforge.corpus import (
     Dataset,
     Document,
@@ -167,3 +169,26 @@ def test_token_index_shares_one_vocabulary():
     assert index.rows("zebra").tolist() == []  # in the vocabulary, not in this split
     TokenIndex([Document("b", "late")], token_ids)  # grows the vocabulary after the postings
     assert token_ids["late"] == 3 and index.rows("late").tolist() == []
+
+
+def test_dataset_indexes_split_after_split_over_one_vocabulary():
+    dataset = Dataset(
+        labels=LABELS,
+        unlabeled=[Document("u0", "good movie"), Document("u1", "bad")],
+        seed=[LabeledExample(Document("s0", "bad day"), 1)],
+        test=[LabeledExample(Document("t0", "fresh good day"), 0)],
+    )
+    test = dataset.test_index  # read first, still built after the seed and the pool
+    assert test.token_ids is dataset.pool_index.token_ids is dataset.seed_index.token_ids
+    assert test.token_ids == {"bad": 0, "day": 1, "good": 2, "movie": 3, "fresh": 4}
+    assert test.docs == [ex.doc for ex in dataset.test] and test.ids.tolist() == [4, 2, 1]
+    assert dataset.test_index is test
+
+
+def test_only_corpus_builds_token_indexes():
+    """The shared vocabulary grows in one module: no other source file builds an index."""
+    sources = sorted(Path(corpus.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    builders = [p.name for p in sources
+                if p.name != "corpus.py" and "TokenIndex(" in p.read_text(encoding="utf-8")]
+    assert builders == []

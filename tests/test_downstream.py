@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from labelforge.corpus import Document, LabeledExample
-from labelforge.downstream import (
-    DownstreamConfig,
-    build_targets,
-    evaluate_e2e,
-    train_downstream,
-)
+from labelforge.config import PipelineConfig
+from labelforge.corpus import Document, LabeledExample, TokenIndex
+from labelforge.downstream import build_targets, evaluate_e2e, train_downstream, write_checkpoint
 from labelforge.errors import DegenerateTargets
 from labelforge.nets import MlpNet
 from labelforge.features import TfidfFeaturizer
@@ -27,19 +23,31 @@ def corpus(n=120):
 
 def featurizer_for(docs):
     """TF-IDF over ``docs`` whose pool table holds ``docs`` in order."""
-    feat = TfidfFeaturizer(docs, (1, 1))
-    feat.pool = feat.transform_many(docs)
+    index = TokenIndex(docs)
+    feat = TfidfFeaturizer(index, (1, 1))
+    feat.pool = feat.transform_many(index)
     return feat
+
+
+def config(epochs, seed, **downstream):
+    """The default config with ``epochs`` downstream epochs and base seed ``seed``."""
+    table = {**PipelineConfig().downstream, "epochs": epochs, **downstream}
+    return PipelineConfig(base_seed=seed, downstream=table)
+
+
+def predict(net, feat, docs):
+    """The net's class probabilities for docs indexed over the featurizer's vocabulary."""
+    return net.predict_proba_many(feat.transform_many(TokenIndex(docs, feat.token_ids)))
 
 
 def test_training_deterministic():
     docs, labels, _ = corpus()
     feat = featurizer_for(docs)
-    cfg = DownstreamConfig(epochs=5, rng_seed=9)
+    cfg = config(epochs=5, seed=9)
     a = train_downstream(*labels, feat, cfg)
     b = train_downstream(*labels, feat, cfg)
-    assert np.array_equal(a.net.w1, b.net.w1)
-    assert np.array_equal(a.net.w2, b.net.w2)
+    assert np.array_equal(a.w1, b.w1)
+    assert np.array_equal(a.w2, b.w2)
     with pytest.raises(ValueError):  # one label per pool row
         train_downstream(labels[0][:-1], labels[1][:-1], feat, cfg)
 
@@ -47,17 +55,17 @@ def test_training_deterministic():
 def test_separable_corpus_high_e2e():
     docs, labels, gold = corpus(200)
     feat = featurizer_for(docs)
-    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=30, rng_seed=0))
+    net = train_downstream(*labels, feat, config(epochs=30, seed=0))
     test = [LabeledExample(doc=d, gold=g) for d, g in zip(docs[:60], gold[:60])]
-    report = evaluate_e2e(clf.predict_proba_docs(docs[:60]), test)
+    report = evaluate_e2e(predict(net, feat, docs[:60]), test)
     assert report.weighted_f1 >= 0.95
 
 
 def test_forward_outputs_distribution():
     docs, labels, _ = corpus(40)
     feat = featurizer_for(docs)
-    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=3, rng_seed=1))
-    out = clf.predict_proba_docs(docs[:10])
+    net = train_downstream(*labels, feat, config(epochs=3, seed=1))
+    out = predict(net, feat, docs[:10])
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
     assert (out >= 0).all()
 
@@ -66,10 +74,10 @@ def test_soft_with_onehot_equals_hard_mode():
     docs, _, gold = corpus(60)
     feat = featurizer_for(docs)
     onehot = (np.eye(2)[gold], np.ones(len(gold), dtype=bool))
-    soft = train_downstream(*onehot, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="soft"))
-    hard = train_downstream(*onehot, feat, DownstreamConfig(epochs=8, rng_seed=3, mode="hard"))
-    assert np.array_equal(soft.net.w1, hard.net.w1)
-    assert np.array_equal(soft.net.w2, hard.net.w2)
+    soft = train_downstream(*onehot, feat, config(epochs=8, seed=3, mode="soft"))
+    hard = train_downstream(*onehot, feat, config(epochs=8, seed=3, mode="hard"))
+    assert np.array_equal(soft.w1, hard.w1)
+    assert np.array_equal(soft.w2, hard.w2)
 
 
 def test_uncovered_rows_excluded():
@@ -99,8 +107,8 @@ def test_loss_trend_nonincreasing_tail():
     # a fixed rng_seed fixes init and shuffles, so the e-epoch run replays the first e epochs
     tail = []
     for epochs in range(10, 51):
-        clf = train_downstream(*labels, feat, DownstreamConfig(epochs=epochs, rng_seed=2))
-        out = clf.net.predict_proba_many(x)
+        net = train_downstream(*labels, feat, config(epochs=epochs, seed=2))
+        out = net.predict_proba_many(x)
         tail.append(float(-np.mean(np.sum(targets * np.log(out + 1e-12), axis=1))))
     # full-data loss after each of the final 41 epochs: non-increasing within 5%
     running_min = tail[0]
@@ -123,12 +131,12 @@ def test_evaluate_e2e_constant_classifier():
 def test_evaluate_e2e_empty_test():
     docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    net = train_downstream(*labels, feat, config(epochs=2, seed=0))
     with pytest.raises(ValueError):
-        evaluate_e2e(clf.predict_proba_docs([]), [])
+        evaluate_e2e(predict(net, feat, []), [])
     test = [LabeledExample(doc=docs[0], gold=0)]
     with pytest.raises(ValueError):  # one row of probabilities per test example
-        evaluate_e2e(clf.predict_proba_docs(docs[:2]), test)
+        evaluate_e2e(predict(net, feat, docs[:2]), test)
 
 
 def test_glorot_init_bounds_and_seeding():
@@ -143,9 +151,9 @@ def test_glorot_init_bounds_and_seeding():
 def test_checkpoint_written(tmp_path):
     docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    net = train_downstream(*labels, feat, config(epochs=2, seed=0))
     path = str(tmp_path / "model.json")
-    clf.checkpoint(path, config_hash="abc")
+    write_checkpoint(net, path, "abc")
     import json
 
     payload = json.load(open(path))
@@ -160,9 +168,9 @@ def test_predictions_export(tmp_path):
 
     docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
-    clf = train_downstream(*labels, feat, DownstreamConfig(epochs=2, rng_seed=0))
+    net = train_downstream(*labels, feat, config(epochs=2, seed=0))
     path = str(tmp_path / "pred.jsonl")
-    test_probs = clf.predict_proba_docs(docs[:3])
+    test_probs = predict(net, feat, docs[:3])
     export_predictions_jsonl(path, test_probs, docs[:3], LabelSpace(("pos", "neg")))
     rows = [json.loads(line) for line in open(path)]
     assert len(rows) == 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labelforge.config import PipelineConfig
-from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace, tokenize
+from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace, TokenIndex, tokenize
 from labelforge.errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
 from labelforge import features as features_module
 from labelforge.features import (
@@ -21,6 +21,16 @@ def doc(text, doc_id="d"):
     return Document(id=doc_id, text=text)
 
 
+def index(docs, token_ids=None):
+    """The docs as one split's token index, over ``token_ids`` (a fresh vocabulary when None)."""
+    return TokenIndex(list(docs), token_ids)
+
+
+def tfidf_rows(tfidf, docs):
+    """The TF-IDF rows of docs indexed over the vocabulary the featurizer was fitted on."""
+    return tfidf.transform_many(index(docs, tfidf.token_ids))
+
+
 def test_tokenizer_basics():
     assert tokenize("Hello, World! a") == ("hello", "world")
     assert tokenize("Hello a", min_token_len=1) == ("hello", "a")
@@ -31,51 +41,51 @@ def test_tokenizer_basics():
 
 def test_idf_formula_hand_computed():
     # docs ["a b", "b c"]: df(b)=2, idf(b)=ln(3/3)+1=1.0
-    tfidf = TfidfFeaturizer([doc("a b", "1"), doc("b c", "2")], (1, 1), min_token_len=1)
+    tfidf = TfidfFeaturizer(index([doc("a b", "1"), doc("b c", "2")]), (1, 1), min_token_len=1)
     assert tfidf.idf[tfidf.vocabulary["b"]] == pytest.approx(1.0)
     assert tfidf.idf[tfidf.vocabulary["a"]] == pytest.approx(math.log(3 / 2) + 1)
 
 
 def test_idf_monotone_in_rarity():
     docs = [doc("x common", str(i)) for i in range(4)] + [doc("rare common", "r")]
-    tfidf = TfidfFeaturizer(docs, (1, 1), min_token_len=1)
+    tfidf = TfidfFeaturizer(index(docs), (1, 1), min_token_len=1)
     assert tfidf.idf[tfidf.vocabulary["common"]] < tfidf.idf[tfidf.vocabulary["rare"]]
 
 
 def test_empty_vocabulary():
     with pytest.raises(EmptyVocabulary):
-        TfidfFeaturizer([doc("", "1"), doc("!!", "2")])
+        TfidfFeaturizer(index([doc("", "1"), doc("!!", "2")]))
 
 
 def test_transform_unit_norm_and_oov():
     docs = [doc("a b", "1"), doc("b c", "2")]
-    tfidf = TfidfFeaturizer(docs, (1, 1), min_token_len=1)
-    vec = tfidf.transform_many([docs[0]])[0]
+    tfidf = TfidfFeaturizer(index(docs), (1, 1), min_token_len=1)
+    vec = tfidf_rows(tfidf, [docs[0]])[0]
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(tfidf.transform_many([doc("zz qq")])[0], 0.0)
+    assert np.allclose(tfidf_rows(tfidf, [doc("zz qq")])[0], 0.0)
 
 
 def test_transform_single_token_doc():
-    tfidf = TfidfFeaturizer([doc("a b", "1"), doc("b c", "2")], (1, 1), min_token_len=1)
-    vec = tfidf.transform_many([doc("b b")])[0]
+    tfidf = TfidfFeaturizer(index([doc("a b", "1"), doc("b c", "2")]), (1, 1), min_token_len=1)
+    vec = tfidf_rows(tfidf, [doc("b b")])[0]
     nonzero = np.flatnonzero(vec)
     assert list(nonzero) == [tfidf.vocabulary["b"]]
     assert vec[tfidf.vocabulary["b"]] == pytest.approx(1.0)
 
 
 def test_bigram_vocabulary():
-    tfidf = TfidfFeaturizer([doc("a b c", "1")], (1, 2), min_token_len=1)
+    tfidf = TfidfFeaturizer(index([doc("a b c", "1")]), (1, 2), min_token_len=1)
     assert "a b" in tfidf.vocabulary
     assert "b c" in tfidf.vocabulary
 
 
 def test_fit_permutation_invariant_as_weight_maps():
     docs = [doc("a b", "1"), doc("b c", "2"), doc("c d a", "3")]
-    m1 = TfidfFeaturizer(docs, (1, 2), min_token_len=1)
-    m2 = TfidfFeaturizer(list(reversed(docs)), (1, 2), min_token_len=1)
+    m1 = TfidfFeaturizer(index(docs), (1, 2), min_token_len=1)
+    m2 = TfidfFeaturizer(index(reversed(docs)), (1, 2), min_token_len=1)
     for d in docs:
-        v1 = m1.transform_many([d])[0]
-        v2 = m2.transform_many([d])[0]
+        v1 = tfidf_rows(m1, [d])[0]
+        v2 = tfidf_rows(m2, [d])[0]
         w1 = {t: v1[i] for t, i in m1.vocabulary.items() if v1[i]}
         w2 = {t: v2[i] for t, i in m2.vocabulary.items() if v2[i]}
         assert w1.keys() == w2.keys()
@@ -129,26 +139,26 @@ def test_hashing_tables_equal_per_occurrence_hashing(monkeypatch):
 
 def test_hashing_embedder_deterministic():
     emb = HashingEmbedder(dim=64)
-    a = emb.transform_many([doc("aa bb", "1")])[0]
-    b = emb.transform_many([doc("aa bb", "2")])[0]
+    a = emb.transform_many(index([doc("aa bb", "1")]))[0]
+    b = emb.transform_many(index([doc("aa bb", "2")]))[0]
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) == pytest.approx(1.0)
 
 
 def test_hashing_embedder_empty_text():
-    assert np.allclose(HashingEmbedder(dim=16).transform_many([doc("")])[0], 0.0)
+    assert np.allclose(HashingEmbedder(dim=16).transform_many(index([doc("")]))[0], 0.0)
 
 
 def test_hashing_embedder_matches_oracle():
     emb = HashingEmbedder(dim=64)
     for text in ("aa bb", "aa bb cc", "the quick brown fox"):
-        assert np.allclose(emb.transform_many([doc(text)])[0], signed_hash_oracle(text, 64))
+        assert np.allclose(emb.transform_many(index([doc(text)]))[0], signed_hash_oracle(text, 64))
 
 
 def test_hashing_cosine_between_overlapping_texts():
     emb = HashingEmbedder(dim=64)
-    a = emb.transform_many([doc("aa bb")])[0]
-    b = emb.transform_many([doc("aa bb cc")])[0]
+    a = emb.transform_many(index([doc("aa bb")]))[0]
+    b = emb.transform_many(index([doc("aa bb cc")]))[0]
     cos = float(a @ b)
     expected = float(signed_hash_oracle("aa bb", 64) @ signed_hash_oracle("aa bb cc", 64))
     assert cos == pytest.approx(expected)
@@ -163,7 +173,7 @@ def test_hashing_one_token_changes_at_most_two_raw_coords(monkeypatch):
     for _ in range(200):
         base = " ".join(rng.choice(words, size=rng.integers(1, 10)))
         extra = str(rng.choice(words))
-        before, after = emb.transform_many([doc(base), doc(base + " " + extra)])
+        before, after = emb.transform_many(index([doc(base), doc(base + " " + extra)]))
         assert int(np.sum(before != after)) <= 2
 
 
@@ -220,6 +230,15 @@ def test_remote_embedder_cache_survives_torn_last_line(tmp_path):
         embedder()
 
 
+def test_remote_embedder_cache_is_not_a_constructor_argument():
+    emb = RemoteEmbedder(endpoint="http://x", model="m", dim=2, transport=lambda *a: None)
+    emb._cache["a"] = [1.0, 2.0]
+    assert "_cache=" not in repr(emb)
+    assert emb == RemoteEmbedder(endpoint="http://x", model="m", dim=2, transport=emb.transport)
+    with pytest.raises(TypeError):
+        RemoteEmbedder(endpoint="http://x", model="m", _cache={})
+
+
 def test_remote_embedder_unreachable():
     def transport(endpoint, payload, timeout):
         raise OSError("down")
@@ -232,27 +251,29 @@ def test_remote_embedder_unreachable():
 def test_featurizer_memoization():
     """transform_many featurizes each doc it is given; tables follow split row order."""
     docs = [doc("a b", "1"), doc("b c", "2"), doc("c a a", "3")]
-    feat = TfidfFeaturizer(docs, min_token_len=1)
-    rows = feat.transform_many([docs[1], docs[0], docs[1]])
+    feat = TfidfFeaturizer(index(docs), min_token_len=1)
+    rows = tfidf_rows(feat, [docs[1], docs[0], docs[1]])
     assert rows.shape == (3, feat.dim)
     for row, d in zip(rows, [docs[1], docs[0], docs[1]]):
-        assert np.array_equal(row, feat.transform_many([d])[0])
-    assert feat.transform_many([]).shape == (0, feat.dim)
+        assert np.array_equal(row, tfidf_rows(feat, [d])[0])
+    assert tfidf_rows(feat, []).shape == (0, feat.dim)
 
     dataset = Dataset(
         labels=LabelSpace(("pos", "neg")),
         unlabeled=[docs[2], docs[0]],
         seed=[LabeledExample(doc=docs[1], gold=0)],
     )
+    feat = TfidfFeaturizer(dataset.pool_index, min_token_len=1)
     assert feat.build_tables(dataset) is feat
     assert feat.seed.shape == (1, feat.dim) and feat.pool.shape == (2, feat.dim)
-    assert np.array_equal(feat.seed[0], feat.transform_many([docs[1]])[0])
-    assert np.array_equal(feat.pool[0], feat.transform_many([docs[2]])[0])
-    assert np.array_equal(feat.pool[1], feat.transform_many([docs[0]])[0])
+    assert np.array_equal(feat.seed[0], tfidf_rows(feat, [docs[1]])[0])
+    assert np.array_equal(feat.pool[0], tfidf_rows(feat, [docs[2]])[0])
+    assert np.array_equal(feat.pool[1], tfidf_rows(feat, [docs[0]])[0])
 
     efeat = HashingEmbedder(dim=8).build_tables(dataset)
-    assert efeat.transform_many([docs[0]]).shape == (1, 8)
-    expected = np.stack([HashingEmbedder(dim=8).transform_many([d])[0] for d in dataset.unlabeled])
+    assert efeat.transform_many(index([docs[0]])).shape == (1, 8)
+    expected = np.stack([HashingEmbedder(dim=8).transform_many(index([d]))[0]
+                         for d in dataset.unlabeled])
     assert np.array_equal(efeat.pool, expected)
 
 
@@ -281,7 +302,7 @@ def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
     assert [json.loads(line)["doc_id"] for line in open(cache, encoding="utf-8")] == ["a"]
 
     fresh = RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=good)
-    rows = fresh.transform_many([doc("good", "a"), doc("short", "b")])
+    rows = fresh.transform_many(index([doc("good", "a"), doc("short", "b")]))
     assert rows.tolist() == [[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]
 
     short = {"doc_id": "z", "provider_hash": fresh.config_hash(), "vector": [0.5]}
@@ -294,7 +315,7 @@ def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
 def test_tfidf_drops_tokens_below_the_length_floor():
     d = doc("a bb a cc")
     assert d.tokens == ("a", "bb", "a", "cc")
-    tfidf = TfidfFeaturizer([d], (1, 2))
+    tfidf = TfidfFeaturizer(index([d]), (1, 2))
     assert sorted(tfidf.vocabulary) == ["bb", "bb cc", "cc"]
 
 
@@ -403,16 +424,32 @@ def test_split_tables_equal_the_per_doc_reference(ngram_range, block_tokens, mon
         labels=LabelSpace(("pos", "neg")),
         unlabeled=pool,
         seed=[LabeledExample(d, i % 2) for i, d in enumerate(seed)],
+        test=[LabeledExample(d, i % 2) for i, d in enumerate(test)],
     )
     feat = TfidfFeaturizer(dataset.pool_index, ngram_range).build_tables(dataset)
     ref = PerDocTfidf(pool, ngram_range)
     assert feat.vocabulary == ref.vocabulary
     assert np.array_equal(feat.idf, ref.idf)
-    for table, docs in ((feat.pool, pool), (feat.seed, seed), (feat.transform_many(test), test)):
+    test_index = dataset.test_index
+    assert test_index.token_ids is dataset.pool_index.token_ids is feat.token_ids
+    assert test_index.docs == test
+    test_table = feat.transform_many(test_index)
+    for table, docs in ((feat.pool, pool), (feat.seed, seed), (test_table, test)):
         assert np.array_equal(table, np.stack([ref.vectorize(d) for d in docs]))
     for d in test[:12]:  # one-doc splits, some shorter than an n-gram
-        assert np.array_equal(feat.transform_many([d])[0], ref.vectorize(d))
+        assert np.array_equal(tfidf_rows(feat, [d])[0], ref.vectorize(d))
 
     emb = HashingEmbedder(dim=16).build_tables(dataset)
-    for table, docs in ((emb.pool, pool), (emb.seed, seed), (emb.transform_many(test), test)):
+    test_table = emb.transform_many(test_index)
+    for table, docs in ((emb.pool, pool), (emb.seed, seed), (test_table, test)):
         assert np.array_equal(table, per_doc_hashing(docs, 16))
+
+
+def test_tfidf_rejects_an_index_over_another_vocabulary():
+    docs = [doc("a b", "1"), doc("b c", "2")]
+    tfidf = TfidfFeaturizer(index(docs), (1, 1), min_token_len=1)
+    assert tfidf_rows(tfidf, docs).shape == (2, tfidf.dim)
+    with pytest.raises(ValueError, match="vocabulary"):
+        tfidf.transform_many(index(docs))  # same tokens, but a fresh vocabulary
+    with pytest.raises(ValueError, match="vocabulary"):
+        tfidf.transform_many(index(docs, dict(tfidf.token_ids)))  # an equal copy is not it

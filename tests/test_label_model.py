@@ -6,9 +6,6 @@ import pytest
 from labelforge.corpus import LabelSpace
 from labelforge.errors import AllWeightsZero, NoSignal
 from labelforge.label_model import (
-    DawidSkene,
-    MajorityVote,
-    WeightedMajorityVote,
     aggregate,
     export_labels_jsonl,
     fit_dawid_skene,
@@ -19,6 +16,11 @@ from labelforge.metrics import evaluate_labeling
 
 LABELS2 = LabelSpace(("pos", "neg"))
 LABELS3 = LabelSpace(("a", "b", "c"))
+MV, DS = {"kind": "majority_vote"}, {"kind": "dawid_skene"}
+
+
+def weighted(*weights):
+    return {"kind": "weighted_majority_vote", "weights": list(weights)}
 
 
 def matrix(rows, prefix="d"):
@@ -31,34 +33,52 @@ def matrix(rows, prefix="d"):
 
 
 def test_majority_vote_counts():
-    dists, covered = aggregate(matrix([[0, 0, 1, ABSTAIN]]), MajorityVote(), LABELS2)
+    dists, covered = aggregate(matrix([[0, 0, 1, ABSTAIN]]), MV, LABELS2, None)
     assert np.allclose(dists[0], [2 / 3, 1 / 3])
     assert covered[0]
 
 
 def test_all_abstain_row_uniform_uncovered():
-    dists, covered = aggregate(matrix([[ABSTAIN, ABSTAIN]]), MajorityVote(), LABELS2)
+    dists, covered = aggregate(matrix([[ABSTAIN, ABSTAIN]]), MV, LABELS2, None)
     assert np.allclose(dists[0], [0.5, 0.5])
     assert not covered[0]
 
 
 def test_weighted_vote_mass():
-    kind = WeightedMajorityVote(weights=(1.0, 1.0, 3.0))
-    dists, _ = aggregate(matrix([[0, 0, 1]]), kind, LABELS2)
+    dists, _ = aggregate(matrix([[0, 0, 1]]), weighted(1.0, 1.0, 3.0), LABELS2, None)
     assert np.allclose(dists[0], [2 / 5, 3 / 5])
+
+
+def test_weighted_vote_without_weights_weighs_by_accuracy():
+    m = matrix([[0, 0, 1], [1, ABSTAIN, 0]])
+    want, _ = aggregate(m, weighted(0.5, 0.25, 3.0), LABELS2, None)
+    assert np.allclose(want, [[0.75 / 3.75, 3.0 / 3.75], [3.0 / 3.5, 0.5 / 3.5]])
+    absent = {"kind": "weighted_majority_vote"}
+    for table in (absent, {**absent, "weights": None}):
+        dists, covered = aggregate(m, table, LABELS2, [0.5, 0.25, 3.0])
+        assert np.array_equal(dists, want) and covered.all()
+    configured, _ = aggregate(m, weighted(1.0, 1.0, 1.0), LABELS2, [0.5, 0.25, 3.0])
+    assert np.array_equal(configured, aggregate(m, MV, LABELS2, None)[0])
+    with pytest.raises(AllWeightsZero):
+        aggregate(m, absent, LABELS2, [0.0, 0.0, 0.0])
+
+
+def test_unknown_label_model_kind_raises():
+    with pytest.raises(ValueError, match="unknown label model kind"):
+        aggregate(matrix([[0, 1]]), {"kind": "snorkel"}, LABELS2, None)
 
 
 def test_weighted_all_zero_raises():
     with pytest.raises(AllWeightsZero):
-        aggregate(matrix([[0, 1]]), WeightedMajorityVote(weights=(0.0, 0.0)), LABELS2)
+        aggregate(matrix([[0, 1]]), weighted(0.0, 0.0), LABELS2, None)
 
 
 def test_equal_weights_match_majority():
     rng = np.random.default_rng(0)
     rows = rng.integers(-1, 2, size=(50, 5))
     m = matrix(rows.tolist())
-    mv_dists, mv_covered = aggregate(m, MajorityVote(), LABELS2)
-    wv_dists, wv_covered = aggregate(m, WeightedMajorityVote(weights=(2.0,) * 5), LABELS2)
+    mv_dists, mv_covered = aggregate(m, MV, LABELS2, None)
+    wv_dists, wv_covered = aggregate(m, weighted(2.0, 2.0, 2.0, 2.0, 2.0), LABELS2, None)
     assert np.allclose(mv_dists, wv_dists)
     assert np.array_equal(mv_covered, wv_covered)
 
@@ -69,8 +89,8 @@ def test_weight_scaling_invariance():
     weights = tuple(rng.uniform(0.1, 1.0, size=4))
     scaled = tuple(7.3 * w for w in weights)
     m = matrix(rows.tolist())
-    a, _ = aggregate(m, WeightedMajorityVote(weights=weights), LABELS2)
-    b, _ = aggregate(m, WeightedMajorityVote(weights=scaled), LABELS2)
+    a, _ = aggregate(m, weighted(*weights), LABELS2, None)
+    b, _ = aggregate(m, weighted(*scaled), LABELS2, None)
     assert np.allclose(a, b)
 
 
@@ -80,18 +100,18 @@ def test_majority_vote_permutation_invariant():
     m1 = matrix(rows.tolist())
     perm = rng.permutation(6)
     m2 = matrix(rows[:, perm].tolist())
-    a, _ = aggregate(m1, MajorityVote(), LABELS2)
-    b, _ = aggregate(m2, MajorityVote(), LABELS2)
+    a, _ = aggregate(m1, MV, LABELS2, None)
+    b, _ = aggregate(m2, MV, LABELS2, None)
     assert np.allclose(a, b)
 
 
 def test_every_output_is_distribution():
     rng = np.random.default_rng(3)
-    for kind in (MajorityVote(), WeightedMajorityVote(weights=(0.3, 0.7, 0.1)), DawidSkene()):
+    for kind in (MV, weighted(0.3, 0.7, 0.1), DS):
         rows = rng.integers(-1, 3, size=(25, 3))
         if not (rows != ABSTAIN).any():
             continue
-        dists, covered = aggregate(matrix(rows.tolist()), kind, LABELS3)
+        dists, covered = aggregate(matrix(rows.tolist()), kind, LABELS3, None)
         assert dists.dtype == np.float64 and dists.shape == (25, 3)
         assert covered.dtype == np.bool_ and covered.shape == (25,)
         assert np.array_equal(covered, (rows != ABSTAIN).any(axis=1))
@@ -272,7 +292,7 @@ def test_ds_log_likelihood_nondecreasing():
 
 def test_ds_abstain_rows_uniform_in_aggregate():
     rows = [[0, 1], [ABSTAIN, ABSTAIN], [1, 1]]
-    dists, covered = aggregate(matrix(rows), DawidSkene(), LABELS2)
+    dists, covered = aggregate(matrix(rows), DS, LABELS2, None)
     assert not covered[1]
     assert np.allclose(dists[1], 0.5)
     assert covered[0] and covered[2]
@@ -300,8 +320,8 @@ def test_ds_beats_majority_on_heterogeneous_lfs():
         rng = np.random.default_rng(1000 + seed)
         rows, gold = heterogeneous_matrix(rng)
         m = matrix(rows.tolist())
-        mv_dists, covered = aggregate(m, MajorityVote(), LABELS2)
-        ds_dists, _ = aggregate(m, DawidSkene(), LABELS2)
+        mv_dists, covered = aggregate(m, MV, LABELS2, None)
+        ds_dists, _ = aggregate(m, DS, LABELS2, None)
         mv = mv_dists.argmax(axis=1)
         ds = ds_dists.argmax(axis=1)
         if (ds[covered] == gold[covered]).mean() >= (mv[covered] == gold[covered]).mean():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from labelforge.corpus import Document, LabeledExample
+from labelforge.corpus import Document, LabeledExample, TokenIndex
 from labelforge.errors import EmptyLfSet, LengthMismatch
 from labelforge.lf_core import (
     ABSTAIN,
@@ -34,12 +34,12 @@ def lf(lf_id, votes, category=Category.SURFACE):
 
 def seed_accuracy(one, seed):
     """Apply one LF to the seed docs, then score that vote column."""
-    votes = apply_lf_many(one, [ex.doc for ex in seed])
+    votes = apply_lf_many(one, TokenIndex([ex.doc for ex in seed]))
     return estimate_accuracy(votes, [ex.gold for ex in seed])
 
 
 def docs(n):
-    return [Document(id=f"d{i}", text=f"text {i}") for i in range(n)]
+    return TokenIndex([Document(id=f"d{i}", text=f"text {i}") for i in range(n)])
 
 
 def matrix_of(lfs, ds):
@@ -52,8 +52,8 @@ def matrix_of(lfs, ds):
 def test_apply_lf_keyword_rule():
     rule = SurfaceRule(patterns={0: {"excellent"}}, match_mode="token")
     sut = LabelFunction(id="s", category=Category.SURFACE, rule=rule)
-    votes = apply_lf_many(sut, [Document(id="a", text="excellent food"),
-                                Document(id="b", text="the weather")])
+    votes = apply_lf_many(sut, TokenIndex([Document(id="a", text="excellent food"),
+                                           Document(id="b", text="the weather")]))
     assert votes.tolist() == [0, ABSTAIN]
 
 
@@ -76,7 +76,7 @@ def test_build_label_matrix_needs_a_full_vote_column():
     one = lf("a", {"d0": 0})
     with pytest.raises(LengthMismatch):
         build_label_matrix([one], [d.id for d in ds])  # never scored
-    one.votes = apply_lf_many(one, ds[:2])
+    one.votes = apply_lf_many(one, TokenIndex(ds.docs[:2]))
     with pytest.raises(LengthMismatch):
         build_label_matrix([one], [d.id for d in ds])
 
@@ -189,7 +189,7 @@ def test_vote_columns_and_matrix_are_int8_and_csv_bytes_hold(tmp_path):
     for one in wide:
         one.votes = np.asarray(apply_lf_many(one, ds), dtype=np.int64)  # cast on stacking
     assert build_label_matrix(wide, [d.id for d in ds]).entries.dtype == np.int8
-    empty = matrix_of(wide, [])
+    empty = matrix_of(wide, TokenIndex([]))
     assert empty.entries.shape == (0, 2) and empty.entries.dtype == np.int8
     path = tmp_path / "m.csv"
     matrix.to_csv(str(path))

@@ -6,7 +6,7 @@ import pytest
 
 from labelforge.corpus import LabelSpace
 from labelforge.errors import IdAlignment, LengthMismatch
-from labelforge.label_model import MajorityVote, aggregate
+from labelforge.label_model import aggregate
 from labelforge.lf_core import ABSTAIN, LabelMatrix
 from labelforge.metrics import (
     append_ledger_row,
@@ -27,7 +27,7 @@ def matrix(rows):
 
 def covered_share(rows):
     """Coverage as report.json reports it: the share of aggregated rows flagged covered."""
-    _, covered = aggregate(matrix(rows), MajorityVote(), LabelSpace(("a", "b")))
+    _, covered = aggregate(matrix(rows), {"kind": "majority_vote"}, LabelSpace(("a", "b")), None)
     return float(np.mean(covered))
 
 

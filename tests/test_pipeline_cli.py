@@ -30,20 +30,25 @@ def small_config(**kw):
     return PipelineConfig(**base)
 
 
+def write_config(cfg, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg.to_json(), fh)
+
+
 @pytest.fixture(scope="module")
 def run_env(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     data_path = str(root / "separable.jsonl")
     save_dataset(make_separable_corpus(3, n_unlabeled=300, n_seed=30, n_test=80), data_path)
     config_path = str(root / "config.json")
-    small_config().save(config_path)
+    write_config(small_config(), config_path)
     return {"root": str(root), "data": data_path, "config": config_path}
 
 
 def test_config_round_trip_and_hash(tmp_path):
     cfg = small_config(alpha=0.8, beta=0.25)
     path = str(tmp_path / "c.json")
-    cfg.save(path)
+    write_config(cfg, path)
     again = PipelineConfig.load(path)
     assert again.to_json() == cfg.to_json()
     assert again.config_hash() == cfg.config_hash()
@@ -164,6 +169,10 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("tfidf", {"ngram_ranges": [[1, 1]], "min_df": 1}),
     ("candidate_training", {"epochs": 10}),
     ("label_model", {"kind": "bogus"}),
+    ("provider", {"kind": "offline-seeded", "rng_seed": 0, "top_t": 5}),
+    ("embedding", {"kind": "hash", "dim": 256}),
+    ("embedding", {"kind": "remote", "model": "m", "dim": 8}),
+    ("provider", "offline_seeded"),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -219,7 +228,7 @@ def test_cmd_eval_misaligned_ids(run_env, tmp_path):
 def test_cmd_eval_rejects_labels_written_in_another_class_order(run_env, tmp_path):
     # the run writes dist in (pos, neg) order; eval infers the sorted (neg, pos)
     config_path = str(tmp_path / "config.json")
-    small_config(class_names=["pos", "neg"]).save(config_path)
+    write_config(small_config(class_names=["pos", "neg"]), config_path)
     out = str(tmp_path / "run")
     assert main(["run", "--config", config_path, "--data", run_env["data"], "--out", out]) == 0
     code = main(["eval", "--labels", os.path.join(out, "labels.jsonl"), "--data", run_env["data"],

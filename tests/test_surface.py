@@ -14,7 +14,6 @@ from labelforge.surface import (
     RemoteLlmProvider,
     SurfaceRule,
     class_token_log_odds,
-    eval_surface,
     extract_rule_array,
     generate_surface_lfs,
     parse_provider_reply,
@@ -30,7 +29,7 @@ def doc(text):
 
 def vote(rule, text):
     """The rule's vote on one doc through ``apply_many``, the path for both modes."""
-    return int(rule.apply_many([doc(text)])[0])
+    return int(rule.apply_many(TokenIndex([doc(text)]))[0])
 
 
 def test_token_mode_case_insensitive_phrase():
@@ -47,8 +46,8 @@ def test_conflict_abstains():
 
 def test_substring_mode_contiguous():
     rule = SurfaceRule(patterns={1: {"rude staff"}}, match_mode="substring")
-    assert eval_surface(rule, doc("staff was rude")) == ABSTAIN
-    assert eval_surface(rule, doc("such RUDE STAFF here")) == 1
+    assert vote(rule, "staff was rude") == ABSTAIN
+    assert vote(rule, "such RUDE STAFF here") == 1
 
 
 def test_token_mode_no_partial_word_match():
@@ -61,7 +60,7 @@ def test_whitespace_and_case_invariance():
     rule = SurfaceRule(patterns={0: {"excellent"}}, match_mode="token")
     assert vote(rule, "  EXCELLENT  ") == 0
     sub = SurfaceRule(patterns={0: {"excellent"}}, match_mode="substring")
-    assert eval_surface(sub, doc("  EXCELLENT  ")) == 0
+    assert vote(sub, "  EXCELLENT  ") == 0
 
 
 def contains_phrase(tokens, phrase):
@@ -86,7 +85,7 @@ def phrase_scan_vote(rule, text):
     return matched[0] if len(matched) == 1 else ABSTAIN
 
 
-def test_eval_surface_matches_phrase_scan_oracle():
+def test_surface_votes_match_phrase_scan_oracle():
     rng = random.Random(0)
     words = ["good", "Good", "movie", "bad", "a", "ab", "é", "x_y", "_", "-", "", "art", "start"]
     seps = [" ", "  ", "-", "_", ", ", "\t"]
@@ -120,7 +119,6 @@ def test_posting_index_votes_match_phrase_scan_oracle():
         votes = rule.apply_many(TokenIndex(docs))
         assert votes.dtype == np.int8
         assert votes.tolist() == want, trial
-        assert rule.apply_many(docs).tolist() == want, trial
 
 
 def test_posting_index_rows_and_phrase_adjacency():
@@ -302,6 +300,15 @@ def test_remote_provider_parses_and_counts_warnings():
     rules = provider.generate(GenerationRequest("t", ("pos", "neg"), (), count=5))
     assert len(rules) == 1
     assert provider.last_warnings == 1
+
+
+def test_provider_state_is_not_a_constructor_argument():
+    for make in (OfflineSeededProvider, RemoteLlmProvider):
+        assert make().last_warnings == 0
+        with pytest.raises(TypeError):
+            make(last_warnings=3)
+        with pytest.raises(TypeError):
+            make(kind="offline_seeded")
 
 
 def test_remote_provider_env_config(monkeypatch):

@@ -10,7 +10,7 @@ precision (on the seed) and coverage, with beta weighting precision, once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class LinearClassifier:
 
     weights: np.ndarray  # C x d
     bias: np.ndarray  # C
-    trained_on: dict = field(default_factory=dict)
 
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -111,13 +110,14 @@ class CalibratedClassifierLF:
 
     classifier: object
     featurizer: object
+    trained_on: dict  # the classifier's seed rows, rng seed and head width
     omega: float = 0.0
 
     def describe(self) -> dict:
         return {
             "omega": self.omega,
             "featurization": self.featurizer.describe(),
-            "trained_on": self.classifier.trained_on,
+            "trained_on": self.trained_on,
         }
 
 
@@ -240,14 +240,13 @@ def synthesize_candidates(
 
     lfs: list[LabelFunction] = []
     for c in drawn:
-        clf = c["clf"]
-        clf.trained_on = {"indices": c["idx"].tolist(), "rng_seed": c["rng_seed"],
-                          "head_width": c["width"]}
         featurizer = featurizers[c["featurizer"]]
+        trained_on = {"indices": c["idx"].tolist(), "rng_seed": c["rng_seed"],
+                      "head_width": c["width"]}
         lfs.append(LabelFunction(
             id=f"{category.value}-s{c['rng_seed']:05d}",
             category=category,
-            rule=CalibratedClassifierLF(classifier=clf, featurizer=featurizer),
+            rule=CalibratedClassifierLF(c["clf"], featurizer, trained_on),
             meta={
                 "l2": c["l2"],
                 "head_width": c["width"],

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import os
 import sys
 import time
 
-from .config import PipelineConfig
+from .config import PipelineConfig, write_atomic
 from .corpus import LabelSpace, iter_records, load_dataset, save_dataset
 from .errors import IdAlignment, LabelForgeError
 from .label_model import load_labels_jsonl
+from .lf_core import CATEGORIES
 from .metrics import evaluate_labeling, write_report_json
 from .pipeline import StageError, run_pipeline
 from .synth import make_noisy_corpus, make_separable_corpus
@@ -27,9 +27,8 @@ EXIT_ALIGNMENT = 3
 def _write_error(out_dir: str, stage: str, error: Exception) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "error.json"), "w", encoding="utf-8") as fh:
-            json.dump({"stage": stage, "error": str(error)}, fh, indent=2)
-            fh.write("\n")
+        write_atomic(os.path.join(out_dir, "error.json"),
+                     lambda fh: write_report_json(fh, {"stage": stage, "error": str(error)}))
     except OSError:
         pass
 
@@ -83,31 +82,20 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep_value(param: str, raw: str):
-    if param in ("alpha", "beta"):
-        return float(raw)
-    if param == "k":
-        return int(raw)
-    if param == "abstain":
-        if raw.lower() in ("on", "true", "1"):
-            return True
-        if raw.lower() in ("off", "false", "0"):
-            return False
+def _on_off(raw: str) -> bool:
+    switch = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
+    if raw.lower() not in switch:
         raise ValueError(f"abstain value must be on/off, got {raw!r}")
-    raise ValueError(f"unknown sweep parameter {param!r}")
+    return switch[raw.lower()]
 
 
-def _apply_sweep_value(config: PipelineConfig, param: str, value) -> PipelineConfig:
-    cfg = copy.deepcopy(config)
-    if param == "alpha":
-        cfg.alpha = value
-    elif param == "beta":
-        cfg.beta = value
-    elif param == "k":
-        cfg.k_per_category = {c: value for c in cfg.k_per_category}
-    elif param == "abstain":
-        cfg.abstain_enabled = value
-    return cfg
+# sweep parameter -> (config field, parse of one raw value into that field)
+SWEEP_PARAMS = {
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+    "k": ("k_per_category", lambda raw: {c.value: int(raw) for c in CATEGORIES}),
+    "abstain": ("abstain_enabled", _on_off),
+}
 
 
 def cmd_sweep(args) -> int:
@@ -115,18 +103,19 @@ def cmd_sweep(args) -> int:
     if not raw_values:
         _write_error(args.out, "sweep", ValueError("no sweep values given"))
         return EXIT_INPUT
+    field_name, parse = SWEEP_PARAMS[args.param]
     try:
-        values = [_parse_sweep_value(args.param, v) for v in raw_values]
         config, dataset = _load_inputs(args)
+        configs = [PipelineConfig.from_json({**config.to_json(), field_name: parse(raw)})
+                   for raw in raw_values]
     except (OSError, LabelForgeError, ValueError) as exc:
         _write_error(args.out, "sweep", exc)
         return EXIT_INPUT
 
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for raw, value in zip(raw_values, values):
+    for raw, cfg in zip(raw_values, configs):
         run_dir = os.path.join(args.out, f"{args.param}={raw}")
-        cfg = _apply_sweep_value(config, args.param, value)
         start = time.perf_counter()
         row = {"param": args.param, "value": raw, "status": "ok"}
         try:
@@ -150,10 +139,13 @@ def cmd_sweep(args) -> int:
 
     sweep_csv = os.path.join(args.out, "sweep.csv")
     fields = ["param", "value", "coverage", "label_quality", "e2e_f1", "wall_time_s", "status"]
-    with open(sweep_csv, "w", encoding="utf-8", newline="") as fh:
+
+    def write_rows(fh):
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
+
+    write_atomic(sweep_csv, write_rows)
     print(f"sweep complete: {sweep_csv}")
     return EXIT_OK
 
@@ -178,7 +170,7 @@ def cmd_eval(args) -> int:
     except (IdAlignment, ValueError) as exc:
         _write_error(os.path.dirname(args.out) or ".", "eval", exc)
         return EXIT_ALIGNMENT if isinstance(exc, IdAlignment) else EXIT_INPUT
-    write_report_json(args.out, report)
+    write_atomic(args.out, lambda fh: write_report_json(fh, report))
     print(json.dumps(report))
     return EXIT_OK
 
@@ -201,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute the full pipeline on one dataset")
     run.set_defaults(func=cmd_run)
     sweep = sub.add_parser("sweep", help="re-run the pipeline across one parameter")
-    sweep.add_argument("--param", required=True, choices=["alpha", "beta", "k", "abstain"])
+    sweep.add_argument("--param", required=True, choices=list(SWEEP_PARAMS))
     sweep.add_argument("--values", required=True, help="comma-separated values")
     sweep.set_defaults(func=cmd_sweep)
     for pipeline_cmd in (run, sweep):

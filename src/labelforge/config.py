@@ -63,11 +63,16 @@ def _default_label_model() -> dict:
     return {"kind": "majority_vote"}
 
 
-LABEL_MODEL_KINDS = ("majority_vote", "weighted_majority_vote", "dawid_skene")
-PROVIDER_KINDS = ("offline_seeded", "remote_llm")
-EMBEDDING_KINDS = ("hashing", "remote")
+# the keys each kind of a dispatched table takes besides "kind"
+TABLE_KINDS = {
+    "label_model": {"majority_vote": set(), "weighted_majority_vote": {"weights"},
+                    "dawid_skene": {"max_iter", "tol"}},
+    "provider": {"offline_seeded": {"rng_seed", "top_t"},
+                 "remote_llm": {"endpoint", "model", "timeout", "retries"}},
+    "embedding": {"hashing": {"dim"}, "remote": {"endpoint", "model", "dim", "cache_path"}},
+}
 
-# nested tables every stage reads key by key: each needs all of its default's keys
+# nested tables every stage reads key by key: each takes exactly its default's keys
 _COMPLETE_TABLES = {
     "k_per_category": _default_k,
     "tau_dup": _default_tau,
@@ -102,30 +107,39 @@ class PipelineConfig:
     class_names: list = field(default_factory=list)  # empty: infer from data file
 
     def __post_init__(self):
-        for name in ("label_model", "provider", "embedding", *_COMPLETE_TABLES):
+        for name in (*TABLE_KINDS, *_COMPLETE_TABLES):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be an object")
         for name, default in _COMPLETE_TABLES.items():
-            missing = sorted(set(default()) - set(getattr(self, name)))
-            if missing:
-                raise ConfigError(f"{name} is missing keys {missing}")
-        for name, kind, kinds in (
-            ("label_model", self.label_model.get("kind", "majority_vote"), LABEL_MODEL_KINDS),
-            ("provider", self.provider.get("kind"), PROVIDER_KINDS),
-            ("embedding", self.embedding.get("kind"), EMBEDDING_KINDS),
-        ):
+            keys, want = set(getattr(self, name)), set(default())
+            if keys != want:
+                raise ConfigError(f"{name} needs exactly the keys {sorted(want)}: "
+                                  f"missing {sorted(want - keys)}, unknown {sorted(keys - want)}")
+        for name, kinds in TABLE_KINDS.items():
+            table = getattr(self, name)
+            kind = table.get("kind", "majority_vote" if name == "label_model" else None)
             if kind not in kinds:
                 raise ConfigError(f"{name} kind {kind!r} is not one of {list(kinds)}")
+            if set(table) - {"kind"} - kinds[kind]:
+                raise ConfigError(f"{name} kind {kind!r} takes only keys {sorted(kinds[kind])}")
         if self.embedding["kind"] == "remote" and not (
             self.embedding.get("endpoint") and self.embedding.get("model")
         ):
             raise ConfigError("a remote embedding needs an endpoint and a model")
-        if not 0 <= self.alpha <= 1:
-            raise ConfigError("alpha must be in [0, 1]")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
-        if any(int(v) < 1 for v in self.k_per_category.values()):
-            raise ConfigError("k_per_category values must be >= 1")
+        for ok, rule in (
+            (0 <= self.alpha <= 1, "alpha must be in [0, 1]"),
+            (self.beta >= 0, "beta must be >= 0"),
+            (all(int(v) >= 1 for v in self.k_per_category.values()),
+             "k_per_category values must be >= 1"),
+            (self.max_rounds >= 1, "max_rounds must be >= 1"),
+            (self.candidates_per_round >= 1, "candidates_per_round must be >= 1"),
+            (0 < self.grid_step <= 1, "grid_step must be in (0, 1]"),
+            (all(0 < v <= 1 for v in self.tau_dup.values()), "tau_dup values must be in (0, 1]"),
+            (self.dedup_sample_size >= 0, "dedup_sample_size must be >= 0"),
+            (self.downstream["mode"] in ("soft", "hard"), "downstream mode must be soft or hard"),
+        ):
+            if not ok:
+                raise ConfigError(rule)
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -169,9 +183,9 @@ class RunManifest:
     provider_warnings: int = 0
     warnings: list = field(default_factory=list)
 
-    def write_atomic(self, path: str) -> None:
-        text = json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
-        write_atomic(path, lambda fh: fh.write(text))
+    def write(self, fh: TextIO) -> None:
+        json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:

@@ -8,6 +8,7 @@ Rows the label model left uncovered are excluded from training.
 from __future__ import annotations
 
 import json
+from typing import TextIO
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .metrics import EvalReport, confusion_counts, weighted_f1
 from .nets import MlpNet
 
 
-def write_checkpoint(net: MlpNet, path: str, config_hash: str) -> None:
+def write_checkpoint(fh: TextIO, net: MlpNet, config_hash: str) -> None:
     """The net's shapes, weights and the run's config hash as one JSON object."""
     payload = {
         "dim_in": net.dim_in,
@@ -29,8 +30,7 @@ def write_checkpoint(net: MlpNet, path: str, config_hash: str) -> None:
         "b2": net.b2.tolist(),
         "config_hash": config_hash,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    json.dump(payload, fh)
 
 
 def build_targets(
@@ -89,12 +89,11 @@ def evaluate_e2e(probs: np.ndarray, test: list[LabeledExample]) -> EvalReport:
     )
 
 
-def export_predictions_jsonl(path: str, probs: np.ndarray, docs: list[Document], labels) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc, dist in zip(docs, probs):
-            rec = {
-                "doc_id": doc.id,
-                "dist": [float(v) for v in dist],
-                "pred": labels.name_of(int(np.argmax(dist))),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+def export_predictions_jsonl(fh: TextIO, probs: np.ndarray, docs: list[Document], labels) -> None:
+    for doc, dist in zip(docs, probs):
+        rec = {
+            "doc_id": doc.id,
+            "dist": [float(v) for v in dist],
+            "pred": labels.name_of(int(np.argmax(dist))),
+        }
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")

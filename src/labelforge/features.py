@@ -336,16 +336,9 @@ def build_featurizers(dataset: Dataset, config) -> tuple[list, list, TfidfFeatur
         ).build_tables(dataset)
 
     structural = [fit(ngram_range) for ngram_range in tfidf["ngram_ranges"]]
-    embedding = config.embedding
-    if embedding["kind"] == "hashing":
-        semantic = HashingEmbedder(dim=embedding["dim"])
-    else:
-        semantic = RemoteEmbedder(
-            endpoint=embedding["endpoint"],
-            model=embedding["model"],
-            dim=embedding["dim"],
-            cache_path=embedding.get("cache_path"),
-        )
+    params = dict(config.embedding)
+    embedder = HashingEmbedder if params.pop("kind") == "hashing" else RemoteEmbedder
+    semantic = embedder(**params)
     target = tuple(config.downstream["ngram_range"])
     downstream = next((f for f in structural if f.ngram_range == target), None) or fit(target)
     return structural, [semantic.build_tables(dataset)], downstream

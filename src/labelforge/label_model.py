@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -171,14 +172,13 @@ def aggregate(
 
 
 def export_labels_jsonl(
-    path: str, dists: np.ndarray, covered: np.ndarray, doc_ids: list[str], labels: LabelSpace
+    fh: TextIO, dists: np.ndarray, covered: np.ndarray, doc_ids: list[str], labels: LabelSpace
 ) -> None:
     """One record per row; "hard" names the argmax class (ties go to the smallest index)."""
     hard = dists.argmax(axis=1).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        for dist, cov, cls, doc_id in zip(dists.tolist(), covered.tolist(), hard, doc_ids):
-            rec = {"doc_id": doc_id, "dist": dist, "covered": cov, "hard": labels.name_of(cls)}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    for dist, cov, cls, doc_id in zip(dists.tolist(), covered.tolist(), hard, doc_ids):
+        rec = {"doc_id": doc_id, "dist": dist, "covered": cov, "hard": labels.name_of(cls)}
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray, list[str]]:

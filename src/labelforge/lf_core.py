@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -87,12 +88,11 @@ class LabelMatrix:
     def n_cols(self) -> int:
         return self.entries.shape[1]
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["doc_id"] + list(self.col_ids)) + "\n")
-            for i, doc_id in enumerate(self.row_ids):
-                cells = ",".join(str(int(v)) for v in self.entries[i])
-                fh.write(f"{doc_id},{cells}\n")
+    def to_csv(self, fh: TextIO) -> None:
+        fh.write(",".join(["doc_id"] + list(self.col_ids)) + "\n")
+        for i, doc_id in enumerate(self.row_ids):
+            cells = ",".join(str(int(v)) for v in self.entries[i])
+            fh.write(f"{doc_id},{cells}\n")
 
 
 def build_label_matrix(lfs: list[LabelFunction], row_ids: list[str]) -> LabelMatrix:

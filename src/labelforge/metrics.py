@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import asdict, dataclass
+from typing import TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .config import write_atomic
 from .errors import IdAlignment, LengthMismatch
 
 
@@ -30,15 +30,7 @@ class EvalReport:
     f1_convention: str = "covered_rows_only"
 
     def to_json(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "per_class_f1": self.per_class_f1,
-            "weighted_f1": self.weighted_f1,
-            "label_quality": self.label_quality,
-            "confusion": self.confusion,
-            "n_evaluated": self.n_evaluated,
-            "f1_convention": self.f1_convention,
-        }
+        return asdict(self)
 
 
 def confusion_counts(pred: ArrayLike, gold: ArrayLike, num_classes: int) -> np.ndarray:
@@ -127,8 +119,12 @@ LEDGER_FIELDS = (
 )
 
 
-def append_ledger_row(path: str, row: dict) -> None:
-    """Add one results row (header on first use); a crash mid-write keeps the old file."""
+def ledger_appender(path: str, row: dict) -> Callable[[TextIO], None]:
+    """A writer of the ledger at ``path`` plus one results row (header on first use).
+
+    It keeps the ``LEDGER_FIELDS`` of ``row``; pass it to ``config.write_atomic``,
+    so a crash mid-write keeps the old file.
+    """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             previous = fh.read()
@@ -142,10 +138,9 @@ def append_ledger_row(path: str, row: dict) -> None:
             writer.writeheader()
         writer.writerow({k: row.get(k, "") for k in LEDGER_FIELDS})
 
-    write_atomic(path, write)
+    return write
 
 
-def write_report_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_report_json(fh: TextIO, payload: dict) -> None:
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")

@@ -58,7 +58,6 @@ class MlpNet:
         self.b1 = np.zeros(hidden)
         self.w2 = glorot_uniform(rng, hidden, num_classes)
         self.b2 = np.zeros(num_classes)
-        self.trained_on: dict = {}
 
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)

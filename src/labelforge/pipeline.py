@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from . import metrics as metrics_mod
 from .candidates import synthesize_candidates
-from .config import PipelineConfig, RunManifest, file_digest
+from .config import PipelineConfig, RunManifest, file_digest, write_atomic
 from .corpus import Dataset
 from .downstream import evaluate_e2e, export_predictions_jsonl, train_downstream, write_checkpoint
 from .errors import LabelForgeError, ProviderUnreachable, MalformedProviderReply
@@ -52,19 +52,10 @@ def _stage(seconds: dict, name: str):
 
 
 def build_provider(config: PipelineConfig, dataset: Dataset):
-    choice = config.provider
-    if choice["kind"] == "offline_seeded":
-        return OfflineSeededProvider(
-            rng_seed=choice.get("rng_seed", config.base_seed),
-            top_t=choice.get("top_t", 5),
-        )
-    return RemoteLlmProvider(
-        endpoint=choice.get("endpoint"),
-        model=choice.get("model"),
-        timeout=choice.get("timeout", 60.0),
-        retries=choice.get("retries", 3),
-        labels=dataset.labels,
-    )
+    params = dict(config.provider)
+    if params.pop("kind") == "offline_seeded":
+        return OfflineSeededProvider(**{"rng_seed": config.base_seed, **params})
+    return RemoteLlmProvider(labels=dataset.labels, **params)
 
 
 def build_generators(
@@ -175,36 +166,6 @@ def run_pipeline(
 
     with _stage(seconds, "write"):
         write_start = time.perf_counter()  # the manifest records the seconds up to its own write
-        paths = {
-            "lf_pool": os.path.join(out_dir, "lf_pool.json"),
-            "filter_reports": os.path.join(out_dir, "filter_reports.json"),
-            "label_matrix": os.path.join(out_dir, "label_matrix.csv"),
-            "labels": os.path.join(out_dir, "labels.jsonl"),
-            "model": os.path.join(out_dir, "model.json"),
-            "report": os.path.join(out_dir, "report.json"),
-            "manifest": os.path.join(out_dir, "manifest.json"),
-            "ledger": os.path.join(out_dir, "ledger.csv"),
-        }
-        write_checkpoint(net, paths["model"], config.config_hash())
-        if dataset.test:
-            paths["predictions"] = os.path.join(out_dir, "predictions.jsonl")
-            export_predictions_jsonl(paths["predictions"], test_probs, dataset.test_index.docs,
-                                     dataset.labels)
-        with open(paths["lf_pool"], "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "rounds": pool.round,
-                    "counts": pool.counts(),
-                    "skip_reports": pool.skip_reports,
-                    "lfs": [lf.describe() for lf in lfs],
-                },
-                fh, indent=2, sort_keys=True,
-            )
-        with open(paths["filter_reports"], "w", encoding="utf-8") as fh:
-            json.dump([r.to_json() for r in reports], fh, indent=2, sort_keys=True)
-        matrix.to_csv(paths["label_matrix"])
-        export_labels_jsonl(paths["labels"], dists, covered, matrix.row_ids, dataset.labels)
-
         summary = {
             "dataset": dataset_name,
             "config_hash": config.config_hash(),
@@ -217,22 +178,34 @@ def run_pipeline(
             "labeling_report": labeling_report.to_json() if labeling_report else None,
             "e2e_report": e2e_report.to_json() if e2e_report else None,
         }
-        metrics_mod.write_report_json(paths["report"], summary)
-        metrics_mod.append_ledger_row(
-            paths["ledger"],
-            {
-                "dataset": dataset_name,
-                "coverage": summary["coverage"],
-                "weighted_f1": summary["weighted_f1"],
-                "label_quality": summary["label_quality"],
-                "e2e_f1": summary["e2e_f1"],
-                "config_hash": summary["config_hash"],
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            },
-        )
+        lf_pool = {"rounds": pool.round, "counts": pool.counts(),
+                   "skip_reports": pool.skip_reports, "lfs": [lf.describe() for lf in lfs]}
+        artifacts = {  # file name -> writer of its contents
+            "model.json": lambda fh: write_checkpoint(fh, net, config.config_hash()),
+            "lf_pool.json": lambda fh: json.dump(lf_pool, fh, indent=2, sort_keys=True),
+            "filter_reports.json": lambda fh: json.dump(
+                [r.to_json() for r in reports], fh, indent=2, sort_keys=True),
+            "label_matrix.csv": matrix.to_csv,
+            "labels.jsonl": lambda fh: export_labels_jsonl(
+                fh, dists, covered, matrix.row_ids, dataset.labels),
+            "report.json": lambda fh: metrics_mod.write_report_json(fh, summary),
+            "ledger.csv": metrics_mod.ledger_appender(
+                os.path.join(out_dir, "ledger.csv"),
+                {**summary, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}),
+        }
+        if dataset.test:
+            artifacts["predictions.jsonl"] = lambda fh: export_predictions_jsonl(
+                fh, test_probs, dataset.test_index.docs, dataset.labels)
+        paths = {os.path.splitext(name)[0]: os.path.join(out_dir, name)
+                 for name in (*artifacts, "manifest.json")}
+        # a manifest lists only files of the run it describes, so the last run's goes first
+        with suppress(FileNotFoundError):
+            os.remove(paths["manifest"])
+        for name, write in artifacts.items():
+            write_atomic(os.path.join(out_dir, name), write)
         manifest.stage_seconds = {**seconds, "write": time.perf_counter() - write_start}
         manifest.artifacts = paths
-        manifest.write_atomic(paths["manifest"])
+        write_atomic(paths["manifest"], manifest.write)
 
     summary["stage_seconds"] = seconds
     summary["artifacts"] = paths

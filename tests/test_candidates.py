@@ -155,8 +155,8 @@ def test_training_deterministic():
     (b,), _ = synthesize(Category.SEMANTIC, ds, 1, cfg)
     assert np.array_equal(a.rule.classifier.w1, b.rule.classifier.w1)
     assert np.array_equal(a.rule.classifier.w2, b.rule.classifier.w2)
-    assert a.rule.classifier.trained_on == b.rule.classifier.trained_on
-    assert a.rule.classifier.trained_on["head_width"] == 16
+    assert a.rule.trained_on == b.rule.trained_on
+    assert a.rule.trained_on["head_width"] == 16
 
 
 def test_full_subsample_uses_whole_seed():
@@ -283,10 +283,10 @@ def test_coverage_is_nonincreasing_in_omega():
 
 def test_describe_needs_the_classifier_training_record():
     featurizer = SimpleNamespace(describe=lambda: {"kind": "index"})
-    clf_lf = CalibratedClassifierLF(classifier=SimpleNamespace(), featurizer=featurizer)
-    with pytest.raises(AttributeError):
-        clf_lf.describe()
-    clf_lf.classifier.trained_on = {"indices": [0]}
+    with pytest.raises(TypeError):
+        CalibratedClassifierLF(classifier=SimpleNamespace(), featurizer=featurizer)
+    clf_lf = CalibratedClassifierLF(classifier=SimpleNamespace(), featurizer=featurizer,
+                                    trained_on={"indices": [0]})
     assert clf_lf.describe()["trained_on"] == {"indices": [0]}
 
 
@@ -501,7 +501,7 @@ def test_synthesize_equals_per_candidate_reference(monkeypatch, stack_bytes):
         assert [lf.id for lf in lfs] == [w[0] for w in want]
         for lf, (_, trained_on, weights, featurizer) in zip(lfs, want):
             clf = lf.rule.classifier
-            assert clf.trained_on == trained_on
+            assert lf.rule.trained_on == trained_on
             assert lf.rule.featurizer is featurizer
             if isinstance(clf, LinearClassifier):
                 got = (clf.weights, clf.bias)

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -148,31 +151,28 @@ def test_glorot_init_bounds_and_seeding():
     assert np.abs(MlpNet(20, 10, 3, rng_seed=5).w1 - net1.w1).max() > 0
 
 
-def test_checkpoint_written(tmp_path):
+def test_checkpoint_written():
     docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
     net = train_downstream(*labels, feat, config(epochs=2, seed=0))
-    path = str(tmp_path / "model.json")
-    write_checkpoint(net, path, "abc")
-    import json
-
-    payload = json.load(open(path))
+    fh = io.StringIO()
+    write_checkpoint(fh, net, "abc")
+    payload = json.loads(fh.getvalue())
     assert payload["hidden"] == 100
     assert payload["config_hash"] == "abc"
 
 
-def test_predictions_export(tmp_path):
+def test_predictions_export():
     from labelforge.corpus import LabelSpace
     from labelforge.downstream import export_predictions_jsonl
-    import json
 
     docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
     net = train_downstream(*labels, feat, config(epochs=2, seed=0))
-    path = str(tmp_path / "pred.jsonl")
+    fh = io.StringIO()
     test_probs = predict(net, feat, docs[:3])
-    export_predictions_jsonl(path, test_probs, docs[:3], LabelSpace(("pos", "neg")))
-    rows = [json.loads(line) for line in open(path)]
+    export_predictions_jsonl(fh, test_probs, docs[:3], LabelSpace(("pos", "neg")))
+    rows = [json.loads(line) for line in fh.getvalue().splitlines()]
     assert len(rows) == 3
     assert rows[0]["pred"] in ("pos", "neg")
     assert len(rows[0]["dist"]) == 2

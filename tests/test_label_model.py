@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -121,12 +122,13 @@ def test_every_output_is_distribution():
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_hard_labels_tie_breaks_to_smallest(tmp_path):
+def test_hard_labels_tie_breaks_to_smallest():
     dists = np.array([[0.3, 0.7], [0.5, 0.5], [0.5, 0.5]])
     covered = np.array([True, True, False])
-    path = str(tmp_path / "labels.jsonl")
-    export_labels_jsonl(path, dists, covered, ["d0", "d1", "d2"], LABELS2)
-    assert [json.loads(line)["hard"] for line in open(path)] == ["neg", "pos", "pos"]
+    fh = io.StringIO()
+    export_labels_jsonl(fh, dists, covered, ["d0", "d1", "d2"], LABELS2)
+    hard = [json.loads(line)["hard"] for line in fh.getvalue().splitlines()]
+    assert hard == ["neg", "pos", "pos"]
     # gold is class 0 for the tied covered row: a class-0 prediction is a perfect score
     report = evaluate_labeling(dists, covered, ["d0", "d1", "d2"], {"d0": 1, "d1": 0, "d2": 1})
     assert report.confusion == [[1, 0], [0, 1]]
@@ -332,8 +334,11 @@ def test_ds_beats_majority_on_heterogeneous_lfs():
 def test_labels_jsonl_round_trip(tmp_path):
     dists = np.array([[0.75, 0.25], [0.5, 0.5]])
     covered = np.array([True, False])
+    fh = io.StringIO()
+    export_labels_jsonl(fh, dists, covered, ["d0", "d1"], LABELS2)
     path = str(tmp_path / "labels.jsonl")
-    export_labels_jsonl(path, dists, covered, ["d0", "d1"], LABELS2)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(fh.getvalue())
     again, again_covered, doc_ids = load_labels_jsonl(path, LABELS2)
     assert doc_ids == ["d0", "d1"]
     assert np.allclose(again[0], dists[0])

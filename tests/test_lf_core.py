@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -163,19 +165,19 @@ def test_accuracy_monotone_under_adding_correct_example():
         assert grown >= base - 1e-12
 
 
-def test_matrix_csv_export(tmp_path):
+def test_matrix_csv_export():
     ds = docs(2)
     lfs = [lf("a", {"d0": 0}), lf("b", {"d1": 1})]
     matrix = matrix_of(lfs, ds)
-    path = str(tmp_path / "m.csv")
-    matrix.to_csv(path)
-    lines = open(path).read().splitlines()
+    fh = io.StringIO()
+    matrix.to_csv(fh)
+    lines = fh.getvalue().splitlines()
     assert lines[0] == "doc_id,a,b"
     assert lines[1] == "d0,0,-1"
     assert lines[2] == "d1,-1,1"
 
 
-def test_vote_columns_and_matrix_are_int8_and_csv_bytes_hold(tmp_path):
+def test_vote_columns_and_matrix_are_int8_and_csv_bytes_hold():
     from labelforge.candidates import threshold_votes
 
     ds = docs(3)
@@ -191,6 +193,6 @@ def test_vote_columns_and_matrix_are_int8_and_csv_bytes_hold(tmp_path):
     assert build_label_matrix(wide, [d.id for d in ds]).entries.dtype == np.int8
     empty = matrix_of(wide, TokenIndex([]))
     assert empty.entries.shape == (0, 2) and empty.entries.dtype == np.int8
-    path = tmp_path / "m.csv"
-    matrix.to_csv(str(path))
-    assert path.read_bytes() == b"doc_id,a,b\nd0,0,-1\nd1,-1,1\nd2,1,-1\n"
+    fh = io.StringIO()
+    matrix.to_csv(fh)
+    assert fh.getvalue().encode("utf-8") == b"doc_id,a,b\nd0,0,-1\nd1,-1,1\nd2,1,-1\n"

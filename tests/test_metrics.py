@@ -4,14 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from labelforge.config import write_atomic
 from labelforge.corpus import LabelSpace
 from labelforge.errors import IdAlignment, LengthMismatch
 from labelforge.label_model import aggregate
 from labelforge.lf_core import ABSTAIN, LabelMatrix
 from labelforge.metrics import (
-    append_ledger_row,
     evaluate_labeling,
     label_quality,
+    ledger_appender,
     weighted_f1,
 )
 
@@ -157,6 +158,10 @@ def test_evaluate_labeling_id_alignment():
         evaluate_labeling(dists, covered, IDS, {"zz": 0, "d1": 1})
     with pytest.raises(IdAlignment):
         evaluate_labeling(dists, covered, IDS[:1], gold_for([0, 1]))
+
+
+def append_ledger_row(path, row):
+    write_atomic(path, ledger_appender(path, row))
 
 
 def test_ledger_append(tmp_path):

@@ -173,6 +173,18 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("embedding", {"kind": "hash", "dim": 256}),
     ("embedding", {"kind": "remote", "model": "m", "dim": 8}),
     ("provider", "offline_seeded"),
+    # keys a table does not take
+    ("label_model", {"kind": "dawid_skene", "max_iters": 1}),
+    ("provider", {"kind": "offline_seeded", "topt": 2}),
+    ("tfidf", {"ngram_ranges": [[1, 1]], "min_df": 1, "min_token_len": 2, "min_dff": 3}),
+    ("embedding", {"kind": "hashing", "dim": 8, "model": "m"}),
+    # values the loop would reject only after featurize, or take silently
+    ("max_rounds", 0),
+    ("candidates_per_round", 0),
+    ("grid_step", 0),
+    ("tau_dup", {"surface": 1.5, "structural": 0.98, "semantic": 0.98}),
+    ("dedup_sample_size", -1),
+    ("downstream", {**small_config().downstream, "mode": "sharp"}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -187,6 +199,25 @@ def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     assert table in err["error"]
     with pytest.raises(ConfigError):
         PipelineConfig.from_json(obj)
+
+
+def test_provider_and_embedder_take_their_tables_by_keyword(monkeypatch):
+    from labelforge.features import build_featurizers
+    from labelforge.pipeline import build_provider
+
+    monkeypatch.delenv("LABELFORGE_LLM_TIMEOUT", raising=False)
+    ds = make_separable_corpus(3, n_unlabeled=40, n_seed=12, n_test=0)
+    cfg = small_config(base_seed=7, provider={"kind": "offline_seeded"},
+                       embedding={"kind": "hashing"})
+    provider = build_provider(cfg, ds)
+    assert (provider.rng_seed, provider.top_t) == (7, 5)  # the provider's own defaults
+    assert build_featurizers(ds, cfg)[1][0].dim == 256
+    cfg = small_config(provider={"kind": "remote_llm", "endpoint": "http://llm", "model": "m",
+                                 "retries": 1})
+    remote = build_provider(cfg, ds)
+    assert (remote.endpoint, remote.model, remote.retries, remote.timeout) == (
+        "http://llm", "m", 1, 60.0)
+    assert remote.labels == ds.labels
 
 
 def test_failing_stage_reported_under_its_name(run_env, tmp_path, monkeypatch):
@@ -213,6 +244,28 @@ def test_failing_stage_reported_under_its_name(run_env, tmp_path, monkeypatch):
     seconds = stage_seconds["seen"]
     assert list(seconds) == ["featurize", "explore_exploit", "matrix", "aggregate"]
     assert all(v >= 0.0 for v in seconds.values())
+
+
+def test_a_write_that_fails_halfway_leaves_the_earlier_run_unlisted(run_env, tmp_path,
+                                                                    monkeypatch):
+    from labelforge import pipeline
+
+    out = str(tmp_path / "run")
+    args = ["run", "--config", run_env["config"], "--data", run_env["data"], "--out", out]
+    assert main(args) == 0
+    before = open(os.path.join(out, "labels.jsonl"), "rb").read()
+
+    def torn_export(fh, *args):
+        fh.write('{"doc_id": "d')
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(pipeline, "export_labels_jsonl", torn_export)
+    assert main(args) == 1
+    err = json.load(open(os.path.join(out, "error.json")))
+    assert err["stage"] == "write" and "disk gone" in err["error"]
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    assert open(os.path.join(out, "labels.jsonl"), "rb").read() == before
 
 
 def test_cmd_eval_misaligned_ids(run_env, tmp_path):
@@ -283,6 +336,18 @@ def test_cmd_sweep_empty_values(run_env):
     code = main(["sweep", "--config", run_env["config"], "--data", run_env["data"],
                  "--out", out, "--param", "alpha", "--values", ""])
     assert code == 2
+
+
+@pytest.mark.parametrize("param, values", [
+    ("alpha", "0.9,1.5"), ("k", "0"), ("beta", "x"), ("abstain", "maybe"),
+])
+def test_cmd_sweep_bad_value_exits_2_before_any_run(run_env, tmp_path, param, values):
+    out = str(tmp_path / "sweep")
+    code = main(["sweep", "--config", run_env["config"], "--data", run_env["data"],
+                 "--out", out, "--param", param, "--values", values])
+    assert code == 2
+    assert json.load(open(os.path.join(out, "error.json")))["stage"] == "sweep"
+    assert os.listdir(out) == ["error.json"]
 
 
 def test_cmd_sweep_abstain_values(run_env):

@@ -170,6 +170,7 @@ def cmd_eval(args) -> int:
     except (IdAlignment, ValueError) as exc:
         _write_error(os.path.dirname(args.out) or ".", "eval", exc)
         return EXIT_ALIGNMENT if isinstance(exc, IdAlignment) else EXIT_INPUT
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_atomic(args.out, lambda fh: write_report_json(fh, report))
     print(json.dumps(report))
     return EXIT_OK

@@ -122,6 +122,10 @@ class PipelineConfig:
                 raise ConfigError(f"{name} kind {kind!r} is not one of {list(kinds)}")
             if set(table) - {"kind"} - kinds[kind]:
                 raise ConfigError(f"{name} kind {kind!r} takes only keys {sorted(kinds[kind])}")
+        for f in dataclasses.fields(self):  # exact types: a bool is an int to isinstance
+            want = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}.get(f.type)
+            if want and type(getattr(self, f.name)) not in want[0]:
+                raise ConfigError(f"{f.name} must be {want[1]}, got {getattr(self, f.name)!r}")
         if self.embedding["kind"] == "remote" and not (
             self.embedding.get("endpoint") and self.embedding.get("model")
         ):
@@ -129,12 +133,13 @@ class PipelineConfig:
         for ok, rule in (
             (0 <= self.alpha <= 1, "alpha must be in [0, 1]"),
             (self.beta >= 0, "beta must be >= 0"),
-            (all(int(v) >= 1 for v in self.k_per_category.values()),
-             "k_per_category values must be >= 1"),
+            (all(type(v) is int and v >= 1 for v in self.k_per_category.values()),
+             "k_per_category values must be integers >= 1"),
             (self.max_rounds >= 1, "max_rounds must be >= 1"),
             (self.candidates_per_round >= 1, "candidates_per_round must be >= 1"),
             (0 < self.grid_step <= 1, "grid_step must be in (0, 1]"),
-            (all(0 < v <= 1 for v in self.tau_dup.values()), "tau_dup values must be in (0, 1]"),
+            (all(type(v) in (int, float) and 0 < v <= 1 for v in self.tau_dup.values()),
+             "tau_dup values must be numbers in (0, 1]"),
             (self.dedup_sample_size >= 0, "dedup_sample_size must be >= 0"),
             (self.downstream["mode"] in ("soft", "hard"), "downstream mode must be soft or hard"),
         ):

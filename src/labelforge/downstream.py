@@ -14,22 +14,16 @@ import numpy as np
 
 from .corpus import Document, LabeledExample
 from .errors import DegenerateTargets
+from .label_model import write_dist_rows
 from .metrics import EvalReport, confusion_counts, weighted_f1
 from .nets import MlpNet
 
 
 def write_checkpoint(fh: TextIO, net: MlpNet, config_hash: str) -> None:
     """The net's shapes, weights and the run's config hash as one JSON object."""
-    payload = {
-        "dim_in": net.dim_in,
-        "hidden": net.hidden,
-        "num_classes": net.num_classes,
-        "w1": net.w1.tolist(),
-        "b1": net.b1.tolist(),
-        "w2": net.w2.tolist(),
-        "b2": net.b2.tolist(),
-        "config_hash": config_hash,
-    }
+    payload = {"dim_in": net.dim_in, "hidden": net.hidden, "num_classes": net.num_classes,
+               **{name: getattr(net, name).tolist() for name in ("w1", "b1", "w2", "b2")},
+               "config_hash": config_hash}
     json.dump(payload, fh)
 
 
@@ -90,10 +84,5 @@ def evaluate_e2e(probs: np.ndarray, test: list[LabeledExample]) -> EvalReport:
 
 
 def export_predictions_jsonl(fh: TextIO, probs: np.ndarray, docs: list[Document], labels) -> None:
-    for doc, dist in zip(docs, probs):
-        rec = {
-            "doc_id": doc.id,
-            "dist": [float(v) for v in dist],
-            "pred": labels.name_of(int(np.argmax(dist))),
-        }
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """One {doc_id, dist, pred} record per test row; "pred" names the argmax class."""
+    write_dist_rows(fh, probs, [doc.id for doc in docs], labels, "pred")

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
 import numpy as np
 
 from .corpus import LabelSpace, iter_records
 from .errors import AllWeightsZero, MalformedRecord, NoSignal
-from .lf_core import ABSTAIN, LabelMatrix
+from .lf_core import ABSTAIN, ROW_BLOCK, LabelMatrix
 from .nets import class_max, class_sum
 
 DS_SMOOTHING = 1e-6
@@ -39,10 +40,10 @@ def _vote_dists(entries: np.ndarray, num_classes: int, weights: np.ndarray) -> n
     """Each row's weighted vote share per class; a row where no weight landed is uniform."""
     n, m = entries.shape
     mass = np.zeros((n, num_classes))
-    for j in range(m):
+    for j in range(m):  # within one column no (row, class) cell repeats
         col = entries[:, j]
         voted = col != ABSTAIN
-        np.add.at(mass, (np.flatnonzero(voted), col[voted]), weights[j])
+        mass[voted, col[voted]] += weights[j]
     totals = class_sum(mass)
     return np.where(totals > 0, mass / np.maximum(totals, 1e-300), 1.0 / num_classes)
 
@@ -71,7 +72,9 @@ def fit_dawid_skene(
     A row's posterior depends only on its vote pattern, so the E-step runs
     once per distinct pattern and is scattered back to rows; the
     log-likelihood, the convergence test and the M-step still read the
-    per-row values, in row order.
+    per-row values, in row order. The M-step sums posterior columns with
+    ``np.bincount``, which adds each key's weights in row order from 0.0,
+    as ``posteriors[rows].sum(axis=0)`` does.
     """
     entries = matrix.entries
     covered = (entries != ABSTAIN).any(axis=1)
@@ -79,13 +82,16 @@ def fit_dawid_skene(
         raise NoSignal("every matrix entry is ABSTAIN")
     entries = entries[covered]
     m = entries.shape[1]
-    patterns, inverse = np.unique(entries, axis=0, return_inverse=True)
+    shifted = np.ascontiguousarray(entries.T + 1)  # per LF, one key per row; 0 is ABSTAIN
+    if (num_classes + 1) ** m <= 2**63:  # a row's votes as one base-(C + 1) code
+        codes = np.zeros(len(entries), dtype=np.int64)
+        for keys in shifted:
+            codes = codes * (num_classes + 1) + keys
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        patterns = entries[first]
+    else:
+        patterns, inverse = np.unique(entries, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    # voted_rows[j]: (label, the rows where LF j voted label), labels ascending
-    voted_rows = [
-        [(label, np.flatnonzero(col == label)) for label in np.unique(col[col != ABSTAIN])]
-        for col in entries.T
-    ]
 
     posteriors = _vote_dists(entries, num_classes, np.ones(m))
 
@@ -99,12 +105,13 @@ def fit_dawid_skene(
         # M-step: priors and per-LF confusion rows from current posteriors
         priors = posteriors.sum(axis=0) + DS_SMOOTHING
         priors /= priors.sum()
-        for j in range(m):
-            counts = np.zeros((num_classes, num_classes))
-            for label, rows in voted_rows[j]:
-                counts[:, label] = posteriors[rows].sum(axis=0)
-            counts += DS_SMOOTHING
-            confusion[j] = counts / counts.sum(axis=1, keepdims=True)
+        counts = np.empty((m, num_classes, num_classes))
+        for c in range(num_classes):
+            column = np.ascontiguousarray(posteriors[:, c])
+            for j, keys in enumerate(shifted):
+                counts[j, c] = np.bincount(keys, weights=column, minlength=num_classes + 1)[1:]
+        counts += DS_SMOOTHING
+        confusion = counts / counts.sum(axis=2, keepdims=True)
 
         # E-step, once per pattern: the log-likelihood and posteriors share one log-joint
         log_joint = _log_joint(patterns, priors, confusion)
@@ -143,7 +150,8 @@ def aggregate(
     matrix.row_ids, and the (n,) bool mask of rows with at least one vote.
     Uncovered rows are uniform.
     """
-    if matrix.n_rows == 0 or matrix.n_cols == 0:
+    n, m = matrix.entries.shape
+    if n == 0 or m == 0:
         raise ValueError("aggregate needs a non-empty label matrix")
     num_classes = labels.num_classes
     covered = (matrix.entries != ABSTAIN).any(axis=1)
@@ -152,33 +160,49 @@ def aggregate(
     if kind == "dawid_skene":
         fit_args = {key: label_model[key] for key in ("max_iter", "tol") if key in label_model}
         model = fit_dawid_skene(matrix, num_classes, **fit_args)
-        dists = np.full((matrix.n_rows, num_classes), 1.0 / num_classes)
+        dists = np.full((n, num_classes), 1.0 / num_classes)
         dists[covered] = model.posteriors
         return dists, covered
     if kind == "weighted_majority_vote":
         weights = label_model.get("weights")
         weights = np.asarray(accuracies if weights is None else weights, dtype=float)
-        if len(weights) != matrix.n_cols:
+        if len(weights) != m:
             raise ValueError("weights length must match the LF count")
         if np.any(weights < 0):
             raise ValueError("weights must be non-negative")
         if not np.any(weights > 0):
             raise AllWeightsZero("weighted vote needs a positive weight")
     elif kind == "majority_vote":
-        weights = np.ones(matrix.n_cols)
+        weights = np.ones(m)
     else:
         raise ValueError(f"unknown label model kind: {kind!r}")
     return _vote_dists(matrix.entries, num_classes, weights), covered
 
 
+def write_dist_rows(fh: TextIO, dists: np.ndarray, doc_ids: list[str], labels: LabelSpace,
+                    class_key: str, covered: np.ndarray | None = None) -> None:
+    """Each row as ``json.dumps({["covered",] "dist", "doc_id", class_key}, sort_keys=True)``
+    writes it, where ``class_key`` sorts after "doc_id" and names the argmax class."""
+    float_str = float.__repr__ if np.isfinite(dists).all() else json.dumps  # NaN, Infinity
+    names = [encode_basestring_ascii(name) for name in labels.class_names]
+    hard = dists.argmax(axis=1).tolist()
+    flags = ['{"covered": false, ', '{"covered": true, ']
+    heads = ["{"] * len(dists) if covered is None else [flags[cov] for cov in covered.tolist()]
+    for start in range(0, len(dists), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        fh.write("".join([
+            f'{head}"dist": [{", ".join(map(float_str, dist))}], '
+            f'"doc_id": {encode_basestring_ascii(doc_id)}, "{class_key}": {names[cls]}}}\n'
+            for head, dist, doc_id, cls in zip(
+                heads[block], dists[block].tolist(), doc_ids[block], hard[block])
+        ]))
+
+
 def export_labels_jsonl(
     fh: TextIO, dists: np.ndarray, covered: np.ndarray, doc_ids: list[str], labels: LabelSpace
 ) -> None:
-    """One record per row; "hard" names the argmax class (ties go to the smallest index)."""
-    hard = dists.argmax(axis=1).tolist()
-    for dist, cov, cls, doc_id in zip(dists.tolist(), covered.tolist(), hard, doc_ids):
-        rec = {"doc_id": doc_id, "dist": dist, "covered": cov, "hard": labels.name_of(cls)}
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """One {doc_id, dist, covered, hard} record per row; "hard" names the argmax class."""
+    write_dist_rows(fh, dists, doc_ids, labels, "hard", covered=covered)
 
 
 def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray, list[str]]:

@@ -18,6 +18,9 @@ from .errors import EmptyLfSet, LengthMismatch
 
 ABSTAIN = -1
 EPS = 1e-9
+ROW_BLOCK = 512  # artifact rows formatted per write: bounds the strings alive at once
+# an int8 vote's text, indexed by its byte: 255 is "-1"
+_CELL_STR = np.array([str(v if v < 128 else v - 256) for v in range(256)], dtype=object)
 
 
 class Category(str, enum.Enum):
@@ -80,19 +83,13 @@ class LabelMatrix:
     row_ids: list[str]
     col_ids: list[str]
 
-    @property
-    def n_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.entries.shape[1]
-
     def to_csv(self, fh: TextIO) -> None:
         fh.write(",".join(["doc_id"] + list(self.col_ids)) + "\n")
-        for i, doc_id in enumerate(self.row_ids):
-            cells = ",".join(str(int(v)) for v in self.entries[i])
-            fh.write(f"{doc_id},{cells}\n")
+        for start in range(0, len(self.entries), ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            cells = _CELL_STR[self.entries[block].astype(np.uint8)].tolist()
+            fh.write("".join([f"{doc_id},{','.join(row)}\n"
+                              for doc_id, row in zip(self.row_ids[block], cells)]))
 
 
 def build_label_matrix(lfs: list[LabelFunction], row_ids: list[str]) -> LabelMatrix:

@@ -41,11 +41,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return np.divide(e, class_sum(e), out=e)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 class MlpNet:
     """dim_in -> hidden ReLU -> C softmax, trained on soft targets."""
 
@@ -54,10 +49,17 @@ class MlpNet:
         self.dim_in = dim_in
         self.hidden = hidden
         self.num_classes = num_classes
-        self.w1 = glorot_uniform(rng, dim_in, hidden)
-        self.b1 = np.zeros(hidden)
-        self.w2 = glorot_uniform(rng, hidden, num_classes)
-        self.b2 = np.zeros(num_classes)
+        self.theta = np.zeros(hidden * (num_classes + 1 + dim_in) + num_classes)
+        self.w2, self.b2, self.w1, self.b1 = self._views(self.theta)
+        for w in (self.w1, self.w2):  # Glorot-uniform
+            limit = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+
+    def _views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """w2, b2, w1 and b1 (or their gradients) as views of one vector, in that order."""
+        h, c = self.hidden, self.num_classes
+        w2, b2, w1, b1 = np.split(flat, np.cumsum([h * c, c, self.dim_in * h]))
+        return w2.reshape(h, c), b2, w1.reshape(self.dim_in, h), b1
 
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -78,13 +80,16 @@ class MlpNet:
         """Minibatch gradient descent on ``x[rows]``; None means all rows, or full batch.
 
         Batches are slices of the rows permuted into one buffer per epoch. The
-        step works in place, with the float operations of the plain step.
+        gradients are views of one vector, like the parameters, so a step is one
+        scale and one subtraction, with the float operations of the plain step.
         """
         rows = np.arange(len(x)) if rows is None else rows
         n = len(rows)
         rng = np.random.default_rng(shuffle_seed)
         size = n if batch_size is None else min(batch_size, n)
         xs, ts = np.empty((n, x.shape[1])), np.empty_like(targets, order="C")
+        grad = np.empty_like(self.theta)
+        gw2, gb2, gw1, gb1 = self._views(grad)
         for _ in range(epochs):
             order = rng.permutation(n) if batch_size is not None else np.arange(n)
             np.take(x, rows[order], axis=0, out=xs, mode="clip")  # "raise" would buffer a copy
@@ -102,17 +107,16 @@ class MlpNet:
                 dz2 -= tb
                 dz2 /= xb.shape[0]
 
-                gw2 = h.T @ dz2
-                gb2 = dz2.sum(axis=0)
+                np.matmul(h.T, dz2, out=gw2)
+                np.add.reduce(dz2, axis=0, out=gb2)
                 dh = dz2 @ self.w2.T
                 np.putmask(dh, h_pre <= 0, 0.0)
-                gw1 = xb.T @ dh
-                gb1 = dh.sum(axis=0)
+                np.matmul(xb.T, dh, out=gw1)
+                np.add.reduce(dh, axis=0, out=gb1)
                 if l2:
                     gw2 += l2 * self.w2
                     gw1 += l2 * self.w1
 
-                for param, grad in ((self.w2, gw2), (self.b2, gb2), (self.w1, gw1), (self.b1, gb1)):
-                    grad *= lr
-                    param -= grad
+                grad *= lr
+                self.theta -= grad
         return self

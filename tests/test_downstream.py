@@ -227,3 +227,19 @@ def test_mlp_fit_equals_the_plain_step(batch_size, l2, subset):
     ref = plain_mlp_fit(MlpNet(27, 16, 3, rng_seed=2), picked, targets, **kwargs)
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(net, name), getattr(ref, name))
+
+
+def test_two_fits_then_predict_and_checkpoint_equal_the_plain_step():
+    rng = np.random.default_rng(9)
+    x = rng.random((75, 27))
+    targets = reference_softmax(rng.normal(size=(75, 3)) * 3)
+    net, ref = MlpNet(27, 16, 3, rng_seed=4), MlpNet(27, 16, 3, rng_seed=4)
+    for kwargs in (dict(epochs=3, lr=0.05, batch_size=32, l2=0.05, shuffle_seed=1),
+                   dict(epochs=2, lr=0.2, batch_size=None, shuffle_seed=2)):
+        net.fit(x, targets, **kwargs)
+        plain_mlp_fit(ref, x, targets, **kwargs)
+    assert np.array_equal(net.predict_proba_many(x), ref.predict_proba_many(x))
+    got, want = io.StringIO(), io.StringIO()
+    write_checkpoint(got, net, "h")
+    write_checkpoint(want, ref, "h")
+    assert got.getvalue() == want.getvalue()

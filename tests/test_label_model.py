@@ -276,6 +276,32 @@ def test_ds_pattern_em_equals_per_row_em_bit_for_bit():
         assert model.log_likelihood_history == history, trial
 
 
+@pytest.mark.parametrize("num_classes, m, n_rows", [
+    (5, 6, 400),  # five classes
+    (2, 39, 300),  # the last LF count whose base-3 row codes fit an int64
+    (2, 40, 300),  # codes would overflow: patterns come from np.unique(axis=0)
+    (3, 45, 200),
+    (3, 4, 1),  # a one-row matrix
+])
+def test_ds_em_equals_per_row_em_at_the_edges(num_classes, m, n_rows):
+    rng = np.random.default_rng(num_classes * 1000 + m)
+    for trial in range(4):
+        patterns = rng.integers(-1, num_classes, size=(int(rng.integers(1, 30)), m))
+        # half the patterns differ from the first only in the leading LFs, whose digits a
+        # wrapped int64 code would drop
+        patterns[len(patterns) // 2:, 4:] = patterns[0, 4:]
+        entries = patterns[rng.integers(0, len(patterns), size=n_rows)].astype(np.int8)
+        entries[:, int(rng.integers(0, m))] = ABSTAIN  # an LF that never votes
+        entries[0, (int(rng.integers(0, m)) + 1) % m] = int(rng.integers(0, num_classes))
+        tol = float(rng.choice([0.0, 1e-4]))
+        model = fit_dawid_skene(matrix(entries), num_classes, max_iter=20, tol=tol)
+        posteriors, confusion, history, iterations = per_row_em(entries, num_classes, 20, tol)
+        assert model.iterations_run == iterations, trial
+        assert np.array_equal(model.posteriors, posteriors), trial
+        assert np.array_equal(model.confusion, confusion), trial
+        assert model.log_likelihood_history == history, trial
+
+
 def test_ds_no_signal():
     with pytest.raises(NoSignal):
         fit_dawid_skene(matrix([[ABSTAIN, ABSTAIN]]), 2)
@@ -345,3 +371,48 @@ def test_labels_jsonl_round_trip(tmp_path):
     assert again_covered.dtype == np.bool_ and np.array_equal(again_covered, covered)
     first = open(path).readline()
     assert '"hard": "pos"' in first
+
+
+def reference_labels_jsonl(fh, dists, covered, doc_ids, labels):
+    """The per-row writer built on json.dumps that the array formatter replaced."""
+    hard = dists.argmax(axis=1).tolist()
+    for dist, cov, cls, doc_id in zip(dists.tolist(), covered.tolist(), hard, doc_ids):
+        rec = {"doc_id": doc_id, "dist": dist, "covered": cov, "hard": labels.name_of(cls)}
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def reference_predictions_jsonl(fh, probs, docs, labels):
+    for doc, dist in zip(docs, probs):
+        rec = {"doc_id": doc.id, "dist": [float(v) for v in dist],
+               "pred": labels.name_of(int(np.argmax(dist)))}
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+ODD_IDS = ['plain', 'say "hi"', "back\\slash", "caf\u00e9", "\u03a3igma", "line\nbreak",
+           "tab\there", "\U0001f600", "\x00\x1f", ""]
+
+
+@pytest.mark.parametrize("labels", [LABELS2, LABELS3, LabelSpace(("n\u00e9g", 'q"t', "c", "d\\", "e"))])
+@pytest.mark.parametrize("n_rows", [0, 1, 511, 512, 513, 1030])
+@pytest.mark.parametrize("non_finite", [False, True])
+def test_jsonl_writers_equal_the_json_dumps_writers(labels, n_rows, non_finite):
+    from labelforge.corpus import Document
+    from labelforge.downstream import export_predictions_jsonl
+
+    rng = np.random.default_rng(n_rows)
+    dists = rng.dirichlet(np.ones(labels.num_classes), size=n_rows)
+    dists[: n_rows // 3] = np.round(dists[: n_rows // 3], 1)  # ties, short reprs, exact 0.0
+    if non_finite:
+        for col, value in ((0, np.nan), (1, np.inf), (-1, -np.inf)):
+            dists[rng.integers(0, n_rows, size=min(n_rows, 3)), col] = value
+    covered = rng.random(n_rows) < 0.7
+    doc_ids = [ODD_IDS[i % len(ODD_IDS)] + str(i) for i in range(n_rows)]
+    docs = [Document(id=doc_id, text="") for doc_id in doc_ids]
+    for write, reference, args in (
+        (export_labels_jsonl, reference_labels_jsonl, (dists, covered, doc_ids, labels)),
+        (export_predictions_jsonl, reference_predictions_jsonl, (dists, docs, labels)),
+    ):
+        got, want = io.StringIO(), io.StringIO()
+        write(got, *args)
+        reference(want, *args)
+        assert got.getvalue() == want.getvalue()

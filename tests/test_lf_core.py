@@ -9,6 +9,7 @@ from labelforge.lf_core import (
     ABSTAIN,
     Category,
     LabelFunction,
+    LabelMatrix,
     apply_lf_many,
     build_label_matrix,
     estimate_accuracy,
@@ -196,3 +197,20 @@ def test_vote_columns_and_matrix_are_int8_and_csv_bytes_hold():
     fh = io.StringIO()
     matrix.to_csv(fh)
     assert fh.getvalue().encode("utf-8") == b"doc_id,a,b\nd0,0,-1\nd1,-1,1\nd2,1,-1\n"
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (4, 0), (511, 5), (512, 2), (513, 22), (1030, 7)])
+def test_matrix_csv_equals_the_per_cell_writer(shape):
+    rng = np.random.default_rng(shape[0])
+    entries = rng.integers(-1, 5, size=shape).astype(np.int8)
+    if entries.size:
+        entries.flat[: min(entries.size, 256)] = np.arange(-128, 128)[: min(entries.size, 256)]
+    matrix = LabelMatrix(entries=entries, row_ids=[f'd"{i}\u00e9' for i in range(shape[0])],
+                         col_ids=[f"lf{j}" for j in range(shape[1])])
+    want = io.StringIO()  # the per-cell writer the string table replaced
+    want.write(",".join(["doc_id"] + matrix.col_ids) + "\n")
+    for i, doc_id in enumerate(matrix.row_ids):
+        want.write(f"{doc_id},{','.join(str(int(v)) for v in entries[i])}\n")
+    got = io.StringIO()
+    matrix.to_csv(got)
+    assert got.getvalue() == want.getvalue()

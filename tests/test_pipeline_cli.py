@@ -185,6 +185,13 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("tau_dup", {"surface": 1.5, "structural": 0.98, "semantic": 0.98}),
     ("dedup_sample_size", -1),
     ("downstream", {**small_config().downstream, "mode": "sharp"}),
+    # scalars of the wrong type, which would fail later with a TypeError
+    ("alpha", "0.5"),
+    ("beta", True),
+    ("max_rounds", 2.0),
+    ("base_seed", False),
+    ("k_per_category", {"surface": "3", "structural": 3, "semantic": 3}),
+    ("tau_dup", {"surface": "0.9", "structural": 0.98, "semantic": 0.98}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -199,6 +206,11 @@ def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     assert table in err["error"]
     with pytest.raises(ConfigError):
         PipelineConfig.from_json(obj)
+
+
+def test_float_fields_take_ints():
+    cfg = small_config(alpha=1, beta=0, grid_step=1)
+    assert (cfg.alpha, cfg.beta, cfg.grid_step) == (1, 0, 1)
 
 
 def test_provider_and_embedder_take_their_tables_by_keyword(monkeypatch):
@@ -266,6 +278,16 @@ def test_a_write_that_fails_halfway_leaves_the_earlier_run_unlisted(run_env, tmp
     assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
     assert not os.path.exists(os.path.join(out, "manifest.json"))
     assert open(os.path.join(out, "labels.jsonl"), "rb").read() == before
+
+
+def test_cmd_eval_creates_the_out_directory(run_env, tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", run_env["config"], "--data", run_env["data"], "--out", out]) == 0
+    eval_out = str(tmp_path / "missing" / "dir" / "eval.json")
+    assert main(["eval", "--labels", os.path.join(out, "labels.jsonl"),
+                 "--data", run_env["data"], "--out", eval_out]) == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert json.load(open(eval_out)) == report["labeling_report"]
 
 
 def test_cmd_eval_misaligned_ids(run_env, tmp_path):

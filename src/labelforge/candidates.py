@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset
-from .errors import DegenerateSubsample, DimensionMismatch
+from .errors import DegenerateSubsample, LabelForgeError
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
 from .nets import MlpNet, class_max, softmax
 
@@ -34,7 +34,7 @@ class LinearClassifier:
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         if x.shape[1] != self.weights.shape[1]:
-            raise DimensionMismatch(f"expected dim {self.weights.shape[1]}, got {x.shape[1]}")
+            raise LabelForgeError(f"expected dim {self.weights.shape[1]}, got {x.shape[1]}")
         return softmax(x @ self.weights.T + self.bias)
 
 

@@ -82,6 +82,28 @@ _COMPLETE_TABLES = {
 }
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _check_type(name: str, value, default) -> None:
+    """Raise ConfigError unless ``value`` has the type of ``default``.
+
+    Types are exact (a bool is an int to isinstance), except that a float
+    takes an int. A list's items are checked against its default's first
+    item, and a table's values against the default's value under the same key.
+    """
+    want = type(default)
+    if type(value) is not want and (want, type(value)) != (float, int):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[want]}, got {value!r}")
+    if want is list and default:
+        for item in value:
+            _check_type(name, item, default[0])
+    elif want is dict:
+        for key in value.keys() & default.keys():
+            _check_type(f"{name}.{key}", value[key], default[key])
+
+
 @dataclass
 class PipelineConfig:
     """Every tunable of a run; serializes to a stable hash for reports."""
@@ -107,9 +129,9 @@ class PipelineConfig:
     class_names: list = field(default_factory=list)  # empty: infer from data file
 
     def __post_init__(self):
-        for name in (*TABLE_KINDS, *_COMPLETE_TABLES):
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(f"{name} must be an object")
+        for f in dataclasses.fields(self):
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            _check_type(f.name, getattr(self, f.name), default)
         for name, default in _COMPLETE_TABLES.items():
             keys, want = set(getattr(self, name)), set(default())
             if keys != want:
@@ -122,10 +144,6 @@ class PipelineConfig:
                 raise ConfigError(f"{name} kind {kind!r} is not one of {list(kinds)}")
             if set(table) - {"kind"} - kinds[kind]:
                 raise ConfigError(f"{name} kind {kind!r} takes only keys {sorted(kinds[kind])}")
-        for f in dataclasses.fields(self):  # exact types: a bool is an int to isinstance
-            want = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}.get(f.type)
-            if want and type(getattr(self, f.name)) not in want[0]:
-                raise ConfigError(f"{f.name} must be {want[1]}, got {getattr(self, f.name)!r}")
         if self.embedding["kind"] == "remote" and not (
             self.embedding.get("endpoint") and self.embedding.get("model")
         ):
@@ -133,15 +151,17 @@ class PipelineConfig:
         for ok, rule in (
             (0 <= self.alpha <= 1, "alpha must be in [0, 1]"),
             (self.beta >= 0, "beta must be >= 0"),
-            (all(type(v) is int and v >= 1 for v in self.k_per_category.values()),
-             "k_per_category values must be integers >= 1"),
+            (min(self.k_per_category.values()) >= 1, "k_per_category values must be >= 1"),
             (self.max_rounds >= 1, "max_rounds must be >= 1"),
             (self.candidates_per_round >= 1, "candidates_per_round must be >= 1"),
             (0 < self.grid_step <= 1, "grid_step must be in (0, 1]"),
-            (all(type(v) in (int, float) and 0 < v <= 1 for v in self.tau_dup.values()),
-             "tau_dup values must be numbers in (0, 1]"),
+            (all(0 < v <= 1 for v in self.tau_dup.values()), "tau_dup values must be in (0, 1]"),
             (self.dedup_sample_size >= 0, "dedup_sample_size must be >= 0"),
             (self.downstream["mode"] in ("soft", "hard"), "downstream mode must be soft or hard"),
+            (type(retries := self.provider.get("retries", 1)) is int and retries >= 1,
+             "provider retries must be an integer >= 1"),
+            (type(timeout := self.provider.get("timeout", 1)) in (int, float) and timeout > 0,
+             "provider timeout must be a number > 0"),
         ):
             if not ok:
                 raise ConfigError(rule)

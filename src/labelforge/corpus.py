@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DuplicateId, MalformedRecord, UnknownLabel
+from .errors import LabelForgeError, MalformedRecord
 
 SPLITS = ("unlabeled", "seed", "test")
 
@@ -62,7 +62,7 @@ class LabelSpace:
         try:
             return self.class_names.index(name)
         except ValueError:
-            raise UnknownLabel(name) from None
+            raise LabelForgeError(f"unknown label: {name!r}") from None
 
     def name_of(self, index: int) -> str:
         return self.class_names[index]
@@ -155,7 +155,7 @@ class Dataset:
         seen: set[str] = set()
         for doc in self.all_documents():
             if doc.id in seen:
-                raise DuplicateId(doc.id)
+                raise LabelForgeError(f"duplicate document id: {doc.id!r}")
             seen.add(doc.id)
         for ex in list(self.seed) + list(self.test):
             if not 0 <= ex.gold < self.labels.num_classes:
@@ -220,8 +220,8 @@ def iter_records(path: str, fmt: str):
 def load_dataset(path: str, fmt: str, labels: LabelSpace) -> Dataset:
     """Ingest a JSONL or CSV file into splits.
 
-    Raises MalformedRecord on missing/invalid fields, UnknownLabel when a
-    label value does not name a class, DuplicateId on repeated document ids.
+    Raises MalformedRecord on missing/invalid fields, and LabelForgeError when
+    a label value does not name a class or a document id repeats.
     """
     unlabeled: list[Document] = []
     seed: list[LabeledExample] = []
@@ -240,7 +240,7 @@ def load_dataset(path: str, fmt: str, labels: LabelSpace) -> Dataset:
         if split not in SPLITS:
             raise MalformedRecord(line_no, f"unknown split {split!r}")
         if doc_id in seen_ids:
-            raise DuplicateId(doc_id)
+            raise LabelForgeError(f"duplicate document id: {doc_id!r}")
         seen_ids.add(doc_id)
 
         gold = None

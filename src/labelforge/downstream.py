@@ -13,7 +13,7 @@ from typing import TextIO
 import numpy as np
 
 from .corpus import Document, LabeledExample
-from .errors import DegenerateTargets
+from .errors import LabelForgeError
 from .label_model import write_dist_rows
 from .metrics import EvalReport, confusion_counts, weighted_f1
 from .nets import MlpNet
@@ -37,12 +37,12 @@ def build_targets(
     """
     keep = np.flatnonzero(covered)
     if len(keep) == 0:
-        raise DegenerateTargets("no covered rows to train on")
+        raise LabelForgeError("no covered rows to train on")
     targets = dists[keep]
     if mode == "hard":
         targets = np.eye(dists.shape[1])[targets.argmax(axis=1)]
     if len(np.unique(targets.argmax(axis=1))) < 2:
-        raise DegenerateTargets("covered hard labels span fewer than 2 classes")
+        raise LabelForgeError("covered hard labels span fewer than 2 classes")
     return keep, targets
 
 

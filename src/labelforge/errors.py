@@ -1,4 +1,8 @@
-"""Exception types raised across the labeling engine."""
+"""Exception types raised across the labeling engine.
+
+Every failure is a ``LabelForgeError``; a subclass exists only where some
+caller handles that failure apart from the rest.
+"""
 
 
 class LabelForgeError(Exception):
@@ -8,28 +12,7 @@ class LabelForgeError(Exception):
 class MalformedRecord(LabelForgeError):
     def __init__(self, line_number, reason=""):
         self.line_number = line_number
-        self.reason = reason
         super().__init__(f"malformed record at line {line_number}: {reason}")
-
-
-class UnknownLabel(LabelForgeError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"unknown label: {name!r}")
-
-
-class DuplicateId(LabelForgeError):
-    def __init__(self, doc_id):
-        self.doc_id = doc_id
-        super().__init__(f"duplicate document id: {doc_id!r}")
-
-
-class EmptyLfSet(LabelForgeError):
-    pass
-
-
-class EmptyVocabulary(LabelForgeError):
-    pass
 
 
 class ProviderUnreachable(LabelForgeError):
@@ -38,7 +21,6 @@ class ProviderUnreachable(LabelForgeError):
 
 class MalformedProviderReply(LabelForgeError):
     def __init__(self, excerpt):
-        self.excerpt = excerpt
         super().__init__(f"no valid rules in provider reply: {excerpt[:200]!r}")
 
 
@@ -46,27 +28,7 @@ class DegenerateSubsample(LabelForgeError):
     pass
 
 
-class DimensionMismatch(LabelForgeError):
-    pass
-
-
-class AllWeightsZero(LabelForgeError):
-    pass
-
-
-class NoSignal(LabelForgeError):
-    pass
-
-
-class LengthMismatch(LabelForgeError):
-    pass
-
-
 class IdAlignment(LabelForgeError):
-    pass
-
-
-class DegenerateTargets(LabelForgeError):
     pass
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, Document, TokenIndex
-from .errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
+from .errors import LabelForgeError, ProviderUnreachable
 
 
 def _normalize_rows(table: np.ndarray) -> np.ndarray:
@@ -133,7 +133,7 @@ class TfidfFeaturizer(Featurizer):
         codes, df = np.unique(np.concatenate(in_rows), return_counts=True)
         codes, df = codes[df >= min_df], df[df >= min_df]
         if not len(codes):
-            raise EmptyVocabulary("no terms survived tokenization")
+            raise LabelForgeError("no terms survived tokenization")
         tokens = list(self.token_ids)
         terms = [_term(code, self._base, tokens) for code in codes.tolist()]
         order = sorted(range(len(terms)), key=terms.__getitem__)
@@ -279,7 +279,7 @@ class RemoteEmbedder(Featurizer):
             rec = json.loads(line)
             if rec.get("provider_hash") == self.config_hash():
                 if len(rec["vector"]) != self.dim:
-                    raise DimensionMismatch(
+                    raise LabelForgeError(
                         f"cached vector for {rec['doc_id']!r} has {len(rec['vector'])} values, "
                         f"expected {self.dim}"
                     )
@@ -310,7 +310,7 @@ class RemoteEmbedder(Featurizer):
         if not isinstance(vector, list):
             raise ProviderUnreachable("embedding service reply holds no embedding list")
         if len(vector) != self.dim:
-            raise DimensionMismatch(
+            raise LabelForgeError(
                 f"embedding service returned {len(vector)} values, expected {self.dim}"
             )
         vector = [float(v) for v in vector]

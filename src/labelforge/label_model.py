@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .corpus import LabelSpace, iter_records
-from .errors import AllWeightsZero, MalformedRecord, NoSignal
+from .errors import LabelForgeError, MalformedRecord
 from .lf_core import ABSTAIN, ROW_BLOCK, LabelMatrix
 from .nets import class_max, class_sum
 
@@ -79,7 +79,7 @@ def fit_dawid_skene(
     entries = matrix.entries
     covered = (entries != ABSTAIN).any(axis=1)
     if not covered.any():
-        raise NoSignal("every matrix entry is ABSTAIN")
+        raise LabelForgeError("every matrix entry is ABSTAIN")
     entries = entries[covered]
     m = entries.shape[1]
     shifted = np.ascontiguousarray(entries.T + 1)  # per LF, one key per row; 0 is ABSTAIN
@@ -171,7 +171,7 @@ def aggregate(
         if np.any(weights < 0):
             raise ValueError("weights must be non-negative")
         if not np.any(weights > 0):
-            raise AllWeightsZero("weighted vote needs a positive weight")
+            raise LabelForgeError("weighted vote needs a positive weight")
     elif kind == "majority_vote":
         weights = np.ones(m)
     else:

@@ -14,7 +14,7 @@ from typing import TextIO
 import numpy as np
 
 from .corpus import TokenIndex
-from .errors import EmptyLfSet, LengthMismatch
+from .errors import LabelForgeError
 
 ABSTAIN = -1
 EPS = 1e-9
@@ -95,9 +95,9 @@ class LabelMatrix:
 def build_label_matrix(lfs: list[LabelFunction], row_ids: list[str]) -> LabelMatrix:
     """Stack the LFs' pool vote columns; column order follows the LF list."""
     if not lfs:
-        raise EmptyLfSet("cannot build a label matrix from zero LFs")
+        raise LabelForgeError("cannot build a label matrix from zero LFs")
     if any(lf.votes is None or len(lf.votes) != len(row_ids) for lf in lfs):
-        raise LengthMismatch("every LF needs one pool vote per matrix row")
+        raise LabelForgeError("every LF needs one pool vote per matrix row")
     entries = (
         np.stack([lf.votes for lf in lfs], axis=1, dtype=np.int8)
         if row_ids else np.zeros((0, len(lfs)), dtype=np.int8)

@@ -16,7 +16,7 @@ from typing import TextIO
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import IdAlignment, LengthMismatch
+from .errors import IdAlignment, LabelForgeError
 
 
 @dataclass
@@ -47,7 +47,7 @@ def weighted_f1(pred: ArrayLike, gold: ArrayLike, num_classes: int) -> tuple[lis
     zero weight.
     """
     if len(pred) != len(gold):
-        raise LengthMismatch(f"pred has {len(pred)} items, gold has {len(gold)}")
+        raise LabelForgeError(f"pred has {len(pred)} items, gold has {len(gold)}")
     if len(gold) == 0:
         raise ValueError("weighted_f1 needs at least one example")
     counts = confusion_counts(pred, gold, num_classes)

@@ -137,8 +137,7 @@ def run_pipeline(
     with _stage(seconds, "explore_exploit"):
         generators, skip_sink = build_generators(config, dataset, featurizers, manifest)
         pool, reports = run_exploitation_loop(dataset, config, generators)
-        pool.skip_reports.extend(skip_sink)
-        manifest.shortfall = dict(reports[-1].shortfall)
+        manifest.shortfall = dict(reports[-1]["shortfall"])
         manifest.stop_reason = "round_budget" if manifest.shortfall else "filled"
 
     with _stage(seconds, "matrix"):
@@ -179,12 +178,11 @@ def run_pipeline(
             "e2e_report": e2e_report.to_json() if e2e_report else None,
         }
         lf_pool = {"rounds": pool.round, "counts": pool.counts(),
-                   "skip_reports": pool.skip_reports, "lfs": [lf.describe() for lf in lfs]}
+                   "skip_reports": skip_sink, "lfs": [lf.describe() for lf in lfs]}
         artifacts = {  # file name -> writer of its contents
             "model.json": lambda fh: write_checkpoint(fh, net, config.config_hash()),
             "lf_pool.json": lambda fh: json.dump(lf_pool, fh, indent=2, sort_keys=True),
-            "filter_reports.json": lambda fh: json.dump(
-                [r.to_json() for r in reports], fh, indent=2, sort_keys=True),
+            "filter_reports.json": lambda fh: json.dump(reports, fh, indent=2, sort_keys=True),
             "label_matrix.csv": matrix.to_csv,
             "labels.jsonl": lambda fh: export_labels_jsonl(
                 fh, dists, covered, matrix.row_ids, dataset.labels),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import LabelSpace, TokenIndex, tokenize
-from .errors import MalformedProviderReply, ProviderUnreachable
+from .errors import ConfigError, MalformedProviderReply, ProviderUnreachable
 from .lf_core import ABSTAIN
 
 MATCH_MODES = ("token", "substring")
@@ -238,15 +238,11 @@ def parse_provider_reply(text: str, labels: LabelSpace) -> tuple[list[SurfaceRul
     dropped = 0
     for obj in entries:
         try:
-            if obj.get("match_mode", "token") not in MATCH_MODES:
-                raise ValueError("bad match_mode")
             patterns = {
                 labels.index_of(name): {str(p) for p in pats}
                 for name, pats in obj["patterns"].items()
             }
-            rule = SurfaceRule(
-                patterns=patterns, match_mode=obj.get("match_mode", "token")
-            )
+            rule = SurfaceRule(patterns=patterns, match_mode=obj.get("match_mode", "token"))
             if not rule.all_patterns():
                 raise ValueError("empty rule")
             rules.append(rule)
@@ -290,7 +286,7 @@ def _default_llm_transport(endpoint: str, payload: dict, headers: dict, timeout:
 
 @dataclass
 class RemoteLlmProvider:
-    """Chat-completions client; endpoint/model/key come from env when unset.
+    """Chat-completions client; endpoint/model/key/timeout come from env when unset.
 
     Failed calls retry with exponential backoff; once retries are exhausted
     the provider raises ProviderUnreachable and the caller decides whether to
@@ -300,7 +296,7 @@ class RemoteLlmProvider:
     endpoint: str | None = None
     model: str | None = None
     api_key: str | None = None
-    timeout: float = 60.0
+    timeout: float | None = None  # unset: LABELFORGE_LLM_TIMEOUT, else 60 s
     retries: int = 3
     backoff: float = 1.0
     labels: LabelSpace | None = None
@@ -312,9 +308,14 @@ class RemoteLlmProvider:
         self.endpoint = self.endpoint or os.environ.get("LABELFORGE_LLM_ENDPOINT")
         self.model = self.model or os.environ.get("LABELFORGE_LLM_MODEL")
         self.api_key = self.api_key or os.environ.get("LABELFORGE_LLM_API_KEY")
-        env_timeout = os.environ.get("LABELFORGE_LLM_TIMEOUT")
-        if env_timeout:
-            self.timeout = float(env_timeout)
+        if self.timeout is None:
+            env_timeout = os.environ.get("LABELFORGE_LLM_TIMEOUT") or "60"
+            try:
+                self.timeout = float(env_timeout)
+            except ValueError:
+                raise ConfigError(
+                    f"LABELFORGE_LLM_TIMEOUT must be a number of seconds, got {env_timeout!r}"
+                ) from None
         if self.transport is None:
             self.transport = _default_llm_transport
 

@@ -19,7 +19,7 @@ from labelforge.candidates import (
 )
 from labelforge.config import PipelineConfig
 from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace
-from labelforge.errors import DegenerateSubsample, DimensionMismatch
+from labelforge.errors import DegenerateSubsample, LabelForgeError
 from labelforge.exploitation import score_candidates
 from labelforge.features import build_featurizers
 from labelforge.lf_core import ABSTAIN, Category
@@ -67,7 +67,7 @@ def test_predict_proba_bias_dominates():
 
 def test_predict_proba_dimension_mismatch():
     clf = LinearClassifier(weights=np.zeros((2, 3)), bias=np.zeros(2))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LabelForgeError, match="expected dim 3, got 4"):
         clf.predict_proba_many(np.zeros(4))
 
 

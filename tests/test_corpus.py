@@ -15,7 +15,7 @@ from labelforge.corpus import (
     load_dataset,
     save_dataset,
 )
-from labelforge.errors import DuplicateId, MalformedRecord, UnknownLabel
+from labelforge.errors import LabelForgeError, MalformedRecord
 
 LABELS = LabelSpace(("pos", "neg"))
 
@@ -30,7 +30,7 @@ def write_jsonl(path, records):
 def test_label_space_validation():
     assert LABELS.num_classes == 2
     assert LABELS.index_of("neg") == 1
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(LabelForgeError, match=r"^unknown label: 'maybe'$"):
         LABELS.index_of("maybe")
     with pytest.raises(ValueError):
         LabelSpace(("pos", "pos"))
@@ -60,9 +60,9 @@ def test_unknown_label_rejected(tmp_path):
         {"id": "a", "text": "x", "label": "maybe"},
         {"id": "b", "text": "y", "label": "pos", "split": "seed"},
     ])
-    with pytest.raises(UnknownLabel) as err:
+    with pytest.raises(LabelForgeError) as err:
         load_dataset(path, "jsonl", LABELS)
-    assert err.value.name == "maybe"
+    assert str(err.value) == "unknown label: 'maybe'"
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -70,7 +70,7 @@ def test_duplicate_id_rejected(tmp_path):
         {"id": "a", "text": "x", "split": "unlabeled"},
         {"id": "a", "text": "y", "split": "unlabeled"},
     ])
-    with pytest.raises(DuplicateId):
+    with pytest.raises(LabelForgeError, match=r"^duplicate document id: 'a'$"):
         load_dataset(path, "jsonl", LABELS)
 
 
@@ -79,7 +79,7 @@ def test_duplicate_id_across_splits_rejected(tmp_path):
         {"id": "a", "text": "x", "split": "unlabeled"},
         {"id": "a", "text": "y", "label": "pos", "split": "seed"},
     ])
-    with pytest.raises(DuplicateId):
+    with pytest.raises(LabelForgeError, match=r"^duplicate document id: 'a'$"):
         load_dataset(path, "jsonl", LABELS)
 
 

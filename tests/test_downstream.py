@@ -7,7 +7,7 @@ import pytest
 from labelforge.config import PipelineConfig
 from labelforge.corpus import Document, LabeledExample, TokenIndex
 from labelforge.downstream import build_targets, evaluate_e2e, train_downstream, write_checkpoint
-from labelforge.errors import DegenerateTargets
+from labelforge.errors import LabelForgeError
 from labelforge.nets import MlpNet
 from labelforge.features import TfidfFeaturizer
 
@@ -95,10 +95,10 @@ def test_uncovered_rows_excluded():
 
 def test_degenerate_targets():
     docs, _, _ = corpus(10)
-    with pytest.raises(DegenerateTargets):  # every row uncovered
+    with pytest.raises(LabelForgeError, match="no covered rows to train on"):
         build_targets(np.full((len(docs), 2), 0.5), np.zeros(len(docs), dtype=bool), "soft")
     one_class = np.tile([0.9, 0.1], (len(docs), 1))
-    with pytest.raises(DegenerateTargets):
+    with pytest.raises(LabelForgeError, match="span fewer than 2 classes"):
         build_targets(one_class, np.ones(len(docs), dtype=bool), "soft")
 
 

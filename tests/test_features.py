@@ -7,7 +7,7 @@ import pytest
 
 from labelforge.config import PipelineConfig
 from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace, TokenIndex, tokenize
-from labelforge.errors import DimensionMismatch, EmptyVocabulary, ProviderUnreachable
+from labelforge.errors import LabelForgeError, ProviderUnreachable
 from labelforge import features as features_module
 from labelforge.features import (
     HashingEmbedder,
@@ -53,7 +53,7 @@ def test_idf_monotone_in_rarity():
 
 
 def test_empty_vocabulary():
-    with pytest.raises(EmptyVocabulary):
+    with pytest.raises(LabelForgeError, match="no terms survived tokenization"):
         TfidfFeaturizer(index([doc("", "1"), doc("!!", "2")]))
 
 
@@ -294,7 +294,7 @@ def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
     cache = str(tmp_path / "cache.jsonl")
     emb = RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=flaky)
     emb.vectorize(doc("good", "a"))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LabelForgeError, match="embedding service returned 1 values, expected 3"):
         emb.vectorize(doc("short", "b"))
     for text in ("missing", "scalar"):
         with pytest.raises(ProviderUnreachable):
@@ -308,7 +308,8 @@ def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
     short = {"doc_id": "z", "provider_hash": fresh.config_hash(), "vector": [0.5]}
     with open(cache, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(short) + "\n")
-    with pytest.raises(DimensionMismatch):  # a cache written before replies were checked
+    # a cache written before replies were checked
+    with pytest.raises(LabelForgeError, match="cached vector for 'z' has 1 values, expected 3"):
         RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=good)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from labelforge.corpus import LabelSpace
-from labelforge.errors import AllWeightsZero, NoSignal
+from labelforge.errors import LabelForgeError
 from labelforge.label_model import (
     aggregate,
     export_labels_jsonl,
@@ -60,7 +60,7 @@ def test_weighted_vote_without_weights_weighs_by_accuracy():
         assert np.array_equal(dists, want) and covered.all()
     configured, _ = aggregate(m, weighted(1.0, 1.0, 1.0), LABELS2, [0.5, 0.25, 3.0])
     assert np.array_equal(configured, aggregate(m, MV, LABELS2, None)[0])
-    with pytest.raises(AllWeightsZero):
+    with pytest.raises(LabelForgeError, match="needs a positive weight"):
         aggregate(m, absent, LABELS2, [0.0, 0.0, 0.0])
 
 
@@ -70,7 +70,7 @@ def test_unknown_label_model_kind_raises():
 
 
 def test_weighted_all_zero_raises():
-    with pytest.raises(AllWeightsZero):
+    with pytest.raises(LabelForgeError, match="needs a positive weight"):
         aggregate(matrix([[0, 1]]), weighted(0.0, 0.0), LABELS2, None)
 
 
@@ -303,7 +303,7 @@ def test_ds_em_equals_per_row_em_at_the_edges(num_classes, m, n_rows):
 
 
 def test_ds_no_signal():
-    with pytest.raises(NoSignal):
+    with pytest.raises(LabelForgeError, match="every matrix entry is ABSTAIN"):
         fit_dawid_skene(matrix([[ABSTAIN, ABSTAIN]]), 2)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from labelforge.corpus import Document, LabeledExample, TokenIndex
-from labelforge.errors import EmptyLfSet, LengthMismatch
+from labelforge.errors import LabelForgeError
 from labelforge.lf_core import (
     ABSTAIN,
     Category,
@@ -70,17 +70,17 @@ def test_build_label_matrix_elementwise():
 
 
 def test_build_label_matrix_empty_lfs():
-    with pytest.raises(EmptyLfSet):
+    with pytest.raises(LabelForgeError, match="from zero LFs"):
         build_label_matrix([], ["d0", "d1"])
 
 
 def test_build_label_matrix_needs_a_full_vote_column():
     ds = docs(3)
     one = lf("a", {"d0": 0})
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LabelForgeError, match="one pool vote per matrix row"):
         build_label_matrix([one], [d.id for d in ds])  # never scored
     one.votes = apply_lf_many(one, TokenIndex(ds.docs[:2]))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LabelForgeError, match="one pool vote per matrix row"):
         build_label_matrix([one], [d.id for d in ds])
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from labelforge.config import write_atomic
 from labelforge.corpus import LabelSpace
-from labelforge.errors import IdAlignment, LengthMismatch
+from labelforge.errors import IdAlignment, LabelForgeError
 from labelforge.label_model import aggregate
 from labelforge.lf_core import ABSTAIN, LabelMatrix
 from labelforge.metrics import (
@@ -59,7 +59,7 @@ def test_weighted_f1_absent_class_zero_f1():
 
 
 def test_weighted_f1_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LabelForgeError, match="pred has 1 items, gold has 2"):
         weighted_f1([0], [0, 1], 2)
 
 

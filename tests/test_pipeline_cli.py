@@ -192,6 +192,14 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("base_seed", False),
     ("k_per_category", {"surface": "3", "structural": 3, "semantic": 3}),
     ("tau_dup", {"surface": "0.9", "structural": 0.98, "semantic": 0.98}),
+    # nested values of the wrong type, which would fail only in explore_exploit or downstream
+    ("downstream", {**small_config().downstream, "hidden": "100"}),
+    ("candidate_training", {**small_config().candidate_training, "epochs": 3.5}),
+    ("candidate_training", {**small_config().candidate_training, "regularizations": [1e-3, "x"]}),
+    ("tfidf", {"ngram_ranges": [[1, True]], "min_df": 1, "min_token_len": 2}),
+    # a remote provider that would never call its service
+    ("provider", {"kind": "remote_llm", "endpoint": "http://x", "model": "m", "retries": 0}),
+    ("provider", {"kind": "remote_llm", "endpoint": "http://x", "model": "m", "timeout": "5"}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -211,6 +219,19 @@ def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
 def test_float_fields_take_ints():
     cfg = small_config(alpha=1, beta=0, grid_step=1)
     assert (cfg.alpha, cfg.beta, cfg.grid_step) == (1, 0, 1)
+    cfg = small_config(downstream={**small_config().downstream, "lr": 1})
+    assert cfg.downstream["lr"] == 1
+
+
+@pytest.mark.parametrize("table, key, value, message", [
+    ("downstream", "hidden", "100", "downstream.hidden must be an integer, got '100'"),
+    ("candidate_training", "epochs", 3.5, "candidate_training.epochs must be an integer, got 3.5"),
+    ("tfidf", "min_df", False, "tfidf.min_df must be an integer, got False"),
+])
+def test_nested_type_error_names_the_key(table, key, value, message):
+    with pytest.raises(ConfigError) as err:
+        small_config(**{table: {**getattr(small_config(), table), key: value}})
+    assert str(err.value) == message
 
 
 def test_provider_and_embedder_take_their_tables_by_keyword(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labelforge.corpus import Document, LabelSpace, TokenIndex, tokenize
-from labelforge.errors import MalformedProviderReply, ProviderUnreachable
+from labelforge.errors import ConfigError, MalformedProviderReply, ProviderUnreachable
 from labelforge.lf_core import ABSTAIN
 from labelforge.surface import (
     GenerationRequest,
@@ -321,6 +321,19 @@ def test_remote_provider_env_config(monkeypatch):
     assert provider.model == "env-model"
     assert provider.api_key == "k"
     assert provider.timeout == 7.5
+
+
+def test_remote_provider_table_timeout_beats_env(monkeypatch):
+    monkeypatch.setenv("LABELFORGE_LLM_TIMEOUT", "99")
+    assert RemoteLlmProvider(endpoint="http://x", model="m", timeout=5.0).timeout == 5.0
+    monkeypatch.delenv("LABELFORGE_LLM_TIMEOUT")
+    assert RemoteLlmProvider(endpoint="http://x", model="m").timeout == 60.0
+
+
+def test_remote_provider_bad_env_timeout_names_the_variable(monkeypatch):
+    monkeypatch.setenv("LABELFORGE_LLM_TIMEOUT", "abc")
+    with pytest.raises(ConfigError, match="^LABELFORGE_LLM_TIMEOUT must be a number"):
+        RemoteLlmProvider(endpoint="http://x", model="m")
 
 
 def test_class_token_log_odds_positive_only():

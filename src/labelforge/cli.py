@@ -15,7 +15,7 @@ from .errors import IdAlignment, LabelForgeError
 from .label_model import load_labels_jsonl
 from .lf_core import CATEGORIES
 from .metrics import evaluate_labeling, write_report_json
-from .pipeline import StageError, run_pipeline
+from .pipeline import StageError, build_provider, run_pipeline
 from .synth import make_noisy_corpus, make_separable_corpus
 
 EXIT_OK = 0
@@ -44,6 +44,7 @@ def _load_inputs(args) -> tuple[PipelineConfig, object]:
     seed_classes = {ex.gold for ex in dataset.seed}
     if len(seed_classes) < 2:
         raise ValueError(f"seed set covers {len(seed_classes)} class(es); at least 2 needed")
+    build_provider(config, dataset)  # a remote provider reads its environment before featurize
     return config, dataset
 
 

@@ -144,6 +144,10 @@ class PipelineConfig:
                 raise ConfigError(f"{name} kind {kind!r} is not one of {list(kinds)}")
             if set(table) - {"kind"} - kinds[kind]:
                 raise ConfigError(f"{name} kind {kind!r} takes only keys {sorted(kinds[kind])}")
+            for key in ("endpoint", "model", "cache_path"):
+                if key in table and not (type(table[key]) is str and table[key]):
+                    raise ConfigError(f"{name} {key} must be a non-empty string, "
+                                      f"got {table[key]!r}")
         if self.embedding["kind"] == "remote" and not (
             self.embedding.get("endpoint") and self.embedding.get("model")
         ):

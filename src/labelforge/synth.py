@@ -34,18 +34,29 @@ def _zipf_weights(n: int, s: float = 1.2) -> np.ndarray:
     return w / w.sum()
 
 
-def _draw(rng: np.random.Generator, vocab: tuple[str, ...], k: int, weights=None) -> list[str]:
-    idx = rng.choice(len(vocab), size=k, replace=True, p=weights)
-    return [vocab[i] for i in idx]
+def _zipf_cdf(n: int, s: float = 1.2) -> np.ndarray:
+    # built as Generator.choice builds its CDF from p, so _draw returns the
+    # tokens rng.choice(n, k, p=_zipf_weights(n, s)) would, from the same uniforms
+    cdf = _zipf_weights(n, s).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+TOPIC_CDF = _zipf_cdf(len(TOPIC_VOCABS[0]))
+FILLER_CDF = _zipf_cdf(len(FILLERS))
+HAZE_CDF = _zipf_cdf(len(HAZE), s=1.8)
+
+
+def _draw(rng: np.random.Generator, vocab: tuple[str, ...], k: int, cdf: np.ndarray) -> list[str]:
+    return [vocab[i] for i in cdf.searchsorted(rng.random(k), side="right").tolist()]
 
 
 def _clean_doc(rng: np.random.Generator, cls: int, leakage: float = 0.0) -> str:
-    n = len(TOPIC_VOCABS[cls])
-    topics = _draw(rng, TOPIC_VOCABS[cls], int(rng.integers(7, 10)), _zipf_weights(n))
+    topics = _draw(rng, TOPIC_VOCABS[cls], int(rng.integers(7, 10)), TOPIC_CDF)
     # cross-class leakage keeps single-topic rules honest but imperfect
     if rng.random() < leakage:
-        topics += _draw(rng, TOPIC_VOCABS[1 - cls], 1, _zipf_weights(n))
-    fillers = _draw(rng, FILLERS, int(rng.integers(3, 5)), _zipf_weights(len(FILLERS)))
+        topics += _draw(rng, TOPIC_VOCABS[1 - cls], 1, TOPIC_CDF)
+    fillers = _draw(rng, FILLERS, int(rng.integers(3, 5)), FILLER_CDF)
     tokens = [MARKERS[cls]] * 2 + topics + fillers
     if cls == 0 and rng.random() < 0.8:
         tokens += [BAIT] * 3
@@ -54,7 +65,7 @@ def _clean_doc(rng: np.random.Generator, cls: int, leakage: float = 0.0) -> str:
 
 
 def _ambiguous_doc(rng: np.random.Generator, cls: int, marker_fidelity: float) -> str:
-    haze = _draw(rng, HAZE, 7, _zipf_weights(len(HAZE), s=1.8))
+    haze = _draw(rng, HAZE, 7, HAZE_CDF)
     marker_cls = cls if rng.random() < marker_fidelity else 1 - cls
     tokens = [MARKERS[marker_cls]] + haze
     if rng.random() < 0.8:

@@ -114,6 +114,19 @@ def test_stacked_fit_equals_per_candidate_reference(k, num_classes, n, d):
         assert np.array_equal(clf.bias, b)
 
 
+@pytest.mark.parametrize("shape", [(1, 320, 2), (4, 320, 2), (8, 32, 2), (1, 400, 5),
+                                   (3, 17, 3), (1, 1, 2)])
+def test_bias_step_accumulate_adds_rows_in_order(shape):
+    """``fit_logistic``'s bias step: the last row of the running sum over axis 1
+    equals adding the rows one by one, on magnitudes from 1e-16 to 1e16."""
+    rng = np.random.default_rng(sum(shape))
+    err = rng.normal(size=shape) * 10.0 ** rng.integers(-16, 17, size=shape)
+    in_order = np.zeros((shape[0], 1, shape[2]))
+    for row in range(shape[1]):
+        in_order[:, 0] += err[:, row]
+    assert np.array_equal(np.add.accumulate(err, axis=1)[:, -1:], in_order)
+
+
 def test_train_on_separable_data_fits_perfectly():
     x, gold = separable_seed(10)
     clf = fit_one(x, gold, 2, epochs=200)

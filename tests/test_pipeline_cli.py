@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -200,6 +201,11 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     # a remote provider that would never call its service
     ("provider", {"kind": "remote_llm", "endpoint": "http://x", "model": "m", "retries": 0}),
     ("provider", {"kind": "remote_llm", "endpoint": "http://x", "model": "m", "timeout": "5"}),
+    # remote strings that the service call would fail on only after featurize
+    ("provider", {"kind": "remote_llm", "endpoint": 5, "model": "m"}),
+    ("provider", {"kind": "remote_llm", "endpoint": "http://x", "model": ["m"]}),
+    ("embedding", {"kind": "remote", "endpoint": "http://x", "model": "m", "dim": 8,
+                   "cache_path": 3}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -251,6 +257,27 @@ def test_provider_and_embedder_take_their_tables_by_keyword(monkeypatch):
     assert (remote.endpoint, remote.model, remote.retries, remote.timeout) == (
         "http://llm", "m", 1, 60.0)
     assert remote.labels == ds.labels
+
+
+def test_bad_llm_timeout_env_fails_at_ingest_for_a_remote_provider_only(
+        run_env, tmp_path, monkeypatch):
+    monkeypatch.setenv("LABELFORGE_LLM_TIMEOUT", "abc")
+    remote = str(tmp_path / "remote.json")
+    write_config(small_config(provider={"kind": "remote_llm", "endpoint": "http://llm",
+                                        "model": "m"}), remote)
+    for command, stage in (("run", "ingest"), ("sweep", "sweep")):
+        out = str(tmp_path / command)
+        args = [command, "--config", remote, "--data", run_env["data"], "--out", out]
+        if command == "sweep":
+            args += ["--param", "alpha", "--values", "0.5"]
+        assert main(args) == 2
+        err = json.load(open(os.path.join(out, "error.json")))
+        assert err["stage"] == stage
+        assert "LABELFORGE_LLM_TIMEOUT" in err["error"]
+        assert os.listdir(out) == ["error.json"]
+    out = str(tmp_path / "offline")
+    assert main(["run", "--config", run_env["config"], "--data", run_env["data"],
+                 "--out", out]) == 0
 
 
 def test_failing_stage_reported_under_its_name(run_env, tmp_path, monkeypatch):
@@ -414,6 +441,13 @@ def test_gen_synth_command(tmp_path):
     assert len(sep.unlabeled) == 2000 and len(sep.seed) == 40 and len(sep.test) == 400
     assert len(noisy.unlabeled) == 2000
     assert len(sep.unlabeled_gold) == 2000
+    # the bundled corpora are pinned byte for byte
+    digests = {kind: hashlib.sha256(open(os.path.join(out, f"{kind}.jsonl"), "rb").read())
+               .hexdigest() for kind in ("separable", "noisy")}
+    assert digests == {
+        "separable": "878b9309eebf54b10cd181e835cdc3a0ca1a5dc7076641bf223022b31a797a76",
+        "noisy": "ada023d115c088abcfc7625282a04d11d5bfc145d383e8c91622264530603a5b",
+    }
 
 
 def test_seed_override_changes_results(run_env):

@@ -106,6 +106,8 @@ def cmd_sweep(args) -> int:
         return EXIT_INPUT
     field_name, parse = SWEEP_PARAMS[args.param]
     try:
+        if len(set(raw_values)) < len(raw_values):  # two runs would share one run directory
+            raise ValueError(f"sweep values repeat: {args.values!r}")
         config, dataset = _load_inputs(args)
         configs = [PipelineConfig.from_json({**config.to_json(), field_name: parse(raw)})
                    for raw in raw_values]

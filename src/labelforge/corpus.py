@@ -30,12 +30,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 MAX_CLASSES = 127
 
 
-def tokenize(text: str, min_token_len: int = 2) -> tuple[str, ...]:
-    """Lowercase, split on non-alphanumeric, drop tokens shorter than the floor."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    if min_token_len > 1:
-        tokens = [t for t in tokens if len(t) >= min_token_len]
-    return tuple(tokens)
+def tokenize(text: str) -> tuple[str, ...]:
+    """Every lowercased alphanumeric run of the text, in order."""
+    return tuple(_TOKEN_RE.findall(text.lower()))
 
 
 @dataclass(frozen=True)
@@ -73,32 +70,26 @@ class Document:
     id: str
     text: str  # may be empty; label functions must still handle it
 
-    @cached_property
-    def tokens(self) -> tuple[str, ...]:
-        """Every token of the text (no length floor), computed on first read."""
-        return tokenize(self.text, min_token_len=1)
-
 
 class TokenIndex:
     """One split as token ids over a shared vocabulary, plus its posting index.
 
     ``token_ids`` (token -> id, a new token takes the next id) may be shared
-    by several indexes. ``ids`` holds the split's tokens as one ``int32``
-    array, row r at ``offsets[r]:offsets[r + 1]``. Featurizers build tables
-    from these arrays, and the postings (token -> sorted ``int32`` rows
-    holding it) that token-mode surface rules vote from come from them too.
+    by several indexes. Each text is tokenized once, here, and ``ids`` is
+    the only copy of the split's tokens: one ``int32`` array, row r at
+    ``offsets[r]:offsets[r + 1]``. Featurizers build tables from these
+    arrays, and the postings (token -> sorted ``int32`` rows holding it)
+    that token-mode surface rules vote from come from them too.
     """
 
     _NO_ROWS = np.zeros(0, dtype=np.int32)
 
     def __init__(self, docs: list[Document], token_ids: dict[str, int] | None = None):
         self.docs = docs
-        self.token_ids = {} if token_ids is None else token_ids
-        tokens = itertools.chain.from_iterable(doc.tokens for doc in docs)
-        self.ids = np.fromiter((self.token_ids.setdefault(t, len(self.token_ids)) for t in tokens),
-                               np.int32)
-        lengths = np.fromiter((len(doc.tokens) for doc in docs), np.int64, len(docs))
-        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
+        self.token_ids = vocab = {} if token_ids is None else token_ids
+        rows = [[vocab.setdefault(t, len(vocab)) for t in tokenize(doc.text)] for doc in docs]
+        self.ids = np.fromiter(itertools.chain.from_iterable(rows), np.int32)
+        self.offsets = np.concatenate(([0], np.cumsum(np.fromiter(map(len, rows), np.int64))))
 
     def __len__(self) -> int:
         return len(self.docs)

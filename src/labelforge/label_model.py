@@ -208,16 +208,20 @@ def export_labels_jsonl(
 def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Read a labels file into (dists, covered, doc_ids).
 
-    A record that is not {doc_id, dist, covered}, or whose "hard" does not
-    name the argmax of its dist under this label order, raises MalformedRecord.
+    A record that is not {doc_id, dist, covered}, that repeats a doc_id, or whose
+    "hard" does not name the argmax of its dist under this label order, raises MalformedRecord.
     """
     dists: list[list[float]] = []
     covered: list[bool] = []
     doc_ids: list[str] = []
+    seen: set[str] = set()
     for line_no, rec in iter_records(path, "jsonl"):
         dist = rec.get("dist")
         if not isinstance(rec.get("doc_id"), str):
             raise MalformedRecord(line_no, "'doc_id' must be a string")
+        if rec["doc_id"] in seen:
+            raise MalformedRecord(line_no, f"'doc_id' {rec['doc_id']!r} repeats an earlier line")
+        seen.add(rec["doc_id"])
         if not (
             isinstance(dist, list) and len(dist) == labels.num_classes
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in dist)

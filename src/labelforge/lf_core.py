@@ -8,6 +8,7 @@ precision-over-covered on the seed set; coverage is the non-abstain fraction.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -21,6 +22,7 @@ EPS = 1e-9
 ROW_BLOCK = 512  # artifact rows formatted per write: bounds the strings alive at once
 # an int8 vote's text, indexed by its byte: 255 is "-1"
 _CELL_STR = np.array([str(v if v < 128 else v - 256) for v in range(256)], dtype=object)
+_CSV_QUOTE = re.compile(r'[,"\r\n]')  # a doc id holding one is quoted, so csv.reader reads it
 
 
 class Category(str, enum.Enum):
@@ -84,12 +86,15 @@ class LabelMatrix:
     col_ids: list[str]
 
     def to_csv(self, fh: TextIO) -> None:
+        ids = self.row_ids
+        if _CSV_QUOTE.search("".join(ids)):  # one scan per write: most ids need no quotes
+            ids = ['"' + i.replace('"', '""') + '"' if _CSV_QUOTE.search(i) else i for i in ids]
         fh.write(",".join(["doc_id"] + list(self.col_ids)) + "\n")
         for start in range(0, len(self.entries), ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
             cells = _CELL_STR[self.entries[block].astype(np.uint8)].tolist()
             fh.write("".join([f"{doc_id},{','.join(row)}\n"
-                              for doc_id, row in zip(self.row_ids[block], cells)]))
+                              for doc_id, row in zip(ids[block], cells)]))
 
 
 def build_label_matrix(lfs: list[LabelFunction], row_ids: list[str]) -> LabelMatrix:

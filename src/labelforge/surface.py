@@ -30,7 +30,8 @@ class SurfaceRule:
 
     patterns: dict[int, set[str]]
     match_mode: str = "token"
-    _needles: dict[int, tuple[str, ...]] = field(init=False, repr=False, default_factory=dict)
+    # class -> its patterns: token tuples (token mode) or lowercased strings (substring)
+    _needles: dict[int, tuple] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.match_mode not in MATCH_MODES:
@@ -39,13 +40,9 @@ class SurfaceRule:
             int(cls): {p.strip().lower() for p in pats if p and p.strip()}
             for cls, pats in self.patterns.items()
         }
-        # A token phrase becomes its tokens space-joined and space-padded:
-        # tokens hold no spaces, so it matches only at whole-token boundaries
-        # of a document rendered the same way.
         for cls, pats in self.patterns.items():
             if self.match_mode == "token":
-                phrases = (tokenize(p, min_token_len=1) for p in pats)
-                self._needles[cls] = tuple(" " + " ".join(t) + " " for t in phrases if t)
+                self._needles[cls] = tuple(filter(None, map(tokenize, pats)))
             else:
                 self._needles[cls] = tuple(pats)
 
@@ -83,20 +80,22 @@ class SurfaceRule:
         return out
 
 
-def _phrase_rows(index: TokenIndex, needle: str) -> np.ndarray:
-    """Sorted rows whose tokens hold the space-padded phrase ``needle`` as a contiguous run.
+def _phrase_rows(index: TokenIndex, phrase: tuple[str, ...]) -> np.ndarray:
+    """Sorted rows whose tokens hold ``phrase`` as a contiguous run.
 
-    A one-token needle is its posting list. A longer one intersects its
-    tokens' postings, then tests the padded phrase on those rows alone.
+    A one-token phrase is its posting list. A longer one intersects its
+    tokens' postings, then tests adjacency on those rows' token ids alone.
     """
-    tokens = needle.split()
-    rows = index.rows(tokens[0])
-    if len(tokens) == 1:
-        return rows
-    for token in tokens[1:]:
+    rows = index.rows(phrase[0])
+    for token in phrase[1:]:
         rows = np.intersect1d(rows, index.rows(token), assume_unique=True)
-    docs = index.docs
-    adjacent = [needle in " " + " ".join(docs[row].tokens) + " " for row in rows.tolist()]
+    if len(phrase) == 1 or not len(rows):
+        return rows
+    want, span = [index.token_ids[t] for t in phrase], len(phrase)  # all held by these rows
+    adjacent = []
+    for row in rows.tolist():
+        ids = index.ids[index.offsets[row]:index.offsets[row + 1]].tolist()
+        adjacent.append(any(ids[i:i + span] == want for i in range(len(ids) - span + 1)))
     return rows[np.array(adjacent, dtype=bool)]
 
 
@@ -132,8 +131,8 @@ def class_token_log_odds(
 ) -> dict[int, list[str]]:
     """Rank class-indicative tokens by add-1 smoothed log-odds, best first.
 
-    Only tokens with positive log-odds make a class's list: a token that is
-    not evidence for the class is never a usable pattern.
+    Only tokens of 2+ characters with positive log-odds make a class's list:
+    a token that is not evidence for the class is never a usable pattern.
     """
     name_to_idx = {n: i for i, n in enumerate(class_names)}
     counts: dict[int, dict[str, int]] = {i: {} for i in range(len(class_names))}
@@ -141,7 +140,7 @@ def class_token_log_odds(
     vocab: set[str] = set()
     for text, label_name in examples:
         cls = name_to_idx[label_name]
-        for tok in tokenize(text):
+        for tok in (t for t in tokenize(text) if len(t) > 1):
             counts[cls][tok] = counts[cls].get(tok, 0) + 1
             totals[cls] += 1
             vocab.add(tok)

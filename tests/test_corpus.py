@@ -192,3 +192,21 @@ def test_only_corpus_builds_token_indexes():
     builders = [p.name for p in sources
                 if p.name != "corpus.py" and "TokenIndex(" in p.read_text(encoding="utf-8")]
     assert builders == []
+
+
+def test_token_indexes_are_the_only_token_copy():
+    """The three split indexes retain ids, offsets and one vocabulary: no token string per token."""
+    import tracemalloc
+
+    from labelforge.synth import make_noisy_corpus
+
+    dataset = make_noisy_corpus(0, 4000, 40, 400)
+    tracemalloc.start()
+    try:
+        indexes = (dataset.seed_index, dataset.pool_index, dataset.test_index)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tokens = sum(len(index.ids) for index in indexes)
+    assert tokens > 50_000
+    assert retained / tokens <= 16, f"{retained / tokens:.1f} bytes retained per token"

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -207,10 +208,29 @@ def test_matrix_csv_equals_the_per_cell_writer(shape):
         entries.flat[: min(entries.size, 256)] = np.arange(-128, 128)[: min(entries.size, 256)]
     matrix = LabelMatrix(entries=entries, row_ids=[f'd"{i}\u00e9' for i in range(shape[0])],
                          col_ids=[f"lf{j}" for j in range(shape[1])])
-    want = io.StringIO()  # the per-cell writer the string table replaced
+    want = io.StringIO()  # the per-cell writer the string table replaced, ids as csv writes them
     want.write(",".join(["doc_id"] + matrix.col_ids) + "\n")
     for i, doc_id in enumerate(matrix.row_ids):
-        want.write(f"{doc_id},{','.join(str(int(v)) for v in entries[i])}\n")
+        want.write(f"{csv_field(doc_id)},{','.join(str(int(v)) for v in entries[i])}\n")
     got = io.StringIO()
     matrix.to_csv(got)
     assert got.getvalue() == want.getvalue()
+
+
+def csv_field(text):
+    """``text`` as ``csv.writer``'s default dialect writes one field of a row."""
+    row = io.StringIO()
+    csv.writer(row).writerow([text, ""])  # quotes a field holding , " CR or LF
+    return row.getvalue()[:-len(",\r\n")]
+
+
+@pytest.mark.parametrize("doc_id", ["a,b", 'say "hi"', "cr\rid", "lf\nid", ',"\r\n', "\r\n"])
+def test_matrix_csv_ids_read_back_through_csv_reader(doc_id):
+    matrix = LabelMatrix(entries=np.array([[0, -1], [1, 1]], dtype=np.int8),
+                         row_ids=[doc_id, "d1"], col_ids=["a", "b"])
+    fh = io.StringIO()
+    matrix.to_csv(fh)
+    assert list(csv.reader(io.StringIO(fh.getvalue()))) == [
+        ["doc_id", "a", "b"], [doc_id, "0", "-1"], ["d1", "1", "1"]]
+    assert fh.getvalue().startswith(f"doc_id,a,b\n{csv_field(doc_id)},0,-1\n")
+    assert fh.getvalue().endswith("\nd1,1,1\n")  # an id that needs no quotes keeps its bytes

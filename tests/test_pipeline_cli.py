@@ -375,6 +375,7 @@ def test_cmd_eval_rejects_labels_written_in_another_class_order(run_env, tmp_pat
     {"doc_id": "d0", "dist": [1.0, "x"], "covered": True},
     {"doc_id": "d0", "dist": [1.0, 0.0], "covered": 1},
     {"doc_id": 7, "dist": [1.0, 0.0], "covered": True},
+    {"doc_id": "d1", "dist": [1.0, 0.0], "covered": True},  # would be scored twice
 ])
 def test_cmd_eval_malformed_labels_exit_2(run_env, tmp_path, record):
     labels_path = str(tmp_path / "labels.jsonl")
@@ -410,6 +411,7 @@ def test_cmd_sweep_empty_values(run_env):
 
 @pytest.mark.parametrize("param, values", [
     ("alpha", "0.9,1.5"), ("k", "0"), ("beta", "x"), ("abstain", "maybe"),
+    ("alpha", "0.5,0.9,0.5"),  # two runs into one directory
 ])
 def test_cmd_sweep_bad_value_exits_2_before_any_run(run_env, tmp_path, param, values):
     out = str(tmp_path / "sweep")
@@ -560,9 +562,9 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     tokenized = []
     real_tokenize = corpus.tokenize
 
-    def counting_tokenize(text, min_token_len=2):  # Document.tokens looks it up in corpus
+    def counting_tokenize(text):  # TokenIndex looks it up in corpus
         tokenized.append(text)
-        return real_tokenize(text, min_token_len)
+        return real_tokenize(text)
 
     monkeypatch.setattr(corpus, "tokenize", counting_tokenize)
 

@@ -76,8 +76,8 @@ def phrase_scan_vote(rule, text):
     matched = []
     for cls, pats in rule.patterns.items():
         if rule.match_mode == "token":
-            tokens = tokenize(text, min_token_len=1)
-            hit = any(contains_phrase(tokens, tokenize(p, min_token_len=1)) for p in pats)
+            tokens = tokenize(text)
+            hit = any(contains_phrase(tokens, tokenize(p)) for p in pats)
         else:
             hit = any(p in text.strip().lower() for p in pats)
         if hit:
@@ -157,7 +157,7 @@ def log_odds_oracle(examples, class_names):
     totals = {name: 0 for name in class_names}
     vocab = set()
     for text, name in examples:
-        for tok in tokenize(text):
+        for tok in (t for t in tokenize(text) if len(t) >= 2):
             counts[name][tok] = counts[name].get(tok, 0) + 1
             totals[name] += 1
             vocab.add(tok)

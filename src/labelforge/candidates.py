@@ -67,14 +67,12 @@ def fit_logistic(
 
 
 def draw_subsample(gold: np.ndarray, size: int, rng_seed: int) -> np.ndarray:
-    """Sorted row indices of a without-replacement subsample of the seed rows.
+    """Sorted indices of ``size`` (1 to len(gold)) seed rows, drawn without replacement.
 
     The subsample must contain at least two classes; up to 10 redraws are
     attempted before DegenerateSubsample.
     """
     n = len(gold)
-    if not 1 <= size <= n:
-        raise ValueError("subsample_size must be in [1, len(seed)]")
     rng = np.random.default_rng(rng_seed)
     for _ in range(10):
         cand = rng.permutation(n)[:size] if size < n else np.arange(n)
@@ -123,8 +121,6 @@ class CalibratedClassifierLF:
 
 
 def threshold_grid(grid_step: float) -> list[float]:
-    if not 0 < grid_step <= 1:
-        raise ValueError("grid_step must be in (0, 1]")
     steps = int(math.floor(1.0 / grid_step + 1e-9))
     grid = [k * grid_step for k in range(steps + 1)]
     if grid[-1] < 1.0 - 1e-12:
@@ -173,7 +169,7 @@ def synthesize_candidates(
     featurizers: list,
     base_seed: int | None = None,
 ) -> tuple[list[LabelFunction], list[dict]]:
-    """Produce ``count`` trained classifier LFs for one category.
+    """Produce ``count`` trained classifier LFs for the structural or semantic category.
 
     Candidate k trains on the subsample drawn with rng seed base_seed + k and
     takes its variation (featurizer and regularization for structural, head
@@ -184,10 +180,6 @@ def synthesize_candidates(
     together through ``fit_logistic``, in stacks of at most STACK_BYTES.
     Omega stays 0 until ``score_candidates`` calibrates it.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if category not in (Category.STRUCTURAL, Category.SEMANTIC):
-        raise ValueError("synthesize_candidates handles structural/semantic only")
     base = config.base_seed if base_seed is None else base_seed
     training = config.candidate_training
     regs = training["regularizations"]

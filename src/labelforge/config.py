@@ -63,13 +63,14 @@ def _default_label_model() -> dict:
     return {"kind": "majority_vote"}
 
 
-# the keys each kind of a dispatched table takes besides "kind"
+# the keys each kind of a dispatched table takes besides "kind", each with a value of its type
 TABLE_KINDS = {
-    "label_model": {"majority_vote": set(), "weighted_majority_vote": {"weights"},
-                    "dawid_skene": {"max_iter", "tol"}},
-    "provider": {"offline_seeded": {"rng_seed", "top_t"},
-                 "remote_llm": {"endpoint", "model", "timeout", "retries"}},
-    "embedding": {"hashing": {"dim"}, "remote": {"endpoint", "model", "dim", "cache_path"}},
+    "label_model": {"majority_vote": {}, "weighted_majority_vote": {"weights": [1.0]},
+                    "dawid_skene": {"max_iter": 100, "tol": 1e-6}},
+    "provider": {"offline_seeded": {"rng_seed": 0, "top_t": 5},
+                 "remote_llm": {"endpoint": "", "model": "", "timeout": 60.0, "retries": 3}},
+    "embedding": {"hashing": {"dim": 256},
+                  "remote": {"endpoint": "", "model": "", "dim": 768, "cache_path": ""}},
 }
 
 # nested tables every stage reads key by key: each takes exactly its default's keys
@@ -90,13 +91,16 @@ def _check_type(name: str, value, default) -> None:
     """Raise ConfigError unless ``value`` has the type of ``default``.
 
     Types are exact (a bool is an int to isinstance), except that a float
-    takes an int. A list's items are checked against its default's first
-    item, and a table's values against the default's value under the same key.
+    takes an int. A list whose default is non-empty must be non-empty, and its
+    items are checked against the default's first item; a table's values are
+    checked against the default's value under the same key.
     """
     want = type(default)
     if type(value) is not want and (want, type(value)) != (float, int):
         raise ConfigError(f"{name} must be {_TYPE_NAMES[want]}, got {value!r}")
     if want is list and default:
+        if not value:
+            raise ConfigError(f"{name} must be a non-empty list")
         for item in value:
             _check_type(name, item, default[0])
     elif want is dict:
@@ -142,16 +146,20 @@ class PipelineConfig:
             kind = table.get("kind", "majority_vote" if name == "label_model" else None)
             if kind not in kinds:
                 raise ConfigError(f"{name} kind {kind!r} is not one of {list(kinds)}")
-            if set(table) - {"kind"} - kinds[kind]:
+            if set(table) - {"kind"} - kinds[kind].keys():
                 raise ConfigError(f"{name} kind {kind!r} takes only keys {sorted(kinds[kind])}")
+            # null weights are the LFs' accuracies
+            _check_type(name, {k: v for k, v in table.items() if (k, v) != ("weights", None)},
+                        kinds[kind])
             for key in ("endpoint", "model", "cache_path"):
-                if key in table and not (type(table[key]) is str and table[key]):
-                    raise ConfigError(f"{name} {key} must be a non-empty string, "
-                                      f"got {table[key]!r}")
+                if key in table and not table[key]:
+                    raise ConfigError(f"{name} {key} must be a non-empty string")
         if self.embedding["kind"] == "remote" and not (
             self.embedding.get("endpoint") and self.embedding.get("model")
         ):
             raise ConfigError("a remote embedding needs an endpoint and a model")
+        ds, training, lm = self.downstream, self.candidate_training, self.label_model
+        ranges = [*self.tfidf["ngram_ranges"], ds["ngram_range"]]
         for ok, rule in (
             (0 <= self.alpha <= 1, "alpha must be in [0, 1]"),
             (self.beta >= 0, "beta must be >= 0"),
@@ -161,11 +169,22 @@ class PipelineConfig:
             (0 < self.grid_step <= 1, "grid_step must be in (0, 1]"),
             (all(0 < v <= 1 for v in self.tau_dup.values()), "tau_dup values must be in (0, 1]"),
             (self.dedup_sample_size >= 0, "dedup_sample_size must be >= 0"),
-            (self.downstream["mode"] in ("soft", "hard"), "downstream mode must be soft or hard"),
-            (type(retries := self.provider.get("retries", 1)) is int and retries >= 1,
-             "provider retries must be an integer >= 1"),
-            (type(timeout := self.provider.get("timeout", 1)) in (int, float) and timeout > 0,
-             "provider timeout must be a number > 0"),
+            (ds["mode"] in ("soft", "hard"), "downstream mode must be soft or hard"),
+            (all(len(r) == 2 and 1 <= r[0] <= r[1] for r in ranges),
+             "tfidf ngram_ranges and downstream ngram_range must be [low, high], 1 <= low <= high"),
+            (min(ds["hidden"], ds["batch_size"]) >= 1,
+             "downstream hidden and batch_size must be >= 1"),
+            (self.embedding.get("dim", 1) >= 1, "embedding dim must be >= 1"),
+            (self.provider.get("top_t", 1) >= 1, "provider top_t must be >= 1"),
+            (all(0 < f <= 1 for f in training["subsample_fractions"]),
+             "candidate_training subsample_fractions must be in (0, 1]"),
+            (min(training["semantic_head_widths"]) >= 0,
+             "candidate_training semantic_head_widths must be >= 0"),
+            (lm.get("max_iter", 1) >= 1, "label_model max_iter must be >= 1"),
+            (lm.get("tol", 0) >= 0, "label_model tol must be >= 0"),
+            (min(lm.get("weights") or [0]) >= 0, "label_model weights must be >= 0"),
+            (self.provider.get("retries", 1) >= 1, "provider retries must be >= 1"),
+            (self.provider.get("timeout", 1) > 0, "provider timeout must be > 0"),
         ):
             if not ok:
                 raise ConfigError(rule)
@@ -211,10 +230,6 @@ class RunManifest:
     shortfall: dict = field(default_factory=dict)
     provider_warnings: int = 0
     warnings: list = field(default_factory=list)
-
-    def write(self, fh: TextIO) -> None:
-        json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_atomic(path: str, write: Callable[[TextIO], None]) -> None:

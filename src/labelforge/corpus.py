@@ -139,15 +139,15 @@ class Dataset:
     unlabeled_gold: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.unlabeled:
-            raise ValueError("unlabeled pool must be non-empty")
-        if not self.seed:
-            raise ValueError("seed set must be non-empty")
         seen: set[str] = set()
         for doc in self.all_documents():
             if doc.id in seen:
                 raise LabelForgeError(f"duplicate document id: {doc.id!r}")
             seen.add(doc.id)
+        if not self.unlabeled:
+            raise ValueError("unlabeled pool must be non-empty")
+        if not self.seed:
+            raise ValueError("seed set must be non-empty")
         for ex in list(self.seed) + list(self.test):
             if not 0 <= ex.gold < self.labels.num_classes:
                 raise ValueError(f"gold label {ex.gold} outside label space")
@@ -218,7 +218,6 @@ def load_dataset(path: str, fmt: str, labels: LabelSpace) -> Dataset:
     seed: list[LabeledExample] = []
     test: list[LabeledExample] = []
     unlabeled_gold: dict[str, int] = {}
-    seen_ids: set[str] = set()
 
     for line_no, rec in iter_records(path, fmt):
         doc_id = rec.get("id")
@@ -230,9 +229,6 @@ def load_dataset(path: str, fmt: str, labels: LabelSpace) -> Dataset:
         split = rec.get("split", "unlabeled")
         if split not in SPLITS:
             raise MalformedRecord(line_no, f"unknown split {split!r}")
-        if doc_id in seen_ids:
-            raise LabelForgeError(f"duplicate document id: {doc_id!r}")
-        seen_ids.add(doc_id)
 
         gold = None
         if "label" in rec and rec["label"] is not None:

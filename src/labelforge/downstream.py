@@ -12,10 +12,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .corpus import Document, LabeledExample
+from .corpus import LabeledExample
 from .errors import LabelForgeError
-from .label_model import write_dist_rows
-from .metrics import EvalReport, confusion_counts, weighted_f1
+from .metrics import EvalReport, evaluate_labeling
 from .nets import MlpNet
 
 
@@ -63,26 +62,16 @@ def train_downstream(dists: np.ndarray, covered: np.ndarray, featurizer, config)
 
 
 def evaluate_e2e(probs: np.ndarray, test: list[LabeledExample]) -> EvalReport:
-    """Weighted F1 of the argmax of the test probabilities against the gold labels."""
+    """Weighted F1 of the argmax of the test probabilities against the gold labels.
+
+    ``metrics.evaluate_labeling`` scores it with every row covered, so
+    coverage is 1.0 and label quality equals the F1.
+    """
     if not test:
         raise ValueError("evaluate_e2e needs a non-empty test split")
     if len(probs) != len(test):
         raise ValueError("probs and test rows must align")
-    pred = probs.argmax(axis=1)
-    gold = np.array([ex.gold for ex in test])
-    num_classes = probs.shape[1]
-    per_class, weighted = weighted_f1(pred, gold, num_classes)
-    return EvalReport(
-        coverage=1.0,
-        per_class_f1=per_class,
-        weighted_f1=weighted,
-        label_quality=weighted,
-        confusion=confusion_counts(pred, gold, num_classes).tolist(),
-        n_evaluated=len(test),
-        f1_convention="all_rows",
-    )
-
-
-def export_predictions_jsonl(fh: TextIO, probs: np.ndarray, docs: list[Document], labels) -> None:
-    """One {doc_id, dist, pred} record per test row; "pred" names the argmax class."""
-    write_dist_rows(fh, probs, [doc.id for doc in docs], labels, "pred")
+    report = evaluate_labeling(probs, np.ones(len(test), dtype=bool), [ex.doc.id for ex in test],
+                               {ex.doc.id: ex.gold for ex in test})
+    report.f1_convention = "all_rows"
+    return report

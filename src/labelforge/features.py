@@ -86,8 +86,11 @@ class Featurizer:
     ``transform_many(index)``, index a split's ``TokenIndex``, returns one
     (len(index), dim) array. ``build_tables`` featurizes each split once, from
     the dataset's token indexes, in split row order. Subclasses set ``dim``
-    and supply ``kind``, ``transform_many`` and ``describe()``.
+    and supply ``kind`` and ``transform_many``.
     """
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, "provider": type(self).__name__, "dim": self.dim}
 
     def build_tables(self, dataset: Dataset) -> Featurizer:
         self.seed = self.transform_many(dataset.seed_index)
@@ -216,9 +219,6 @@ class HashingEmbedder(Featurizer):
             cells[keys[negative] // 2] -= counts[negative]
         return _normalize_rows(table)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "provider": type(self).__name__, "dim": self.dim}
-
 
 def _default_embedding_transport(endpoint: str, payload: dict, timeout: float) -> dict:
     import urllib.request
@@ -317,9 +317,6 @@ class RemoteEmbedder(Featurizer):
         self._cache[doc.id] = vector
         self._append_cache(doc.id, vector)
         return np.asarray(vector, dtype=float)
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "provider": type(self).__name__, "dim": self.dim}
 
 
 def build_featurizers(dataset: Dataset, config) -> tuple[list, list, TfidfFeaturizer]:

@@ -168,8 +168,6 @@ def aggregate(
         weights = np.asarray(accuracies if weights is None else weights, dtype=float)
         if len(weights) != m:
             raise ValueError("weights length must match the LF count")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
         if not np.any(weights > 0):
             raise LabelForgeError("weighted vote needs a positive weight")
     elif kind == "majority_vote":
@@ -196,13 +194,6 @@ def write_dist_rows(fh: TextIO, dists: np.ndarray, doc_ids: list[str], labels: L
             for head, dist, doc_id, cls in zip(
                 heads[block], dists[block].tolist(), doc_ids[block], hard[block])
         ]))
-
-
-def export_labels_jsonl(
-    fh: TextIO, dists: np.ndarray, covered: np.ndarray, doc_ids: list[str], labels: LabelSpace
-) -> None:
-    """One {doc_id, dist, covered, hard} record per row; "hard" names the argmax class."""
-    write_dist_rows(fh, dists, doc_ids, labels, "hard", covered=covered)
 
 
 def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray, list[str]]:

@@ -30,9 +30,6 @@ class Category(str, enum.Enum):
     STRUCTURAL = "structural"
     SEMANTIC = "semantic"
 
-    def __str__(self):
-        return self.value
-
 
 CATEGORIES = (Category.SURFACE, Category.STRUCTURAL, Category.SEMANTIC)
 

@@ -11,16 +11,17 @@ import json
 import os
 import time
 from contextlib import contextmanager, suppress
+from dataclasses import asdict
 
 from . import metrics as metrics_mod
 from .candidates import synthesize_candidates
 from .config import PipelineConfig, RunManifest, file_digest, write_atomic
 from .corpus import Dataset
-from .downstream import evaluate_e2e, export_predictions_jsonl, train_downstream, write_checkpoint
+from .downstream import evaluate_e2e, train_downstream, write_checkpoint
 from .errors import LabelForgeError, ProviderUnreachable, MalformedProviderReply
 from .exploitation import run_exploitation_loop
 from .features import build_featurizers
-from .label_model import aggregate, export_labels_jsonl
+from .label_model import aggregate, write_dist_rows
 from .lf_core import Category, LabelFunction, build_label_matrix
 from .surface import (
     GenerationRequest,
@@ -184,16 +185,16 @@ def run_pipeline(
             "lf_pool.json": lambda fh: json.dump(lf_pool, fh, indent=2, sort_keys=True),
             "filter_reports.json": lambda fh: json.dump(reports, fh, indent=2, sort_keys=True),
             "label_matrix.csv": matrix.to_csv,
-            "labels.jsonl": lambda fh: export_labels_jsonl(
-                fh, dists, covered, matrix.row_ids, dataset.labels),
+            "labels.jsonl": lambda fh: write_dist_rows(
+                fh, dists, matrix.row_ids, dataset.labels, "hard", covered),
             "report.json": lambda fh: metrics_mod.write_report_json(fh, summary),
             "ledger.csv": metrics_mod.ledger_appender(
                 os.path.join(out_dir, "ledger.csv"),
                 {**summary, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}),
         }
         if dataset.test:
-            artifacts["predictions.jsonl"] = lambda fh: export_predictions_jsonl(
-                fh, test_probs, dataset.test_index.docs, dataset.labels)
+            artifacts["predictions.jsonl"] = lambda fh: write_dist_rows(
+                fh, test_probs, [ex.doc.id for ex in dataset.test], dataset.labels, "pred")
         paths = {os.path.splitext(name)[0]: os.path.join(out_dir, name)
                  for name in (*artifacts, "manifest.json")}
         # a manifest lists only files of the run it describes, so the last run's goes first
@@ -203,7 +204,8 @@ def run_pipeline(
             write_atomic(os.path.join(out_dir, name), write)
         manifest.stage_seconds = {**seconds, "write": time.perf_counter() - write_start}
         manifest.artifacts = paths
-        write_atomic(paths["manifest"], manifest.write)
+        write_atomic(paths["manifest"],
+                     lambda fh: metrics_mod.write_report_json(fh, asdict(manifest)))
 
     summary["stage_seconds"] = seconds
     summary["artifacts"] = paths

@@ -121,10 +121,6 @@ class GenerationRequest:
     examples: tuple[tuple[str, str], ...] = ()
     count: int = 4
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
 
 def class_token_log_odds(
     examples: tuple[tuple[str, str], ...], class_names: tuple[str, ...]

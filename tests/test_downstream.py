@@ -164,14 +164,14 @@ def test_checkpoint_written():
 
 def test_predictions_export():
     from labelforge.corpus import LabelSpace
-    from labelforge.downstream import export_predictions_jsonl
+    from labelforge.label_model import write_dist_rows
 
     docs, labels, _ = corpus(20)
     feat = featurizer_for(docs)
     net = train_downstream(*labels, feat, config(epochs=2, seed=0))
     fh = io.StringIO()
     test_probs = predict(net, feat, docs[:3])
-    export_predictions_jsonl(fh, test_probs, docs[:3], LabelSpace(("pos", "neg")))
+    write_dist_rows(fh, test_probs, [d.id for d in docs[:3]], LabelSpace(("pos", "neg")), "pred")
     rows = [json.loads(line) for line in fh.getvalue().splitlines()]
     assert len(rows) == 3
     assert rows[0]["pred"] in ("pos", "neg")

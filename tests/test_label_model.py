@@ -8,9 +8,9 @@ from labelforge.corpus import LabelSpace
 from labelforge.errors import LabelForgeError
 from labelforge.label_model import (
     aggregate,
-    export_labels_jsonl,
     fit_dawid_skene,
     load_labels_jsonl,
+    write_dist_rows,
 )
 from labelforge.lf_core import ABSTAIN, LabelMatrix
 from labelforge.metrics import evaluate_labeling
@@ -126,7 +126,7 @@ def test_hard_labels_tie_breaks_to_smallest():
     dists = np.array([[0.3, 0.7], [0.5, 0.5], [0.5, 0.5]])
     covered = np.array([True, True, False])
     fh = io.StringIO()
-    export_labels_jsonl(fh, dists, covered, ["d0", "d1", "d2"], LABELS2)
+    write_dist_rows(fh, dists, ["d0", "d1", "d2"], LABELS2, "hard", covered)
     hard = [json.loads(line)["hard"] for line in fh.getvalue().splitlines()]
     assert hard == ["neg", "pos", "pos"]
     # gold is class 0 for the tied covered row: a class-0 prediction is a perfect score
@@ -361,7 +361,7 @@ def test_labels_jsonl_round_trip(tmp_path):
     dists = np.array([[0.75, 0.25], [0.5, 0.5]])
     covered = np.array([True, False])
     fh = io.StringIO()
-    export_labels_jsonl(fh, dists, covered, ["d0", "d1"], LABELS2)
+    write_dist_rows(fh, dists, ["d0", "d1"], LABELS2, "hard", covered)
     path = str(tmp_path / "labels.jsonl")
     with open(path, "w", encoding="utf-8") as out:
         out.write(fh.getvalue())
@@ -397,7 +397,6 @@ ODD_IDS = ['plain', 'say "hi"', "back\\slash", "caf\u00e9", "\u03a3igma", "line\
 @pytest.mark.parametrize("non_finite", [False, True])
 def test_jsonl_writers_equal_the_json_dumps_writers(labels, n_rows, non_finite):
     from labelforge.corpus import Document
-    from labelforge.downstream import export_predictions_jsonl
 
     rng = np.random.default_rng(n_rows)
     dists = rng.dirichlet(np.ones(labels.num_classes), size=n_rows)
@@ -408,11 +407,11 @@ def test_jsonl_writers_equal_the_json_dumps_writers(labels, n_rows, non_finite):
     covered = rng.random(n_rows) < 0.7
     doc_ids = [ODD_IDS[i % len(ODD_IDS)] + str(i) for i in range(n_rows)]
     docs = [Document(id=doc_id, text="") for doc_id in doc_ids]
-    for write, reference, args in (
-        (export_labels_jsonl, reference_labels_jsonl, (dists, covered, doc_ids, labels)),
-        (export_predictions_jsonl, reference_predictions_jsonl, (dists, docs, labels)),
-    ):
-        got, want = io.StringIO(), io.StringIO()
-        write(got, *args)
-        reference(want, *args)
-        assert got.getvalue() == want.getvalue()
+    got, want = io.StringIO(), io.StringIO()
+    write_dist_rows(got, dists, doc_ids, labels, "hard", covered)
+    reference_labels_jsonl(want, dists, covered, doc_ids, labels)
+    assert got.getvalue() == want.getvalue()
+    got, want = io.StringIO(), io.StringIO()
+    write_dist_rows(got, dists, doc_ids, labels, "pred")
+    reference_predictions_jsonl(want, dists, docs, labels)
+    assert got.getvalue() == want.getvalue()

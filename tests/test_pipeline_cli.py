@@ -206,6 +206,28 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("provider", {"kind": "remote_llm", "endpoint": "http://x", "model": ["m"]}),
     ("embedding", {"kind": "remote", "endpoint": "http://x", "model": "m", "dim": 8,
                    "cache_path": 3}),
+    # n-gram ranges below 1 or reversed, which count tokens twice or empty the vocabulary
+    ("downstream", {**small_config().downstream, "ngram_range": [0, 1]}),
+    ("downstream", {**small_config().downstream, "ngram_range": [1]}),
+    ("tfidf", {"ngram_ranges": [[0, 1]], "min_df": 1, "min_token_len": 2}),
+    ("tfidf", {"ngram_ranges": [[2, 1]], "min_df": 1, "min_token_len": 2}),
+    # sizes below 1, which fail after the loop or run to a wrong result
+    ("downstream", {**small_config().downstream, "batch_size": 0}),
+    ("downstream", {**small_config().downstream, "hidden": 0}),
+    ("embedding", {"kind": "hashing", "dim": 0}),
+    ("provider", {"kind": "offline_seeded", "top_t": 0}),
+    # candidate-training lists that are empty or out of range
+    ("tfidf", {"ngram_ranges": [], "min_df": 1, "min_token_len": 2}),
+    ("candidate_training", {**small_config().candidate_training, "regularizations": []}),
+    ("candidate_training", {**small_config().candidate_training, "subsample_fractions": []}),
+    ("candidate_training", {**small_config().candidate_training, "subsample_fractions": [0.0]}),
+    ("candidate_training", {**small_config().candidate_training, "semantic_head_widths": [-1]}),
+    # label-model keys that aggregate would reject only after the loop
+    ("label_model", {"kind": "dawid_skene", "max_iter": "5"}),
+    ("label_model", {"kind": "dawid_skene", "max_iter": 0}),
+    ("label_model", {"kind": "dawid_skene", "tol": -1.0}),
+    ("label_model", {"kind": "weighted_majority_vote", "weights": [-1.0]}),
+    ("label_model", {"kind": "weighted_majority_vote", "weights": ["1"]}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -220,6 +242,16 @@ def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     assert table in err["error"]
     with pytest.raises(ConfigError):
         PipelineConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("label_model", [
+    {"kind": "dawid_skene", "max_iter": 25, "tol": 0.0},
+    {"kind": "dawid_skene", "tol": 0},
+    {"kind": "weighted_majority_vote", "weights": None},
+    {"kind": "weighted_majority_vote", "weights": [0, 0.5, 2]},
+])
+def test_label_model_tables_in_range_pass_ingest(label_model):
+    assert small_config(label_model=label_model).label_model == label_model
 
 
 def test_float_fields_take_ints():
@@ -319,7 +351,7 @@ def test_a_write_that_fails_halfway_leaves_the_earlier_run_unlisted(run_env, tmp
         fh.write('{"doc_id": "d')
         raise OSError("disk gone")
 
-    monkeypatch.setattr(pipeline, "export_labels_jsonl", torn_export)
+    monkeypatch.setattr(pipeline, "write_dist_rows", torn_export)
     assert main(args) == 1
     err = json.load(open(os.path.join(out, "error.json")))
     assert err["stage"] == "write" and "disk gone" in err["error"]

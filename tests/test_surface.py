@@ -240,11 +240,6 @@ def test_offline_provider_rounds_disjoint():
     assert not used0 & used1
 
 
-def test_generation_request_count_validation():
-    with pytest.raises(ValueError):
-        GenerationRequest("t", ("pos", "neg"), (), count=0)
-
-
 def test_extract_rule_array_from_messy_reply():
     text = 'Sure! Here are rules:\n[{"match_mode": "token", "patterns": {"pos": ["great"]}}]\nDone.'
     assert len(extract_rule_array(text)) == 1

@@ -22,8 +22,8 @@ def unread_imports(source: str) -> list[str]:
 
 
 def test_unread_imports_finds_what_is_never_read():
-    source = "from __future__ import annotations\nimport os.path\nimport sys as s\n" \
-             "from json import dumps, loads\n\ndef f() -> s.X:\n    return loads(os.path.sep)\n"
+    source = ("from __future__ import annotations\nimport os.path\nimport sys as s\n"
+              "from json import dumps, loads\n\ndef f() -> s.X:\n    return loads(os.path.sep)\n")
     assert unread_imports(source) == ["dumps"]
 
 

@@ -206,7 +206,8 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("provider", {"kind": "remote_llm", "endpoint": "http://x", "model": ["m"]}),
     ("embedding", {"kind": "remote", "endpoint": "http://x", "model": "m", "dim": 8,
                    "cache_path": 3}),
-    # n-gram ranges below 1 or reversed, which count tokens twice or empty the vocabulary
+    # n-gram ranges that are not [low, high] with 1 <= low <= high, which count tokens
+    # twice, index past the range or empty the vocabulary
     ("downstream", {**small_config().downstream, "ngram_range": [0, 1]}),
     ("downstream", {**small_config().downstream, "ngram_range": [1]}),
     ("tfidf", {"ngram_ranges": [[0, 1]], "min_df": 1, "min_token_len": 2}),

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Dataset
 from .errors import DegenerateSubsample, LabelForgeError
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
-from .nets import MlpNet, class_max, softmax
+from .nets import MlpNet, class_major_sum, class_max, softmax
 
 # Largest stacked x one fit_logistic call trains on. A stack that outgrows the
 # L2 cache (2 MiB where measured) trains slower than its candidates one by one.
@@ -49,18 +49,30 @@ def fit_logistic(
     """Train k classifiers at once: x is (k, n, d), y (k, n), l2 a scalar or k values.
 
     Zero-initialized full-batch GD on cross-entropy + L2 (bias unpenalized).
-    Each epoch runs on the whole stack in the (k, n, C) layout, so every
-    classifier gets the weights a k = 1 fit of its own slice would.
+    Each epoch runs on the whole stack class-major: the logits are (k, C, n),
+    so the softmax works on one contiguous row per class, summed in numpy's
+    order for a row of classes (``class_major_sum``). The error goes into a
+    (k, n, C) buffer, which the backward product reads as it always has: a
+    class-major operand changes that product's bits at some widths. So every
+    classifier gets the weights a k = 1 fit of its own slice in the (n, C)
+    layout would.
     """
     k, n, d = x.shape
     l2 = np.reshape(l2, (-1, 1, 1))
     w = np.zeros((k, num_classes, d))
     b = np.zeros((k, 1, num_classes))
-    onehot = np.eye(num_classes)[y]
+    onehot = (np.arange(num_classes)[:, None] == y[:, None]).astype(float)  # (k, C, n)
+    err = np.empty((k, n, num_classes))
+    x_t, b_t, err_t = x.transpose(0, 2, 1), b.transpose(0, 2, 1), err.transpose(0, 2, 1)
     for _ in range(epochs):
-        probs = softmax(np.matmul(x, w.transpose(0, 2, 1)) + b)
-        err = (probs - onehot) / n
-        w -= lr * (np.matmul(err.transpose(0, 2, 1), x) + l2 * w)
+        z = np.matmul(w, x_t)
+        z += b_t
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= class_major_sum(z)
+        z -= onehot
+        np.divide(z, n, out=err_t)
+        w -= lr * (np.matmul(err_t, x) + l2 * w)
         # adds the n rows in order, as err.sum(axis=1) does, at half its cost
         b -= lr * np.add.accumulate(err, axis=1)[:, -1:]
     return [LinearClassifier(weights=w[i], bias=b[i, 0]) for i in range(k)]

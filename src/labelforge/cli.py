@@ -36,7 +36,7 @@ def _write_error(out_dir: str, stage: str, error: Exception) -> None:
 def _load_inputs(args) -> tuple[PipelineConfig, object]:
     config = PipelineConfig.load(args.config)
     if args.seed_override is not None:
-        config.base_seed = args.seed_override
+        config = PipelineConfig.from_json({**config.to_json(), "base_seed": args.seed_override})
     if not os.path.exists(args.data):
         raise FileNotFoundError(f"dataset file not found: {args.data}")
     dataset = load_dataset(args.data, args.data_format,

@@ -169,17 +169,28 @@ class PipelineConfig:
             (0 < self.grid_step <= 1, "grid_step must be in (0, 1]"),
             (all(0 < v <= 1 for v in self.tau_dup.values()), "tau_dup values must be in (0, 1]"),
             (self.dedup_sample_size >= 0, "dedup_sample_size must be >= 0"),
+            (self.base_seed >= 0, "base_seed must be >= 0"),
+            (self.provider.get("rng_seed", 0) >= 0, "provider rng_seed must be >= 0"),
+            (min(self.tfidf["min_df"], self.tfidf["min_token_len"]) >= 1,
+             "tfidf min_df and min_token_len must be >= 1"),
             (ds["mode"] in ("soft", "hard"), "downstream mode must be soft or hard"),
             (all(len(r) == 2 and 1 <= r[0] <= r[1] for r in ranges),
              "tfidf ngram_ranges and downstream ngram_range must be [low, high], 1 <= low <= high"),
-            (min(ds["hidden"], ds["batch_size"]) >= 1,
-             "downstream hidden and batch_size must be >= 1"),
+            (min(ds["hidden"], ds["batch_size"], ds["epochs"]) >= 1,
+             "downstream hidden, batch_size and epochs must be >= 1"),
+            (ds["lr"] > 0, "downstream lr must be > 0"),
             (self.embedding.get("dim", 1) >= 1, "embedding dim must be >= 1"),
             (self.provider.get("top_t", 1) >= 1, "provider top_t must be >= 1"),
             (all(0 < f <= 1 for f in training["subsample_fractions"]),
              "candidate_training subsample_fractions must be in (0, 1]"),
             (min(training["semantic_head_widths"]) >= 0,
              "candidate_training semantic_head_widths must be >= 0"),
+            (min(training["epochs"], training["mlp_epochs"]) >= 1,
+             "candidate_training epochs and mlp_epochs must be >= 1"),
+            (min(training["lr"], training["mlp_lr"]) > 0,
+             "candidate_training lr and mlp_lr must be > 0"),
+            (min(training["l2"], *training["regularizations"]) >= 0,
+             "candidate_training l2 and regularizations must be >= 0"),
             (lm.get("max_iter", 1) >= 1, "label_model max_iter must be >= 1"),
             (lm.get("tol", 0) >= 0, "label_model tol must be >= 0"),
             (min(lm.get("weights") or [0]) >= 0, "label_model weights must be >= 0"),

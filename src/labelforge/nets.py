@@ -13,7 +13,7 @@ import numpy as np
 
 # numpy reduces a short last axis with a generic loop once per row. Below 8 classes
 # and from 64 rows on, a chain of whole-column ops is faster and gives the same floats:
-# max is exact, and numpy's pairwise sum adds fewer than 8 values in order from +0.0.
+# max is exact, and the sum keeps the order of numpy's pairwise sum (class_major_sum).
 def class_max(z: np.ndarray) -> np.ndarray:
     """``z.max(axis=-1, keepdims=True)``, bit for bit."""
     if not 0 < z.shape[-1] < 8 or z.size < 64 * z.shape[-1]:
@@ -28,9 +28,33 @@ def class_sum(z: np.ndarray) -> np.ndarray:
     """``z.sum(axis=-1, keepdims=True)`` of a float array, bit for bit."""
     if not 0 < z.shape[-1] < 8 or z.size < 64 * z.shape[-1]:
         return z.sum(axis=-1, keepdims=True)
-    out = z[..., :1] + 0.0
-    for j in range(1, z.shape[-1]):
-        out += z[..., j:j + 1]
+    return class_major_sum(z.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def class_major_sum(z: np.ndarray) -> np.ndarray:
+    """Sum over the class rows of a (..., C, n) float array, keeping that axis.
+
+    Each column gets the floats numpy's pairwise sum gives the same C values as
+    one contiguous row, for 1 <= C <= 128 (a label space holds at most
+    ``corpus.MAX_CLASSES``): below 8 values it adds them in order from +0.0;
+    from 8 on it keeps eight running partials, adds them as a tree, adds the
+    rest in order, and the reduction adds that to +0.0.
+    """
+    c = z.shape[-2]
+    if c < 8:
+        out = z[..., :1, :] + 0.0
+        for j in range(1, c):
+            out += z[..., j:j + 1, :]
+        return out
+    r = z[..., :8, :].copy()
+    for i in range(8, c - c % 8, 8):
+        r += z[..., i:i + 8, :]
+    r = r[..., 0::2, :] + r[..., 1::2, :]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    out = r[..., :1, :] + r[..., 1:, :]
+    for j in range(c - c % 8, c):
+        out += z[..., j:j + 1, :]
+    out += 0.0
     return out
 
 

@@ -98,8 +98,11 @@ def fit_one(x, y, num_classes, **kw):
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
-@pytest.mark.parametrize("num_classes", [2, 3, 5])
-@pytest.mark.parametrize("n,d", [(32, 21), (320, 64)])
+@pytest.mark.parametrize("num_classes", [2, 3, 5, 8, 9])  # 8 and up: numpy's pairwise class sum
+# small shapes; the bench's wide tables (seed-heavy's 320 and 400 rows, separable-loop's
+# 32); and widths where a class-major error array changes the backward product's bits
+@pytest.mark.parametrize("n,d", [(32, 21), (320, 64), (320, 374), (400, 378), (32, 374),
+                                 (64, 2), (64, 9), (64, 378)])
 def test_stacked_fit_equals_per_candidate_reference(k, num_classes, n, d):
     rng = np.random.default_rng(100 * k + 10 * num_classes + n)
     x = np.abs(rng.normal(size=(k, n, d)))

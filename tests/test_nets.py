@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from labelforge.nets import class_max, class_sum, softmax
+from labelforge.nets import class_major_sum, class_max, class_sum, softmax
 
 # leading shapes on both sides of the 64-row rule; the class axis is appended
 SHAPES = [(), (0,), (1,), (63,), (64,), (257,), (7, 33)]
@@ -42,6 +42,22 @@ def test_class_reductions_equal_numpy_axis_reductions(num_classes, lead):
                 assert_same_floats(class_max(z), z.max(axis=-1, keepdims=True))
                 assert_same_floats(class_sum(z), z.sum(axis=-1, keepdims=True))
                 assert_same_floats(softmax(z), reference_softmax(z))
+
+
+@pytest.mark.parametrize("num_classes", [*range(1, 21), 64, 127, 128])
+def test_class_major_sum_equals_numpy_row_sums(num_classes):
+    """Each column of a (k, C, n) array sums to numpy's sum of the same values as a
+    contiguous row: in order below 8 classes, pairwise from 8.
+    The sign of a NaN may differ; every other bit is the same."""
+    rng = np.random.default_rng(num_classes)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for rows in class_axis_inputs(num_classes, (3, 70), rng):
+            want = rows.sum(axis=-1, keepdims=True).transpose(0, 2, 1)
+            got = class_major_sum(np.ascontiguousarray(rows.transpose(0, 2, 1)))
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            number = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
 
 def test_no_classes_takes_numpy_reduce():

@@ -229,6 +229,24 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("label_model", {"kind": "dawid_skene", "tol": -1.0}),
     ("label_model", {"kind": "weighted_majority_vote", "weights": [-1.0]}),
     ("label_model", {"kind": "weighted_majority_vote", "weights": ["1"]}),
+    # seeds numpy's generators reject only in explore_exploit
+    ("base_seed", -3),
+    ("provider", {"kind": "offline_seeded", "rng_seed": -1, "top_t": 5}),
+    # TF-IDF floors below 1, which run to a result as if they were 1 or 0
+    ("tfidf", {"ngram_ranges": [[1, 1]], "min_df": 0, "min_token_len": 2}),
+    ("tfidf", {"ngram_ranges": [[1, 1]], "min_df": 1, "min_token_len": -3}),
+    # training settings that leave classifiers at their initial weights or train them
+    # uphill, and a run exits 0 with fewer or worse LFs and end labels
+    ("candidate_training", {**small_config().candidate_training, "epochs": 0}),
+    ("candidate_training", {**small_config().candidate_training, "mlp_epochs": 0}),
+    ("candidate_training", {**small_config().candidate_training, "lr": -0.5}),
+    ("candidate_training", {**small_config().candidate_training, "mlp_lr": 0.0}),
+    ("candidate_training", {**small_config().candidate_training, "l2": -1e-3}),
+    ("candidate_training", {**small_config().candidate_training,
+                            "regularizations": [1e-3, -1e-2]}),
+    ("downstream", {**small_config().downstream, "epochs": 0}),
+    ("downstream", {**small_config().downstream, "lr": 0}),
+    ("downstream", {**small_config().downstream, "lr": -0.01}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -483,6 +501,14 @@ def test_gen_synth_command(tmp_path):
         "separable": "878b9309eebf54b10cd181e835cdc3a0ca1a5dc7076641bf223022b31a797a76",
         "noisy": "ada023d115c088abcfc7625282a04d11d5bfc145d383e8c91622264530603a5b",
     }
+
+
+def test_negative_seed_override_fails_at_ingest(run_env, tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", run_env["config"], "--data", run_env["data"],
+                 "--out", out, "--seed-override", "-1"]) == 2
+    err = json.load(open(os.path.join(out, "error.json")))
+    assert err == {"stage": "ingest", "error": "base_seed must be >= 0"}
 
 
 def test_seed_override_changes_results(run_env):

@@ -32,10 +32,18 @@ class LinearClassifier:
     bias: np.ndarray  # C
 
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        if x.shape[1] != self.weights.shape[1]:
-            raise LabelForgeError(f"expected dim {self.weights.shape[1]}, got {x.shape[1]}")
-        return softmax(x @ self.weights.T + self.bias)
+        return predict_proba_stack([self], x)[:, 0]
+
+
+def predict_proba_stack(classifiers: list[LinearClassifier], x: np.ndarray) -> np.ndarray:
+    """(n, k, C) class probabilities of k classifiers over the rows of x, from one product."""
+    x = np.atleast_2d(x)
+    w, b = np.concatenate([c.weights for c in classifiers]), np.stack([c.bias for c in classifiers])
+    if x.shape[1] != w.shape[1]:
+        raise LabelForgeError(f"expected dim {w.shape[1]}, got {x.shape[1]}")
+    z = (x @ w.T).reshape(len(x), *b.shape)
+    z += b
+    return softmax(z, out=z)
 
 
 def fit_logistic(

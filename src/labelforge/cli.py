@@ -44,6 +44,8 @@ def _load_inputs(args) -> tuple[PipelineConfig, object]:
     seed_classes = {ex.gold for ex in dataset.seed}
     if len(seed_classes) < 2:
         raise ValueError(f"seed set covers {len(seed_classes)} class(es); at least 2 needed")
+    if len(dataset.unlabeled) < 2:
+        raise ValueError(f"unlabeled pool has {len(dataset.unlabeled)} doc(s); at least 2 needed")
     build_provider(config, dataset)  # a remote provider reads its environment before featurize
     return config, dataset
 

@@ -58,9 +58,10 @@ def class_major_sum(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, into ``out`` (``z`` itself works) or a new array."""
     z = np.atleast_2d(z)
-    e = z - class_max(z)
+    e = np.subtract(z, class_max(z), out=out)
     np.exp(e, out=e)
     return np.divide(e, class_sum(e), out=e)
 
@@ -125,9 +126,7 @@ class MlpNet:
                 h = np.maximum(h_pre, 0.0)
                 dz2 = h @ self.w2  # logits, then softmax, then the output error
                 dz2 += self.b2
-                dz2 -= class_max(dz2)
-                np.exp(dz2, out=dz2)
-                dz2 /= class_sum(dz2)
+                softmax(dz2, out=dz2)
                 dz2 -= tb
                 dz2 /= xb.shape[0]
 

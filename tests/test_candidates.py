@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from labelforge import candidates
+from labelforge import candidates, exploitation
 from labelforge.candidates import (
     CalibratedClassifierLF,
     LinearClassifier,
@@ -437,27 +437,52 @@ def test_abstain_disabled_zeroes_omega():
 
 
 def test_each_candidate_predicts_once_per_split(monkeypatch):
+    """One scoring call multiplies each pool table once, for all of its featurizer's
+    logistic heads; each logistic head predicts the seed on its own, and each MLP head
+    predicts once per split."""
     ds = toy_dataset()
     cfg = PipelineConfig(base_seed=3)
     cfg.candidate_training["semantic_head_widths"] = [0, 16]
-    rows_by_classifier = {}
-    for cls in (LinearClassifier, MlpNet):
-        def counting(self, x, real=cls.predict_proba_many):
-            rows_by_classifier.setdefault(id(self), []).append(len(x))
-            return real(self, x)
+    products = []  # (table, classifiers) per predict_proba_stack call
+    real_stack = candidates.predict_proba_stack
 
-        monkeypatch.setattr(cls, "predict_proba_many", counting)
-    lfs = []
+    def counting_stack(classifiers, x):
+        products.append((x, list(classifiers)))
+        return real_stack(classifiers, x)
+
+    for module in (candidates, exploitation):  # predict_proba_many's caller and the scorer
+        monkeypatch.setattr(module, "predict_proba_stack", counting_stack)
+    mlp_rows = {}
+    real_mlp = MlpNet.predict_proba_many
+
+    def counting_mlp(self, x):
+        mlp_rows.setdefault(id(self), []).append(len(x))
+        return real_mlp(self, x)
+
+    monkeypatch.setattr(MlpNet, "predict_proba_many", counting_mlp)
+    shared = 0
     for category in (Category.STRUCTURAL, Category.SEMANTIC):
-        made, _ = synthesize(category, ds, 2, cfg)
-        score_candidates(made, ds, cfg)
-        lfs.extend(made)
-    assert len(lfs) == 4
-    for lf in lfs:
-        assert sorted(rows_by_classifier[id(lf.rule.classifier)]) == [
-            len(ds.seed), len(ds.unlabeled),
-        ]
-        assert lf.threshold == lf.rule.omega
+        lfs, _ = synthesize(category, ds, 6, cfg)
+        products.clear()
+        score_candidates(lfs, ds, cfg)
+        heads = [lf for lf in lfs if isinstance(lf.rule.classifier, LinearClassifier)]
+        tables = {id(lf.rule.featurizer): lf.rule.featurizer for lf in heads}.values()
+        assert len(products) == len(tables) + len(heads)
+        for featurizer in tables:
+            group = [lf.rule.classifier for lf in heads if lf.rule.featurizer is featurizer]
+            pool_products = [clfs for x, clfs in products if x is featurizer.pool]
+            assert len(pool_products) == 1
+            assert [id(c) for c in pool_products[0]] == [id(c) for c in group]
+            shared += len(group) > 1
+        for lf in heads:
+            seed_products = [clfs for x, clfs in products if x is lf.rule.featurizer.seed
+                             and any(c is lf.rule.classifier for c in clfs)]
+            assert len(seed_products) == 1 and len(seed_products[0]) == 1
+        for lf in lfs:
+            if isinstance(lf.rule.classifier, MlpNet):
+                assert sorted(mlp_rows[id(lf.rule.classifier)]) == [len(ds.seed), len(ds.unlabeled)]
+            assert lf.threshold == lf.rule.omega
+    assert shared >= 2 and len(mlp_rows) >= 2
 
 
 def reference_synthesize(category, ds, count, cfg, featurizers):

@@ -131,6 +131,19 @@ def test_single_class_seed_fails_at_ingest(run_env, tmp_path):
     assert json.load(open(os.path.join(out, "error.json")))["stage"] == "sweep"
 
 
+def test_one_document_pool_fails_at_ingest(run_env, tmp_path):
+    # one pool row covers at most one class, which the end classifier cannot train on
+    ds = make_separable_corpus(4, n_unlabeled=1, n_seed=12, n_test=10)
+    data = str(tmp_path / "one_doc_pool.jsonl")
+    save_dataset(ds, data)
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", run_env["config"], "--data", data, "--out", out]) == 2
+    err = json.load(open(os.path.join(out, "error.json")))
+    assert err["stage"] == "ingest"
+    assert "unlabeled pool has 1 doc(s)" in err["error"]
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_more_classes_than_int8_votes_hold_fails_at_ingest(run_env, tmp_path):
     # Votes are int8 with ABSTAIN = -1; class 255 would wrap to ABSTAIN.
     data = tmp_path / "wide.jsonl"
@@ -562,7 +575,7 @@ def test_classifier_lfs_record_their_calibrated_omega(run_env):
 
 
 def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path, monkeypatch):
-    from labelforge import corpus, exploitation, features, lf_core, pipeline
+    from labelforge import candidates, corpus, exploitation, features, lf_core, pipeline
     from labelforge.candidates import LinearClassifier
     from labelforge.nets import MlpNet
     from labelforge.pipeline import run_pipeline
@@ -572,8 +585,8 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     counts = {"pool": 0, "in_matrix": 0}
     in_matrix = []
 
-    def count(rows):
-        counts["pool"] += rows == pool_size
+    def count(rows, lfs=1):
+        counts["pool"] += lfs * (rows == pool_size)
         counts["in_matrix"] += bool(in_matrix)
 
     real_apply = lf_core.apply_lf_many
@@ -582,12 +595,33 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
         count(len(docs))
         return real_apply(lf, docs)
 
-    for cls in (LinearClassifier, MlpNet):  # classifier LFs: probabilities, then votes
-        def counting_predict(self, x, real=cls.predict_proba_many):
-            count(len(x))
-            return real(self, x)
+    pool_products = []  # how many logistic LFs each product over the pool table scores
+    real_stack = candidates.predict_proba_stack
 
-        monkeypatch.setattr(cls, "predict_proba_many", counting_predict)
+    def counting_stack(classifiers, x):  # logistic LFs: probabilities, then votes
+        count(len(x), len(classifiers))
+        if len(x) == pool_size:
+            pool_products.append(len(classifiers))
+        return real_stack(classifiers, x)
+
+    real_mlp = MlpNet.predict_proba_many
+
+    def counting_mlp(self, x):  # MLP heads, one LF per call
+        count(len(x))
+        return real_mlp(self, x)
+
+    tables_scored = []  # per scoring call, the featurizers its logistic LFs read
+    real_score = exploitation.score_candidates
+
+    def counting_score(lfs, *args):
+        tables_scored.append({id(lf.rule.featurizer) for lf in lfs
+                              if isinstance(getattr(lf.rule, "classifier", None), LinearClassifier)})
+        return real_score(lfs, *args)
+
+    for module in (candidates, exploitation):  # predict_proba_many's caller and the scorer
+        monkeypatch.setattr(module, "predict_proba_stack", counting_stack)
+    monkeypatch.setattr(MlpNet, "predict_proba_many", counting_mlp)
+    monkeypatch.setattr(exploitation, "score_candidates", counting_score)
 
     real_matrix = pipeline.build_label_matrix
 
@@ -639,6 +673,9 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     assert generated > 0 and summary["coverage"] > 0
     assert counts["pool"] == generated
     assert counts["in_matrix"] == 0
+    # one pool product per featurizer per scoring call, shared by its logistic LFs
+    assert len(pool_products) == sum(len(tables) for tables in tables_scored)
+    assert max(pool_products) > 1
     # seed and pool tables in the featurize stage, the test split once for the end classifier
     assert len(tables) == len(set(tables))
     assert {stage for _, _, stage in tables} == {"featurize", "downstream"}

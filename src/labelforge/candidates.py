@@ -16,6 +16,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .errors import DegenerateSubsample, LabelForgeError
+from .features import SparseRows
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
 from .nets import MlpNet, class_major_sum, class_max, softmax
 
@@ -35,13 +36,25 @@ class LinearClassifier:
         return predict_proba_stack([self], x)[:, 0]
 
 
-def predict_proba_stack(classifiers: list[LinearClassifier], x: np.ndarray) -> np.ndarray:
-    """(n, k, C) class probabilities of k classifiers over the rows of x, from one product."""
-    x = np.atleast_2d(x)
+def predict_proba_stack(classifiers: list[LinearClassifier], x) -> np.ndarray:
+    """(n, k, C) class probabilities of k classifiers over the rows of x, in one pass.
+
+    x is a dense table, read as one product, or a ``features.SparseRows``,
+    read one densified row block at a time (``SparseRows.blocks``); each
+    block's product fills its rows of the (n, k * C) logits.
+    """
+    if isinstance(x, SparseRows):
+        blocks = x.blocks()
+    else:
+        x = np.atleast_2d(x)
+        blocks = [(0, len(x), x)]
     w, b = np.concatenate([c.weights for c in classifiers]), np.stack([c.bias for c in classifiers])
     if x.shape[1] != w.shape[1]:
         raise LabelForgeError(f"expected dim {w.shape[1]}, got {x.shape[1]}")
-    z = (x @ w.T).reshape(len(x), *b.shape)
+    z = np.empty((len(x), len(w)))
+    for lo, hi, rows in blocks:
+        np.matmul(rows, w.T, out=z[lo:hi])
+    z = z.reshape(len(x), *b.shape)
     z += b
     return softmax(z, out=z)
 

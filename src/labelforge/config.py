@@ -168,7 +168,7 @@ class PipelineConfig:
             (self.candidates_per_round >= 1, "candidates_per_round must be >= 1"),
             (0 < self.grid_step <= 1, "grid_step must be in (0, 1]"),
             (all(0 < v <= 1 for v in self.tau_dup.values()), "tau_dup values must be in (0, 1]"),
-            (self.dedup_sample_size >= 0, "dedup_sample_size must be >= 0"),
+            (self.dedup_sample_size >= 1, "dedup_sample_size must be >= 1"),
             (self.base_seed >= 0, "base_seed must be >= 0"),
             (self.provider.get("rng_seed", 0) >= 0, "provider rng_seed must be >= 0"),
             (min(self.tfidf["min_df"], self.tfidf["min_token_len"]) >= 1,

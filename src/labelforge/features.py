@@ -2,7 +2,9 @@
 
 Each featurizer is one fitted model that turns a whole split into a row
 table at once. TF-IDF and the hashing embedder read the split's token ids
-(``corpus.TokenIndex``) and build the table with array programs; the
+(``corpus.TokenIndex``) and build the table with array programs, a block of
+rows at a time; they keep a wide unlabeled-pool table as its nonzeros
+(``SparseRows``), which products densify one row block at a time. The
 remote embedder, which needs one service call per document, embeds each
 document's text. TF-IDF backs structural label functions and the downstream
 classifier; embeddings back semantic ones. The default embedder is a
@@ -12,6 +14,7 @@ offline; a remote embedder with an on-disk cache covers real encoder services.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -30,11 +33,29 @@ def _normalize_rows(table: np.ndarray) -> np.ndarray:
 
 BLOCK_TOKENS = 1 << 14  # tokens turned into n-grams at once; bounds the transient arrays
 
+# Products over a ``SparseRows`` table run in row blocks of about ROW_BLOCK rows.
+# Measured with OpenBLAS 0.3.31 on one thread, a block's rows of ``x @ w.T`` were
+# bit-equal to the whole table's product from 608 rows on, and for a single
+# candidate on the 256- and 377-column tables differed in the last bit at 576
+# rows; the shortest block, 768 rows, keeps clear of that.
+ROW_BLOCK = 1024
 
-def _blocks(index: TokenIndex) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of ``index`` holding about BLOCK_TOKENS tokens each."""
+
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """n rows split evenly into max(1, round(n / ROW_BLOCK)) ranges [lo, hi).
+
+    Each holds 768 to 1,535 rows; under 1,536 rows the one range is all of them.
+    """
+    count = max(1, round(n / ROW_BLOCK))
+    edges = [n * i // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _blocks(index: TokenIndex, spans=()) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of ``index`` holding about BLOCK_TOKENS tokens each,
+    also cut at the edges of the row ranges ``spans``."""
     cuts = np.searchsorted(index.offsets, np.arange(0, index.offsets[-1], BLOCK_TOKENS))
-    edges = np.unique(np.append(cuts, len(index))).tolist()
+    edges = np.unique(np.concatenate([[0, len(index)], cuts, *spans])).tolist()
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -80,22 +101,110 @@ def _term(code: int, base: int, tokens: list[str]) -> str:
     return " ".join(reversed(words))
 
 
+class SparseRows:
+    """A float64 (n, dim) row table kept as its nonzeros, one ``row_blocks`` range at a time.
+
+    Range j's nonzeros are ``values[starts[j]:starts[j + 1]]``, at the ``int32``
+    flat positions ``cells[starts[j]:starts[j + 1]]`` (row within the range *
+    dim + column) of the range's dense block, which fit while dim is under
+    1.39 million. Products never read the table sparse: ``blocks`` densifies
+    one range at a time, so each product is a dense one over a block of rows.
+    """
+
+    def __init__(self, shape: tuple[int, int], values: np.ndarray, cells: np.ndarray,
+                 starts: np.ndarray):
+        self.shape, self.values, self.cells, self.starts = shape, values, cells, starts
+
+    @classmethod
+    def from_blocks(cls, shape: tuple[int, int], blocks) -> SparseRows:
+        """Keep the nonzeros of dense blocks (lo, hi, rows, at): rows lo to hi - 1 of the
+        table, in order and none across a ``row_blocks`` edge, and the ascending flat
+        positions in ``rows`` of all their nonzeros (zeros may be among them)."""
+        edges = [lo for lo, _ in row_blocks(shape[0])]
+        values, cells = [np.zeros(0)], [np.zeros(0, np.int32)]
+        counts = np.zeros(len(edges) + 1, np.int64)
+        for lo, hi, rows, at in blocks:
+            j = bisect.bisect_right(edges, lo) - 1
+            values.append(rows.reshape(-1)[at])
+            cells.append((at + (lo - edges[j]) * shape[1]).astype(np.int32))
+            counts[j + 1] += len(at)
+        return cls(shape, np.concatenate(values), np.concatenate(cells), np.cumsum(counts))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def blocks(self):
+        """Yield (lo, hi, rows) for each ``row_blocks`` range: rows is the dense table's rows
+        lo to hi - 1, written into one buffer that every block of this call reuses."""
+        spans = row_blocks(len(self))
+        buf = np.zeros((max(hi - lo for lo, hi in spans), self.shape[1]))
+        flat = buf.reshape(-1)
+        for (lo, hi), start, stop in zip(spans, self.starts[:-1], self.starts[1:]):
+            at = self.cells[start:stop].astype(np.intp)  # cast once, for the write and the reset
+            flat[at] = self.values[start:stop]
+            yield lo, hi, buf[:hi - lo]
+            flat[at] = 0.0
+
+
+def dense(table) -> np.ndarray:
+    """A row table as one dense array: a ``SparseRows`` densified, an array as it is."""
+    if not isinstance(table, SparseRows):
+        return table
+    out = np.empty(table.shape)
+    for lo, hi, rows in table.blocks():
+        out[lo:hi] = rows
+    return out
+
+
 class Featurizer:
     """Split -> row table, plus the ``seed`` and ``pool`` tables of one dataset.
 
     ``transform_many(index)``, index a split's ``TokenIndex``, returns one
-    (len(index), dim) array. ``build_tables`` featurizes each split once, from
-    the dataset's token indexes, in split row order. Subclasses set ``dim``
-    and supply ``kind`` and ``transform_many``.
+    dense (len(index), dim) array. ``build_tables`` featurizes each split
+    once, from the dataset's token indexes, in split row order: the seed table
+    dense, and the pool table, when it is wide enough, as its nonzeros
+    (``SparseRows``), never dense whole. Subclasses set ``dim`` and
+    ``ngram_range`` and supply ``kind`` and ``_fill``, or override
+    ``transform_many`` and ``build_tables``.
+
+    ``_fill(index, targets)`` takes (lo, hi, out) row blocks of ``index`` in
+    order, writes the L2-normalized vectors of rows lo to hi - 1 into ``out``,
+    and yields (lo, hi, out, at), ``at`` holding the ascending flat positions
+    in ``out`` of all its nonzeros (zeros may be among them). A block is read
+    before the next is written, so one buffer can serve every block.
     """
 
     def describe(self) -> dict:
         return {"kind": self.kind, "provider": type(self).__name__, "dim": self.dim}
 
+    def transform_many(self, index: TokenIndex) -> np.ndarray:
+        table = np.empty((len(index), self.dim))
+        for _ in self._fill(index, ((lo, hi, table[lo:hi]) for lo, hi in _blocks(index))):
+            pass
+        return table
+
     def build_tables(self, dataset: Dataset) -> Featurizer:
         self.seed = self.transform_many(dataset.seed_index)
-        self.pool = self.transform_many(dataset.pool_index)
+        index = dataset.pool_index
+        # 12 bytes a nonzero against 8 a cell: a table at most a third nonzero keeps
+        # at most half its bytes. A narrower table stays dense, as little is saved
+        # by scoring it a densified block at a time.
+        if 3 * self._nonzero_bound(index) <= len(index) * self.dim:
+            blocks = _blocks(index, row_blocks(len(index)))
+            buf = np.empty((max((hi - lo for lo, hi in blocks), default=0), self.dim))
+            targets = ((lo, hi, buf[:hi - lo]) for lo, hi in blocks)
+            self.pool = SparseRows.from_blocks((len(index), self.dim), self._fill(index, targets))
+        else:
+            self.pool = self.transform_many(index)
         return self
+
+    def _nonzero_bound(self, index: TokenIndex) -> int:
+        """At most how many cells of the table of ``index`` are nonzero: per row, its
+        n-gram count or ``dim``, whichever is less."""
+        lengths = np.diff(index.offsets)
+        low, high = self.ngram_range
+        ngrams = sum(np.maximum(lengths - n + 1, 0) for n in range(low, high + 1))
+        return int(np.minimum(ngrams, self.dim).sum())
 
 
 class TfidfFeaturizer(Featurizer):
@@ -148,22 +257,22 @@ class TfidfFeaturizer(Featurizer):
         self.idf = np.log((1 + n) / (1 + df[order])) + 1.0
         self.dim = len(terms)
 
-    def transform_many(self, index: TokenIndex) -> np.ndarray:
+    def _fill(self, index: TokenIndex, targets):
         if index.token_ids is not self.token_ids:
             raise ValueError("TF-IDF transforms only indexes over the vocabulary it was fitted on")
         long = _long_tokens(index.token_ids, self.min_token_len)
-        table = np.zeros((len(index), self.dim))
-        for block in _blocks(index):
-            rows, codes = _ngrams(index, block, self.ngram_range, long, self._base)
+        for lo, hi, out in targets:
+            rows, codes = _ngrams(index, (lo, hi), self.ngram_range, long, self._base)
             at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
             known = self._codes[at] == codes
             # Counts are exact integers scattered from the distinct (row, col)
-            # keys, so no integer table of the full shape sits beside the float one.
-            keys, counts = np.unique(rows[known] * self.dim + self._columns[at[known]],
+            # keys, so no integer table of the block's shape sits beside the float one.
+            keys, counts = np.unique((rows[known] - lo) * self.dim + self._columns[at[known]],
                                      return_counts=True)
-            table.reshape(-1)[keys] = counts
-        table *= self.idf
-        return _normalize_rows(table)
+            out.fill(0.0)
+            out.reshape(-1)[keys] = counts
+            out *= self.idf
+            yield lo, hi, _normalize_rows(out), keys
 
     def describe(self) -> dict:
         return {"kind": self.kind, "ngram_range": list(self.ngram_range), "dim": self.dim}
@@ -189,6 +298,7 @@ class HashingEmbedder(Featurizer):
     """
 
     kind = "embedding"
+    ngram_range = (1, 2)
 
     def __init__(self, dim: int = 256):
         self.dim = dim
@@ -202,22 +312,23 @@ class HashingEmbedder(Featurizer):
             code = self._codes[term] = 2 * coord + negative
         return code
 
-    def transform_many(self, index: TokenIndex) -> np.ndarray:
+    def _fill(self, index: TokenIndex, targets):
         tokens = list(index.token_ids)
         long, base = np.ones(len(tokens), bool), len(tokens) + 2
-        table = np.zeros((len(index), self.dim))
-        cells = table.reshape(-1)
-        for block in _blocks(index):
-            rows, codes = _ngrams(index, block, (1, 2), long, base)
+        for lo, hi, out in targets:
+            rows, codes = _ngrams(index, (lo, hi), self.ngram_range, long, base)
             terms, at = np.unique(codes, return_inverse=True)
             codes = np.array([self._code(_term(c, base, tokens)) for c in terms.tolist()],
                              dtype=np.int64)[at]
             # key // 2 is the cell row * dim + coord; key % 2 is the sign bit
-            keys, counts = np.unique(rows * (2 * self.dim) + codes, return_counts=True)
-            negative = keys % 2 == 1
-            cells[keys[~negative] // 2] = counts[~negative]
-            cells[keys[negative] // 2] -= counts[negative]
-        return _normalize_rows(table)
+            keys, counts = np.unique((rows - lo) * (2 * self.dim) + codes, return_counts=True)
+            negative, cell = keys % 2 == 1, keys // 2
+            flat = out.reshape(-1)
+            out.fill(0.0)
+            flat[cell[~negative]] = counts[~negative]
+            flat[cell[negative]] -= counts[negative]
+            # keys ascend, so a cell's two signs are neighbours in ``cell``
+            yield lo, hi, _normalize_rows(out), cell[np.diff(cell, prepend=-1) > 0]
 
 
 def _default_embedding_transport(endpoint: str, payload: dict, timeout: float) -> dict:
@@ -292,6 +403,12 @@ class RemoteEmbedder(Featurizer):
         with open(self.cache_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(rec) + "\n")
 
+    def build_tables(self, dataset: Dataset) -> Featurizer:
+        """Both tables dense: a service's vectors have no zeros to leave out."""
+        self.seed = self.transform_many(dataset.seed_index)
+        self.pool = self.transform_many(dataset.pool_index)
+        return self
+
     def transform_many(self, index: TokenIndex) -> np.ndarray:
         out = np.empty((len(index), self.dim))
         for row, doc in enumerate(index):
@@ -324,6 +441,7 @@ def build_featurizers(dataset: Dataset, config) -> tuple[list, list, TfidfFeatur
 
     The downstream featurizer is the structural one with the downstream
     n-gram range; only when no structural range matches is another fitted.
+    Its pool table is kept dense: the downstream MLP reads it row by row.
     """
     tfidf = config.tfidf
 
@@ -338,4 +456,5 @@ def build_featurizers(dataset: Dataset, config) -> tuple[list, list, TfidfFeatur
     semantic = embedder(**params)
     target = tuple(config.downstream["ngram_range"])
     downstream = next((f for f in structural if f.ngram_range == target), None) or fit(target)
+    downstream.pool = dense(downstream.pool)
     return structural, [semantic.build_tables(dataset)], downstream

@@ -437,7 +437,7 @@ def test_abstain_disabled_zeroes_omega():
 
 
 def test_each_candidate_predicts_once_per_split(monkeypatch):
-    """One scoring call multiplies each pool table once, for all of its featurizer's
+    """One scoring call makes one pass over each pool table, for all of its featurizer's
     logistic heads; each logistic head predicts the seed on its own, and each MLP head
     predicts once per split."""
     ds = toy_dataset()

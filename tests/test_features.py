@@ -10,10 +10,14 @@ from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace, Tok
 from labelforge.errors import LabelForgeError, ProviderUnreachable
 from labelforge import features as features_module
 from labelforge.features import (
+    Featurizer,
     HashingEmbedder,
     RemoteEmbedder,
+    SparseRows,
     TfidfFeaturizer,
     build_featurizers,
+    dense,
+    row_blocks,
 )
 
 
@@ -131,7 +135,7 @@ def test_hashing_tables_equal_per_occurrence_hashing(monkeypatch):
 
     monkeypatch.setattr(features, "_stable_hash", counting)
     emb = HashingEmbedder(dim=16).build_tables(dataset)
-    assert np.array_equal(emb.pool, np.stack([signed_hash_oracle(t, 16) for t in texts]))
+    assert np.array_equal(dense(emb.pool), np.stack([signed_hash_oracle(t, 16) for t in texts]))
     assert np.array_equal(emb.seed, np.stack([signed_hash_oracle(t, 16) for t in texts[:20]]))
     assert len(hashed) == 2 * len(set(hashed))  # two hashes per distinct term, no more
 
@@ -266,14 +270,13 @@ def test_featurizer_memoization():
     assert feat.build_tables(dataset) is feat
     assert feat.seed.shape == (1, feat.dim) and feat.pool.shape == (2, feat.dim)
     assert np.array_equal(feat.seed[0], tfidf_rows(feat, [docs[1]])[0])
-    assert np.array_equal(feat.pool[0], tfidf_rows(feat, [docs[2]])[0])
-    assert np.array_equal(feat.pool[1], tfidf_rows(feat, [docs[0]])[0])
+    assert np.array_equal(dense(feat.pool), tfidf_rows(feat, [docs[2], docs[0]]))
 
     efeat = HashingEmbedder(dim=8).build_tables(dataset)
     assert efeat.transform_many(index([docs[0]])).shape == (1, 8)
     expected = np.stack([HashingEmbedder(dim=8).transform_many(index([d]))[0]
                          for d in dataset.unlabeled])
-    assert np.array_equal(efeat.pool, expected)
+    assert np.array_equal(dense(efeat.pool), expected)
 
 
 def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
@@ -434,14 +437,14 @@ def test_split_tables_equal_the_per_doc_reference(ngram_range, block_tokens, mon
     assert test_index.token_ids is dataset.pool_index.token_ids is feat.token_ids
     assert test_index.docs == test
     test_table = feat.transform_many(test_index)
-    for table, docs in ((feat.pool, pool), (feat.seed, seed), (test_table, test)):
+    for table, docs in ((dense(feat.pool), pool), (feat.seed, seed), (test_table, test)):
         assert np.array_equal(table, np.stack([ref.vectorize(d) for d in docs]))
     for d in test[:12]:  # one-doc splits, some shorter than an n-gram
         assert np.array_equal(tfidf_rows(feat, [d])[0], ref.vectorize(d))
 
     emb = HashingEmbedder(dim=16).build_tables(dataset)
     test_table = emb.transform_many(test_index)
-    for table, docs in ((emb.pool, pool), (emb.seed, seed), (test_table, test)):
+    for table, docs in ((dense(emb.pool), pool), (emb.seed, seed), (test_table, test)):
         assert np.array_equal(table, per_doc_hashing(docs, 16))
 
 
@@ -453,3 +456,43 @@ def test_tfidf_rejects_an_index_over_another_vocabulary():
         tfidf.transform_many(index(docs))  # same tokens, but a fresh vocabulary
     with pytest.raises(ValueError, match="vocabulary"):
         tfidf.transform_many(index(docs, dict(tfidf.token_ids)))  # an equal copy is not it
+
+
+def test_row_blocks_split_evenly_into_768_to_1535_rows():
+    for n in [0, *range(1, 20000), 200000, 1000003]:
+        spans = row_blocks(n)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        sizes = [hi - lo for lo, hi in spans]
+        assert max(sizes) - min(sizes) <= 1
+        if n < 1536:
+            assert len(spans) == 1
+        else:
+            assert 768 <= min(sizes) and max(sizes) <= 1535
+
+
+@pytest.mark.parametrize("row_block", [features_module.ROW_BLOCK, 16])
+def test_sparse_pool_tables_equal_the_dense_tables(row_block, monkeypatch):
+    """Kept as its nonzeros, a pool table densifies, block by block, to the dense table."""
+    monkeypatch.setattr(features_module, "ROW_BLOCK", row_block)
+    monkeypatch.setattr(features_module, "BLOCK_TOKENS", 64)  # several build blocks per row block
+    bound = Featurizer._nonzero_bound
+    monkeypatch.setattr(Featurizer, "_nonzero_bound", lambda self, index: 0)  # every table sparse
+    rng = np.random.default_rng(5)
+    words = ["a", "b", "bb", "cc", "dd", "ee", "Σx", "σ", "naïve", "zz9", "x"]
+    pool = random_split_docs(rng, words, 300, "u")
+    dataset = Dataset(labels=LabelSpace(("pos", "neg")), unlabeled=pool,
+                      seed=[LabeledExample(doc(pool[1].text, "s"), 0)])
+    for feat in (TfidfFeaturizer(dataset.pool_index, (1, 2)), HashingEmbedder(dim=16)):
+        table = feat.build_tables(dataset).pool
+        want = feat.transform_many(dataset.pool_index)
+        assert isinstance(table, SparseRows) and table.shape == want.shape == (305, feat.dim)
+        assert table.values.dtype == np.float64 and table.cells.dtype == np.int32
+        assert len(table) == len(want)
+        assert np.count_nonzero(table.values) == np.count_nonzero(want) <= len(table.values)
+        assert len(table.values) <= bound(feat, dataset.pool_index)
+        blocks = [(lo, hi, rows.copy()) for lo, hi, rows in table.blocks()]
+        assert [(lo, hi) for lo, hi, _ in blocks] == row_blocks(305)
+        for lo, hi, rows in blocks:
+            assert np.array_equal(rows, want[lo:hi])
+        assert np.array_equal(dense(table), want)

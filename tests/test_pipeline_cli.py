@@ -260,6 +260,8 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("downstream", {**small_config().downstream, "epochs": 0}),
     ("downstream", {**small_config().downstream, "lr": 0}),
     ("downstream", {**small_config().downstream, "lr": -0.01}),
+    # an empty dedup sample reads every agreement as 0.0, so no classifier is a duplicate
+    ("dedup_sample_size", 0),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -595,13 +597,13 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
         count(len(docs))
         return real_apply(lf, docs)
 
-    pool_products = []  # how many logistic LFs each product over the pool table scores
+    pool_passes = []  # how many logistic LFs each pass over the pool table scores
     real_stack = candidates.predict_proba_stack
 
     def counting_stack(classifiers, x):  # logistic LFs: probabilities, then votes
         count(len(x), len(classifiers))
         if len(x) == pool_size:
-            pool_products.append(len(classifiers))
+            pool_passes.append(len(classifiers))
         return real_stack(classifiers, x)
 
     real_mlp = MlpNet.predict_proba_many
@@ -646,11 +648,11 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
 
     tables = []  # (featurizer, doc ids of the split, stage) per table built
     for cls in (features.TfidfFeaturizer, features.HashingEmbedder):
-        def counting_transform(self, docs, real=cls.transform_many):
-            tables.append((id(self), tuple(d.id for d in docs), stage_now[-1]))
-            return real(self, docs)
+        def counting_fill(self, index, targets, real=cls._fill):  # dense or kept as nonzeros
+            tables.append((id(self), tuple(d.id for d in index), stage_now[-1]))
+            return real(self, index, targets)
 
-        monkeypatch.setattr(cls, "transform_many", counting_transform)
+        monkeypatch.setattr(cls, "_fill", counting_fill)
 
     tokenized = []
     real_tokenize = corpus.tokenize
@@ -673,9 +675,9 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
     assert generated > 0 and summary["coverage"] > 0
     assert counts["pool"] == generated
     assert counts["in_matrix"] == 0
-    # one pool product per featurizer per scoring call, shared by its logistic LFs
-    assert len(pool_products) == sum(len(tables) for tables in tables_scored)
-    assert max(pool_products) > 1
+    # one pass over the pool per featurizer per scoring call, shared by its logistic LFs
+    assert len(pool_passes) == sum(len(tables) for tables in tables_scored)
+    assert max(pool_passes) > 1
     # seed and pool tables in the featurize stage, the test split once for the end classifier
     assert len(tables) == len(set(tables))
     assert {stage for _, _, stage in tables} == {"featurize", "downstream"}

@@ -248,7 +248,7 @@ def synthesize_candidates(
         table = featurizers[c["featurizer"]].seed
         net = MlpNet(table.shape[1], c["width"], num_classes, rng_seed=c["rng_seed"])
         c["clf"] = net.fit(table, np.eye(num_classes)[gold[c["idx"]]],
-                           epochs=training["mlp_epochs"], lr=min(training["mlp_lr"], 0.1),
+                           epochs=training["mlp_epochs"], lr=training["mlp_lr"],
                            l2=c["l2"], shuffle_seed=c["rng_seed"], rows=c["idx"])
     for (f, size), members in groups.items():
         table = featurizers[f].seed

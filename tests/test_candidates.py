@@ -514,7 +514,7 @@ def reference_synthesize(category, ds, count, cfg, featurizers):
         else:
             net = MlpNet(x.shape[1], width, num_classes, rng_seed=rng_seed)
             net.fit(x, np.eye(num_classes)[y], epochs=training["mlp_epochs"],
-                    lr=min(training["mlp_lr"], 0.1), l2=l2, shuffle_seed=rng_seed)
+                    lr=training["mlp_lr"], l2=l2, shuffle_seed=rng_seed)
             weights = (net.w1, net.b1, net.w2, net.b2)
         trained_on = {"indices": idx.tolist(), "rng_seed": rng_seed, "head_width": width}
         made.append((f"{category.value}-s{rng_seed:05d}", trained_on, weights, featurizer))

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is read in its own module."""
+"""Every module-level import of the package is read in its own module, and no line is
+longer than 100 characters."""
 
 import ast
 import pathlib
@@ -31,3 +32,9 @@ def test_unread_imports_finds_what_is_never_read():
                                           if p.name != "__init__.py"))
 def test_module_reads_every_import(module):
     assert unread_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_lines_fit_in_100_characters(module):
+    lines = (PACKAGE / module).read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if len(line) > 100] == []

@@ -262,6 +262,13 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("downstream", {**small_config().downstream, "lr": -0.01}),
     # an empty dedup sample reads every agreement as 0.0, so no classifier is a duplicate
     ("dedup_sample_size", 0),
+    # numbers that are not finite, which fail only in downstream or run to a wrong result
+    ("candidate_training", {**small_config().candidate_training, "lr": float("inf")}),
+    ("downstream", {**small_config().downstream, "lr": float("inf")}),
+    ("beta", float("inf")),
+    ("alpha", float("nan")),
+    # an MLP learning rate above the 0.1 that MLP heads once were silently capped at
+    ("candidate_training", {**small_config().candidate_training, "mlp_lr": 0.5}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -299,6 +306,10 @@ def test_float_fields_take_ints():
     ("downstream", "hidden", "100", "downstream.hidden must be an integer, got '100'"),
     ("candidate_training", "epochs", 3.5, "candidate_training.epochs must be an integer, got 3.5"),
     ("tfidf", "min_df", False, "tfidf.min_df must be an integer, got False"),
+    ("candidate_training", "regularizations", [1e-3, "x"],
+     "candidate_training.regularizations.1 must be a number, got 'x'"),
+    ("tfidf", "ngram_ranges", [[1, 1], [1, True]],
+     "tfidf.ngram_ranges.1.1 must be an integer, got True"),
 ])
 def test_nested_type_error_names_the_key(table, key, value, message):
     with pytest.raises(ConfigError) as err:

@@ -91,7 +91,7 @@ def _kind_example(name: str, table: dict) -> dict:
     """The example of ``table``'s kind, once the kind, its keys and remote strings are checked."""
     kinds = TABLE_KINDS[name]
     kind = table.get("kind", "majority_vote" if name == "label_model" else None)
-    if kind not in kinds:
+    if type(kind) is not str or kind not in kinds:
         raise ConfigError(f"{name} kind {kind!r} is not one of {list(kinds)}")
     if set(table) - {"kind"} - kinds[kind].keys():
         raise ConfigError(f"{name} kind {kind!r} takes only keys {sorted(kinds[kind])}")

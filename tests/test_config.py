@@ -54,13 +54,6 @@ def config_with(key, value):
     return obj, ".".join(names)
 
 
-def test_held_values_finds_nothing_under_a_mistyped_key():
-    assert held_values("candidate_training.mlp_rl") == []
-    assert held_values("k_per_categories.*") == []
-    assert held_values("label_model.weights.*") == [1.0]
-    assert held_values("provider.rng_seed") == [0, 0]
-
-
 def test_each_key_has_one_bound_and_each_interval_its_edges():
     assert len({key for _, key in ROWS}) == len(ROWS)
     assert EDGES.keys() == BOUNDS.keys()

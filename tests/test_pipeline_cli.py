@@ -269,6 +269,9 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("alpha", float("nan")),
     # an MLP learning rate above the 0.1 that MLP heads once were silently capped at
     ("candidate_training", {**small_config().candidate_training, "mlp_lr": 0.5}),
+    # kinds that are not strings, which cannot be looked up among the kind names
+    ("label_model", {"kind": ["x"]}),
+    ("provider", {"kind": {}}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()

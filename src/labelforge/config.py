@@ -146,6 +146,9 @@ class PipelineConfig:
             self.embedding.get("endpoint") and self.embedding.get("model")
         ):
             raise ConfigError("a remote embedding needs an endpoint and a model")
+        weights = self.label_model.get("weights")
+        if weights is not None and not any(w > 0 for w in weights):
+            raise ConfigError("label_model.weights must hold a positive value")
         if self.downstream["mode"] not in ("soft", "hard"):
             raise ConfigError("downstream mode must be soft or hard")
         ranges = [*self.tfidf["ngram_ranges"], self.downstream["ngram_range"]]

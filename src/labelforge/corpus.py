@@ -186,9 +186,9 @@ def _record_from_csv_row(row: dict) -> dict:
 
 
 def iter_records(path: str, fmt: str):
-    """Yield (line_number, record dict) pairs from a JSONL or CSV file."""
+    """Yield (line_number, record dict) pairs from a JSONL or CSV file; a leading BOM is skipped."""
     if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -200,7 +200,7 @@ def iter_records(path: str, fmt: str):
                     raise MalformedRecord(line_no, "record is not an object")
                 yield line_no, rec
     elif fmt == "csv":
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             for line_no, row in enumerate(reader, start=2):
                 yield line_no, _record_from_csv_row(row)

@@ -17,12 +17,13 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Dataset, Document, TokenIndex
-from .errors import LabelForgeError, ProviderUnreachable
+from .errors import LabelForgeError, ProviderUnreachable, post_json, with_retries
 
 
 def _normalize_rows(table: np.ndarray) -> np.ndarray:
@@ -331,24 +332,14 @@ class HashingEmbedder(Featurizer):
             yield lo, hi, _normalize_rows(out), cell[np.diff(cell, prepend=-1) > 0]
 
 
-def _default_embedding_transport(endpoint: str, payload: dict, timeout: float) -> dict:
-    import urllib.request
-
-    req = urllib.request.Request(
-        endpoint,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))
-
-
 @dataclass
 class RemoteEmbedder(Featurizer):
     """Embedding service client with a per-document JSONL cache.
 
     Vectors are cached by (provider config hash, doc id) so re-runs are
-    idempotent and never re-bill. The transport is injectable for tests.
+    idempotent and never re-bill. A failed call is tried ``errors.RETRIES``
+    times; a reply is checked once, and only a vector of ``dim`` finite
+    numbers is kept. The transport is injectable for tests.
     """
 
     endpoint: str
@@ -356,15 +347,13 @@ class RemoteEmbedder(Featurizer):
     dim: int = 768
     timeout: float = 30.0
     cache_path: str | None = None
-    transport: object = None
+    transport: object = post_json
     _cache: dict[str, list[float]] = field(default_factory=dict, init=False, repr=False,
                                            compare=False)
 
     kind = "embedding"
 
     def __post_init__(self):
-        if self.transport is None:
-            self.transport = _default_embedding_transport
         if self.cache_path:
             self._load_cache()
 
@@ -389,12 +378,17 @@ class RemoteEmbedder(Featurizer):
                 continue
             rec = json.loads(line)
             if rec.get("provider_hash") == self.config_hash():
-                if len(rec["vector"]) != self.dim:
-                    raise LabelForgeError(
-                        f"cached vector for {rec['doc_id']!r} has {len(rec['vector'])} values, "
-                        f"expected {self.dim}"
-                    )
-                self._cache[rec["doc_id"]] = rec["vector"]
+                source = f"cached vector for {rec['doc_id']!r}"
+                self._cache[rec["doc_id"]] = self._checked(rec["vector"], source)
+
+    def _checked(self, vector: list, source: str) -> list[float]:
+        """``vector`` as floats, once it holds ``dim`` finite real numbers (no bool or string)."""
+        if len(vector) != self.dim:
+            raise LabelForgeError(f"{source} has {len(vector)} values, expected {self.dim}")
+        for v in vector:  # a comparison with NaN is false; an int is compared exactly
+            if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+                raise LabelForgeError(f"{source} holds {v!r}, not a finite number")
+        return [float(v) for v in vector]
 
     def _append_cache(self, doc_id: str, vector: list[float]):
         if not self.cache_path:
@@ -419,18 +413,13 @@ class RemoteEmbedder(Featurizer):
         if doc.id in self._cache:
             return np.asarray(self._cache[doc.id], dtype=float)
         payload = {"model": self.model, "input": doc.text}
-        try:
-            reply = self.transport(self.endpoint, payload, self.timeout)
-        except Exception as exc:
-            raise ProviderUnreachable(f"embedding service failed: {exc}") from exc
+        headers = {"Content-Type": "application/json"}
+        reply = with_retries("embedding service", lambda: self.transport(
+            self.endpoint, payload, headers, self.timeout))
         vector = reply.get("embedding") if isinstance(reply, dict) else None
         if not isinstance(vector, list):
             raise ProviderUnreachable("embedding service reply holds no embedding list")
-        if len(vector) != self.dim:
-            raise LabelForgeError(
-                f"embedding service returned {len(vector)} values, expected {self.dim}"
-            )
-        vector = [float(v) for v in vector]
+        vector = self._checked(vector, f"embedding service reply for {doc.id!r}")
         self._cache[doc.id] = vector
         self._append_cache(doc.id, vector)
         return np.asarray(vector, dtype=float)

@@ -83,15 +83,10 @@ def fit_dawid_skene(
     entries = entries[covered]
     m = entries.shape[1]
     shifted = np.ascontiguousarray(entries.T + 1)  # per LF, one key per row; 0 is ABSTAIN
-    if (num_classes + 1) ** m <= 2**63:  # a row's votes as one base-(C + 1) code
-        codes = np.zeros(len(entries), dtype=np.int64)
-        for keys in shifted:
-            codes = codes * (num_classes + 1) + keys
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        patterns = entries[first]
-    else:
-        patterns, inverse = np.unique(entries, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    # a row's votes as one opaque value of its bytes, for any LF count and entry dtype
+    rows = np.ascontiguousarray(entries).view(np.dtype((np.void, entries.itemsize * m)))
+    _, first, inverse = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
+    patterns, inverse = entries[first], inverse.reshape(-1)
 
     posteriors = _vote_dists(entries, num_classes, np.ones(m))
 
@@ -167,7 +162,7 @@ def aggregate(
         weights = label_model.get("weights")
         weights = np.asarray(accuracies if weights is None else weights, dtype=float)
         if len(weights) != m:
-            raise ValueError("weights length must match the LF count")
+            raise ValueError(f"weights length {len(weights)} must match the LF count {m}")
         if not np.any(weights > 0):
             raise LabelForgeError("weighted vote needs a positive weight")
     elif kind == "majority_vote":

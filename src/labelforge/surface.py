@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import LabelSpace, TokenIndex, tokenize
-from .errors import ConfigError, MalformedProviderReply, ProviderUnreachable
+from .errors import (RETRIES, ConfigError, MalformedProviderReply, ProviderUnreachable,
+                     post_json, with_retries)
 from .lf_core import ABSTAIN
 
 MATCH_MODES = ("token", "substring")
@@ -268,23 +268,13 @@ def build_prompt(request: GenerationRequest) -> str:
     return "\n".join(lines)
 
 
-def _default_llm_transport(endpoint: str, payload: dict, headers: dict, timeout: float) -> str:
-    import urllib.request
-
-    req = urllib.request.Request(
-        endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers
-    )
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        reply = json.loads(resp.read().decode("utf-8"))
-    return reply["choices"][0]["message"]["content"]
-
-
 @dataclass
 class RemoteLlmProvider:
     """Chat-completions client; endpoint/model/key/timeout come from env when unset.
 
-    Failed calls retry with exponential backoff; once retries are exhausted
-    the provider raises ProviderUnreachable and the caller decides whether to
+    A failed call is tried ``retries`` times (``errors.with_retries``), then
+    raises ProviderUnreachable; a reply without a valid rule raises
+    MalformedProviderReply at once. Either way the caller decides whether to
     degrade (the exploration loop keeps going with fewer rules).
     """
 
@@ -292,11 +282,9 @@ class RemoteLlmProvider:
     model: str | None = None
     api_key: str | None = None
     timeout: float | None = None  # unset: LABELFORGE_LLM_TIMEOUT, else 60 s
-    retries: int = 3
-    backoff: float = 1.0
+    retries: int = RETRIES
     labels: LabelSpace | None = None
-    transport: object = None
-    sleep: object = time.sleep
+    transport: object = post_json
     last_warnings: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -311,8 +299,6 @@ class RemoteLlmProvider:
                 raise ConfigError(
                     f"LABELFORGE_LLM_TIMEOUT must be a number of seconds, got {env_timeout!r}"
                 ) from None
-        if self.transport is None:
-            self.transport = _default_llm_transport
 
     def generate(self, request: GenerationRequest, round_index: int = 0) -> list[SurfaceRule]:
         if not self.endpoint or not self.model:
@@ -326,20 +312,14 @@ class RemoteLlmProvider:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_exc = None
-        for attempt in range(self.retries):
-            try:
-                text = self.transport(self.endpoint, payload, headers, self.timeout)
-                rules, dropped = parse_provider_reply(text, self.labels)
-                self.last_warnings = dropped
-                return rules[: request.count]
-            except MalformedProviderReply:
-                raise
-            except Exception as exc:
-                last_exc = exc
-                if attempt < self.retries - 1:
-                    self.sleep(self.backoff * (2 ** attempt))
-        raise ProviderUnreachable(f"remote provider failed after {self.retries} tries: {last_exc}")
+        reply = with_retries("remote provider", lambda: self.transport(
+            self.endpoint, payload, headers, self.timeout), self.retries)
+        try:
+            text = str(reply["choices"][0]["message"]["content"])
+        except (KeyError, IndexError, TypeError):
+            raise MalformedProviderReply(str(reply)) from None
+        rules, self.last_warnings = parse_provider_reply(text, self.labels)
+        return rules[: request.count]
 
 
 def generate_surface_lfs(

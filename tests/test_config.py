@@ -37,20 +37,25 @@ def held_values(key):
 
 
 def config_with(key, value):
-    """The default config holding ``value`` at ``key`` (a ``*`` names the first value or
-    item), under the key's kind when it is a kind table's, and the key as messages name it."""
+    """The default config holding ``value`` at ``key`` (a ``*`` names the first value of a
+    table, or a new first item of a list, before the items it held), under the key's kind
+    when it is a kind table's, and the key as messages name it."""
     obj = copy.deepcopy(DEFAULT)
     first, *steps = key.split(".")
     if first in TABLE_KINDS:
         kind, example = next((kind, example) for kind, example in TABLE_KINDS[first].items()
                              if steps[0] in example)
+        example = copy.deepcopy(example)
         obj[first] = {"kind": kind, **{k: v if v != "" else "x" for k, v in example.items()}}
     parent, name, names = obj, first, [first]
     for step in steps:
         parent = parent[name]
         name = (0 if isinstance(parent, list) else next(iter(parent))) if step == "*" else step
         names.append(str(name))
-    parent[name] = value
+    if isinstance(parent, list):
+        parent.insert(name, value)  # weights keep their positive item
+    else:
+        parent[name] = value
     return obj, ".".join(names)
 
 

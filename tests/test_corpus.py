@@ -124,6 +124,29 @@ def test_csv_round_trip(tmp_path):
     assert again.test[0].doc.text == ""
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_byte_order_mark_is_read_as_one(tmp_path, fmt):
+    ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [
+        {"id": "a", "text": "hello", "label": "pos", "split": "unlabeled"},
+        {"id": "b", "text": "bye", "label": "neg", "split": "seed"},
+    ]), "jsonl", LABELS)
+    path = tmp_path / f"bom.{fmt}"
+    save_dataset(ds, str(path), fmt)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    again = load_dataset(str(path), fmt, LABELS)
+    assert [d.id for d in again.unlabeled] == ["a"] and again.seed[0].gold == 1
+
+
+def test_a_labels_file_with_a_byte_order_mark_loads(tmp_path):
+    from labelforge.label_model import load_labels_jsonl
+
+    path = tmp_path / "labels.jsonl"
+    record = {"covered": True, "dist": [0.25, 0.75], "doc_id": "a", "hard": "neg"}
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(record).encode() + b"\n")
+    dists, covered, doc_ids = load_labels_jsonl(str(path), LABELS)
+    assert dists.tolist() == [[0.25, 0.75]] and covered.tolist() == [True] and doc_ids == ["a"]
+
+
 def test_jsonl_round_trip_identity(tmp_path):
     path = write_jsonl(tmp_path / "d.jsonl", [
         {"id": "a", "text": "hello", "label": "pos", "split": "unlabeled"},

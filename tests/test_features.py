@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import re
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +36,19 @@ def index(docs, token_ids=None):
 def tfidf_rows(tfidf, docs):
     """The TF-IDF rows of docs indexed over the vocabulary the featurizer was fitted on."""
     return tfidf.transform_many(index(docs, tfidf.token_ids))
+
+
+# what a transport raises when the service times out or answers with a body that is not JSON
+TRANSPORT_FAILURES = {"timeout": TimeoutError("timed out"),
+                      "malformed_json": json.JSONDecodeError("Expecting value", "<html>", 0)}
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The seconds the retry loop sleeps, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    return slept
 
 
 def test_tokenizer_basics():
@@ -183,7 +199,7 @@ def test_hashing_one_token_changes_at_most_two_raw_coords(monkeypatch):
 def test_remote_embedder_cache(tmp_path):
     calls = []
 
-    def transport(endpoint, payload, timeout):
+    def transport(endpoint, payload, headers, timeout):
         calls.append(payload["input"])
         return {"embedding": [1.0, 2.0]}
 
@@ -202,7 +218,7 @@ def test_remote_embedder_cache(tmp_path):
 def test_remote_embedder_cache_survives_torn_last_line(tmp_path):
     calls = []
 
-    def transport(endpoint, payload, timeout):
+    def transport(endpoint, payload, headers, timeout):
         calls.append(payload["input"])
         return {"embedding": [float(len(payload["input"])), 1.0]}
 
@@ -242,13 +258,45 @@ def test_remote_embedder_cache_is_not_a_constructor_argument():
         RemoteEmbedder(endpoint="http://x", model="m", _cache={})
 
 
-def test_remote_embedder_unreachable():
-    def transport(endpoint, payload, timeout):
-        raise OSError("down")
+def test_remote_embedder_unreachable(tmp_path, sleeps):
+    """A failed call is tried three times, 1 s then 2 s apart, and caches nothing."""
+    cache = str(tmp_path / "cache.jsonl")
+    request = ("http://x", {"model": "m", "input": "x"}, {"Content-Type": "application/json"}, 30.0)
+    for failure in (OSError("down"), *TRANSPORT_FAILURES.values()):
+        calls = []
 
-    emb = RemoteEmbedder(endpoint="http://x", model="m", transport=transport)
-    with pytest.raises(ProviderUnreachable):
-        emb.vectorize(doc("x", "a"))
+        def transport(endpoint, payload, headers, timeout):
+            calls.append((endpoint, payload, headers, timeout))
+            raise failure
+
+        sleeps.clear()
+        emb = RemoteEmbedder(endpoint="http://x", model="m", dim=2, cache_path=cache,
+                             transport=transport)
+        message = f"^embedding service failed after 3 tries: {re.escape(str(failure))}$"
+        with pytest.raises(ProviderUnreachable, match=message):
+            emb.vectorize(doc("x", "a"))
+        assert calls == [request] * 3 and sleeps == [1.0, 2.0]
+        assert not os.path.exists(cache)
+
+
+@pytest.mark.parametrize("failure", TRANSPORT_FAILURES.values(), ids=TRANSPORT_FAILURES.keys())
+def test_remote_embedder_keeps_the_reply_after_a_failed_call(tmp_path, sleeps, failure):
+    replies = [failure, {"embedding": [1.0, 2]}]
+
+    def transport(endpoint, payload, headers, timeout):
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    cache = str(tmp_path / "cache.jsonl")
+    emb = RemoteEmbedder(endpoint="http://x", model="m", dim=2, cache_path=cache,
+                         transport=transport)
+    assert emb.vectorize(doc("x", "a")).tolist() == [1.0, 2.0]
+    assert emb.vectorize(doc("x", "a")).tolist() == [1.0, 2.0]  # from the cache: no third call
+    assert replies == [] and sleeps == [1.0]
+    assert [json.loads(line) for line in open(cache, encoding="utf-8")] == [
+        {"doc_id": "a", "provider_hash": emb.config_hash(), "vector": [1.0, 2.0]}]
 
 
 def test_featurizer_memoization():
@@ -279,40 +327,62 @@ def test_featurizer_memoization():
     assert np.array_equal(dense(efeat.pool), expected)
 
 
-def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path):
+def test_remote_embedder_rejects_bad_replies_without_caching(tmp_path, sleeps):
     replies = {
         "good": {"embedding": [1.0, 2.0, 3.0]},
         "short": {"embedding": [0.5]},
         "missing": {"vector": [1.0, 2.0, 3.0]},
         "scalar": {"embedding": 0.5},
+        "empty": {},
+        "nan": {"embedding": [float("nan"), 1.0, 2.0]},
+        "inf": {"embedding": [1.0, float("inf"), 2.0]},
+        "-inf": {"embedding": [1.0, 2.0, float("-inf")]},
+        "huge": {"embedding": [1.0, 2.0, 10**400]},
+        "string": {"embedding": ["1.5", 1.0, 2.0]},
+        "bool": {"embedding": [True, 1.0, 2.0]},
+        "null": {"embedding": [None, 1.0, 2.0]},
     }
+    calls = []
 
-    def flaky(endpoint, payload, timeout):
+    def flaky(endpoint, payload, headers, timeout):
+        calls.append(payload["input"])
         return replies[payload["input"]]
 
-    def good(endpoint, payload, timeout):
+    def good(endpoint, payload, headers, timeout):
         return {"embedding": [float(len(payload["input"]))] * 3}
 
     cache = str(tmp_path / "cache.jsonl")
     emb = RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=flaky)
     emb.vectorize(doc("good", "a"))
-    with pytest.raises(LabelForgeError, match="embedding service returned 1 values, expected 3"):
+    with pytest.raises(LabelForgeError,
+                       match="^embedding service reply for 'b' has 1 values, expected 3$"):
         emb.vectorize(doc("short", "b"))
-    for text in ("missing", "scalar"):
-        with pytest.raises(ProviderUnreachable):
+    for text in ("missing", "scalar", "empty"):
+        with pytest.raises(ProviderUnreachable, match="holds no embedding list"):
             emb.vectorize(doc(text, text))
+    for text, value in (("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("huge", "1" + "0" * 400),
+                        ("string", "'1.5'"), ("bool", "True"), ("null", "None")):
+        with pytest.raises(LabelForgeError, match=f"^embedding service reply for '{text}' "
+                           f"holds {value}, not a finite number$"):
+            emb.vectorize(doc(text, text))
+    assert calls == list(replies) and sleeps == []  # a bad reply is final: no second call
     assert [json.loads(line)["doc_id"] for line in open(cache, encoding="utf-8")] == ["a"]
 
     fresh = RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=good)
     rows = fresh.transform_many(index([doc("good", "a"), doc("short", "b")]))
     assert rows.tolist() == [[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]
 
-    short = {"doc_id": "z", "provider_hash": fresh.config_hash(), "vector": [0.5]}
-    with open(cache, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(short) + "\n")
-    # a cache written before replies were checked
-    with pytest.raises(LabelForgeError, match="cached vector for 'z' has 1 values, expected 3"):
-        RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=cache, transport=good)
+    # caches written before replies were checked
+    cached = [([0.5], "has 1 values, expected 3"),
+              ([1.0, float("nan"), 2.0], "holds nan, not a finite number"),
+              ([1.0, "1.5", 2.0], "holds '1.5', not a finite number")]
+    for i, (vector, problem) in enumerate(cached):
+        bad = str(tmp_path / f"bad{i}.jsonl")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"doc_id": "z", "provider_hash": fresh.config_hash(),
+                                 "vector": vector}) + "\n")
+        with pytest.raises(LabelForgeError, match=f"^cached vector for 'z' {problem}$"):
+            RemoteEmbedder(endpoint="http://x", model="m", dim=3, cache_path=bad, transport=good)
 
 
 def test_tfidf_drops_tokens_below_the_length_floor():

@@ -1,5 +1,5 @@
-"""Every module-level import of the package is read in its own module, and no line is
-longer than 100 characters."""
+"""Every module-level import of the package is read in its own module, no line is longer
+than 100 characters, and only ``errors.py`` reaches the network or sleeps."""
 
 import ast
 import pathlib
@@ -38,3 +38,13 @@ def test_module_reads_every_import(module):
 def test_module_lines_fit_in_100_characters(module):
     lines = (PACKAGE / module).read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if len(line) > 100] == []
+
+
+def test_only_errors_calls_remote_services_or_sleeps():
+    """Remote clients share ``errors.post_json`` and ``errors.with_retries``: no other
+    module grows its own transport or backoff."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 10
+    callers = [p.name for p in sources if p.name != "errors.py"
+               and any(word in p.read_text(encoding="utf-8") for word in ("urllib", "sleep"))]
+    assert callers == []

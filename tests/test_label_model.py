@@ -69,6 +69,11 @@ def test_unknown_label_model_kind_raises():
         aggregate(matrix([[0, 1]]), {"kind": "snorkel"}, LABELS2, None)
 
 
+def test_weights_of_another_length_name_both_counts():
+    with pytest.raises(ValueError, match="^weights length 2 must match the LF count 3$"):
+        aggregate(matrix([[0, 1, 1]]), weighted(1.0, 2.0), LABELS2, None)
+
+
 def test_weighted_all_zero_raises():
     with pytest.raises(LabelForgeError, match="needs a positive weight"):
         aggregate(matrix([[0, 1]]), weighted(0.0, 0.0), LABELS2, None)
@@ -278,8 +283,8 @@ def test_ds_pattern_em_equals_per_row_em_bit_for_bit():
 
 @pytest.mark.parametrize("num_classes, m, n_rows", [
     (5, 6, 400),  # five classes
-    (2, 39, 300),  # the last LF count whose base-3 row codes fit an int64
-    (2, 40, 300),  # codes would overflow: patterns come from np.unique(axis=0)
+    (2, 39, 300),  # the last LF count whose base-3 row codes would fit an int64
+    (2, 40, 300),  # such codes would overflow; a row's bytes, the pattern key, have no limit
     (3, 45, 200),
     (3, 4, 1),  # a one-row matrix
 ])

@@ -272,6 +272,8 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     # kinds that are not strings, which cannot be looked up among the kind names
     ("label_model", {"kind": ["x"]}),
     ("provider", {"kind": {}}),
+    # weights with none positive, which aggregate would reject only after the loop
+    ("label_model", {"kind": "weighted_majority_vote", "weights": [0.0, 0]}),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -745,7 +747,7 @@ def test_manifest_sums_provider_warnings_over_rounds(tmp_path, monkeypatch):
 
     def transport(endpoint, payload, headers, timeout):
         replies.append(reply)
-        return reply
+        return {"choices": [{"message": {"content": reply}}]}
 
     def remote(config, dataset):
         return RemoteLlmProvider(endpoint="http://llm", model="m", labels=dataset.labels,

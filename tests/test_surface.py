@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import re
+import time
 
 import numpy as np
 import pytest
 
 from labelforge.corpus import Document, LabelSpace, TokenIndex, tokenize
-from labelforge.errors import ConfigError, MalformedProviderReply, ProviderUnreachable
+from labelforge.errors import ConfigError, MalformedProviderReply, ProviderUnreachable, post_json
 from labelforge.lf_core import ABSTAIN
 from labelforge.surface import (
     GenerationRequest,
@@ -25,6 +27,24 @@ LABELS = LabelSpace(("pos", "neg"))
 
 def doc(text):
     return Document(id="d", text=text)
+
+
+def chat(content):
+    """A chat-completions reply whose one choice holds ``content``."""
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+# what a transport raises when the service times out or answers with a body that is not JSON
+TRANSPORT_FAILURES = {"timeout": TimeoutError("timed out"),
+                      "malformed_json": json.JSONDecodeError("Expecting value", "<html>", 0)}
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The seconds the retry loop sleeps, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    return slept
 
 
 def vote(rule, text):
@@ -261,23 +281,69 @@ def test_parse_provider_reply_all_invalid_raises():
         parse_provider_reply("[]", LABELS)
 
 
-def test_remote_provider_retries_then_unreachable():
-    attempts = []
-    sleeps = []
+def test_remote_provider_retries_then_unreachable(sleeps):
+    """A failed call is tried ``retries`` times, 1 s, 2 s, ... apart (exponential backoff)."""
+    request = GenerationRequest("t", ("pos", "neg"), (), count=2)
+    headers = {"Content-Type": "application/json", "Authorization": "Bearer k"}
+    for failure in (OSError("boom"), *TRANSPORT_FAILURES.values()):
+        for retries, slept in ((3, [1.0, 2.0]), (1, [])):
+            calls = []
+
+            def transport(endpoint, payload, headers, timeout):
+                calls.append((endpoint, headers, timeout))
+                raise failure
+
+            sleeps.clear()
+            provider = RemoteLlmProvider(endpoint="http://x", model="m", api_key="k",
+                                         timeout=5.0, retries=retries, labels=LABELS,
+                                         transport=transport)
+            with pytest.raises(ProviderUnreachable, match=f"^remote provider failed after "
+                               f"{retries} tries: {re.escape(str(failure))}$"):
+                provider.generate(request)
+            assert calls == [("http://x", headers, 5.0)] * retries and sleeps == slept
+    assert RemoteLlmProvider().retries == 3
+
+
+GOOD_REPLY = json.dumps([{"match_mode": "token", "patterns": {"pos": ["great"]}}])
+
+
+@pytest.mark.parametrize("failure", TRANSPORT_FAILURES.values(), ids=TRANSPORT_FAILURES.keys())
+def test_remote_provider_keeps_the_reply_after_a_failed_call(sleeps, failure):
+    replies = [failure, chat(GOOD_REPLY)]
 
     def transport(endpoint, payload, headers, timeout):
-        attempts.append(1)
-        raise OSError("boom")
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
-    provider = RemoteLlmProvider(
-        endpoint="http://x", model="m", retries=3, backoff=1.0,
-        labels=LABELS, transport=transport, sleep=sleeps.append,
-    )
-    request = GenerationRequest("t", ("pos", "neg"), (), count=2)
-    with pytest.raises(ProviderUnreachable):
-        provider.generate(request)
-    assert len(attempts) == 3
-    assert sleeps == [1.0, 2.0]  # exponential backoff
+    provider = RemoteLlmProvider(endpoint="http://x", model="m", labels=LABELS,
+                                 transport=transport)
+    rules = provider.generate(GenerationRequest("t", ("pos", "neg"), (), count=2))
+    assert [rule.describe()["patterns"] for rule in rules] == [{"0": ["great"]}]
+    assert replies == [] and sleeps == [1.0]
+
+
+@pytest.mark.parametrize("reply", [
+    {},  # an empty reply
+    {"choices": []},
+    {"choices": [{"message": {}}]},
+    ["not", "an", "envelope"],
+    chat("no rules here"),
+    chat(json.dumps([{"patterns": {"maybe": ["x"]}}])),  # no rule names a known label
+])
+def test_remote_provider_does_not_retry_a_bad_reply(sleeps, reply):
+    calls = []
+
+    def transport(endpoint, payload, headers, timeout):
+        calls.append(1)
+        return reply
+
+    provider = RemoteLlmProvider(endpoint="http://x", model="m", labels=LABELS,
+                                 transport=transport)
+    with pytest.raises(MalformedProviderReply):
+        provider.generate(GenerationRequest("t", ("pos", "neg"), (), count=2))
+    assert calls == [1] and sleeps == []
 
 
 def test_remote_provider_parses_and_counts_warnings():
@@ -287,7 +353,7 @@ def test_remote_provider_parses_and_counts_warnings():
     ])
 
     def transport(endpoint, payload, headers, timeout):
-        return f"header text {reply} trailing"
+        return chat(f"header text {reply} trailing")
 
     provider = RemoteLlmProvider(
         endpoint="http://x", model="m", labels=LABELS, transport=transport
@@ -295,6 +361,13 @@ def test_remote_provider_parses_and_counts_warnings():
     rules = provider.generate(GenerationRequest("t", ("pos", "neg"), (), count=5))
     assert len(rules) == 1
     assert provider.last_warnings == 1
+
+
+def test_remote_clients_share_one_transport():
+    from labelforge.features import RemoteEmbedder
+
+    assert RemoteLlmProvider().transport is post_json
+    assert RemoteEmbedder(endpoint="http://x", model="m").transport is post_json
 
 
 def test_provider_state_is_not_a_constructor_argument():

@@ -209,9 +209,10 @@ def synthesize_candidates(
     width for semantic) round-robin from ``featurizers`` (the category's list
     from ``features.build_featurizers``) and the config lists. Degenerate
     subsamples are skipped, not fatal; skips come back as report dicts.
-    Logistic candidates that share a featurizer and a subsample size train
-    together through ``fit_logistic``, in stacks of at most STACK_BYTES.
-    Omega stays 0 until ``score_candidates`` calibrates it.
+    One pass makes each candidate's LF as it is drawn and trains an MLP head
+    at once. Logistic heads that share a featurizer and a subsample size train
+    together afterwards through ``fit_logistic``, in stacks of at most
+    STACK_BYTES. Omega stays 0 until ``score_candidates`` calibrates it.
     """
     base = config.base_seed if base_seed is None else base_seed
     training = config.candidate_training
@@ -220,14 +221,14 @@ def synthesize_candidates(
     fractions = training["subsample_fractions"]
     num_classes = dataset.labels.num_classes
     gold = np.array([ex.gold for ex in dataset.seed])
-    n_l = len(gold)
 
-    drawn: list[dict] = []
+    lfs: list[LabelFunction] = []
     skips: list[dict] = []
+    stacks: dict[tuple[int, int], list] = {}  # (featurizer, size) -> logistic (idx, l2, rule)
     for k in range(1, count + 1):
         rng_seed = base + k
         fraction = fractions[(k - 1) % len(fractions)]
-        size = min(max(int(math.ceil(fraction * n_l)), 1), n_l)
+        size = min(max(int(math.ceil(fraction * len(gold))), 1), len(gold))
         if category == Category.STRUCTURAL:
             l2, width = regs[(k - 1) % len(regs)], 0
         else:
@@ -237,47 +238,29 @@ def synthesize_candidates(
         except DegenerateSubsample as exc:
             skips.append({"candidate": k, "rng_seed": rng_seed, "reason": str(exc)})
             continue
-        drawn.append({"rng_seed": rng_seed, "idx": idx, "l2": l2, "width": width,
-                      "size": size, "featurizer": (k - 1) % len(featurizers)})
-
-    groups: dict[tuple[int, int], list[dict]] = {}
-    for c in drawn:
-        if c["width"] == 0:
-            groups.setdefault((c["featurizer"], c["size"]), []).append(c)
+        f = (k - 1) % len(featurizers)
+        featurizer = featurizers[f]
+        rule = CalibratedClassifierLF(None, featurizer, {"indices": idx.tolist(),
+                                                         "rng_seed": rng_seed, "head_width": width})
+        lfs.append(LabelFunction(f"{category.value}-s{rng_seed:05d}", category, rule, meta={
+            "l2": l2, "head_width": width, "subsample_size": size,
+            "featurization": featurizer.describe()}))
+        if width == 0:
+            stacks.setdefault((f, size), []).append((idx, l2, rule))
             continue
-        table = featurizers[c["featurizer"]].seed
-        net = MlpNet(table.shape[1], c["width"], num_classes, rng_seed=c["rng_seed"])
-        c["clf"] = net.fit(table, np.eye(num_classes)[gold[c["idx"]]],
-                           epochs=training["mlp_epochs"], lr=training["mlp_lr"],
-                           l2=c["l2"], shuffle_seed=c["rng_seed"], rows=c["idx"])
-    for (f, size), members in groups.items():
+        net = MlpNet(featurizer.seed.shape[1], width, num_classes, rng_seed=rng_seed)
+        rule.classifier = net.fit(featurizer.seed, np.eye(num_classes)[gold[idx]],
+                                  epochs=training["mlp_epochs"], lr=training["mlp_lr"],
+                                  l2=l2, shuffle_seed=rng_seed, rows=idx)
+
+    for (f, size), members in stacks.items():
         table = featurizers[f].seed
         per_stack = max(STACK_BYTES // (size * table.shape[1] * table.itemsize), 1)
         for start in range(0, len(members), per_stack):
-            stack = members[start:start + per_stack]
-            fitted = fit_logistic(
-                np.stack([table[c["idx"]] for c in stack]),
-                np.stack([gold[c["idx"]] for c in stack]),
-                num_classes, epochs=training["epochs"], lr=training["lr"],
-                l2=[c["l2"] for c in stack],
-            )
-            for c, clf in zip(stack, fitted):
-                c["clf"] = clf
-
-    lfs: list[LabelFunction] = []
-    for c in drawn:
-        featurizer = featurizers[c["featurizer"]]
-        trained_on = {"indices": c["idx"].tolist(), "rng_seed": c["rng_seed"],
-                      "head_width": c["width"]}
-        lfs.append(LabelFunction(
-            id=f"{category.value}-s{c['rng_seed']:05d}",
-            category=category,
-            rule=CalibratedClassifierLF(c["clf"], featurizer, trained_on),
-            meta={
-                "l2": c["l2"],
-                "head_width": c["width"],
-                "subsample_size": c["size"],
-                "featurization": featurizer.describe(),
-            },
-        ))
+            idxs, l2s, rules = zip(*members[start:start + per_stack])
+            x, y = np.stack([table[i] for i in idxs]), np.stack([gold[i] for i in idxs])
+            fitted = fit_logistic(x, y, num_classes, epochs=training["epochs"], lr=training["lr"],
+                                  l2=list(l2s))
+            for rule, clf in zip(rules, fitted):
+                rule.classifier = clf
     return lfs, skips

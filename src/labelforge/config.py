@@ -169,7 +169,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not JSON
             return cls.from_json(json.load(fh))
 
     def config_hash(self) -> str:

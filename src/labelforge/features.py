@@ -28,7 +28,7 @@ from .errors import LabelForgeError, ProviderUnreachable, post_json, with_retrie
 
 def _normalize_rows(table: np.ndarray) -> np.ndarray:
     """L2-normalize each nonzero row in place by sqrt(row.dot(row)), as ``np.linalg.norm``."""
-    norms = np.sqrt(np.fromiter((row.dot(row) for row in table), float, len(table)))[:, None]
+    norms = np.sqrt(np.vecdot(table, table))[:, None]  # row.dot(row)'s bits, which einsum's are not
     return np.divide(table, norms, out=table, where=norms > 0)
 
 
@@ -336,10 +336,12 @@ class HashingEmbedder(Featurizer):
 class RemoteEmbedder(Featurizer):
     """Embedding service client with a per-document JSONL cache.
 
-    Vectors are cached by (provider config hash, doc id) so re-runs are
-    idempotent and never re-bill. A failed call is tried ``errors.RETRIES``
-    times; a reply is checked once, and only a vector of ``dim`` finite
-    numbers is kept. The transport is injectable for tests.
+    Vectors are cached by (provider config hash, doc id, SHA-256 of the
+    text), so re-runs are idempotent and never re-bill, and a changed text
+    misses. A record without the text digest never hits: its document is
+    requested again once and cached with the digest. A failed call is tried
+    ``errors.RETRIES`` times; a reply is checked once, and only a vector of
+    ``dim`` finite numbers is kept. The transport is injectable for tests.
     """
 
     endpoint: str
@@ -348,7 +350,7 @@ class RemoteEmbedder(Featurizer):
     timeout: float = 30.0
     cache_path: str | None = None
     transport: object = post_json
-    _cache: dict[str, list[float]] = field(default_factory=dict, init=False, repr=False,
+    _cache: dict[tuple, list[float]] = field(default_factory=dict, init=False, repr=False,
                                            compare=False)
 
     kind = "embedding"
@@ -379,7 +381,8 @@ class RemoteEmbedder(Featurizer):
             rec = json.loads(line)
             if rec.get("provider_hash") == self.config_hash():
                 source = f"cached vector for {rec['doc_id']!r}"
-                self._cache[rec["doc_id"]] = self._checked(rec["vector"], source)
+                key = (rec["doc_id"], rec.get("text_sha256"))
+                self._cache[key] = self._checked(rec["vector"], source)
 
     def _checked(self, vector: list, source: str) -> list[float]:
         """``vector`` as floats, once it holds ``dim`` finite real numbers (no bool or string)."""
@@ -390,10 +393,11 @@ class RemoteEmbedder(Featurizer):
                 raise LabelForgeError(f"{source} holds {v!r}, not a finite number")
         return [float(v) for v in vector]
 
-    def _append_cache(self, doc_id: str, vector: list[float]):
+    def _append_cache(self, key: tuple, vector: list[float]):
         if not self.cache_path:
             return
-        rec = {"doc_id": doc_id, "provider_hash": self.config_hash(), "vector": vector}
+        rec = {"doc_id": key[0], "provider_hash": self.config_hash(), "text_sha256": key[1],
+               "vector": vector}
         with open(self.cache_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(rec) + "\n")
 
@@ -410,8 +414,9 @@ class RemoteEmbedder(Featurizer):
         return out
 
     def vectorize(self, doc: Document) -> np.ndarray:
-        if doc.id in self._cache:
-            return np.asarray(self._cache[doc.id], dtype=float)
+        key = (doc.id, hashlib.sha256(doc.text.encode("utf-8")).hexdigest())
+        if key in self._cache:
+            return np.asarray(self._cache[key], dtype=float)
         payload = {"model": self.model, "input": doc.text}
         headers = {"Content-Type": "application/json"}
         reply = with_retries("embedding service", lambda: self.transport(
@@ -420,8 +425,8 @@ class RemoteEmbedder(Featurizer):
         if not isinstance(vector, list):
             raise ProviderUnreachable("embedding service reply holds no embedding list")
         vector = self._checked(vector, f"embedding service reply for {doc.id!r}")
-        self._cache[doc.id] = vector
-        self._append_cache(doc.id, vector)
+        self._cache[key] = vector
+        self._append_cache(key, vector)
         return np.asarray(vector, dtype=float)
 
 

@@ -40,9 +40,10 @@ class LabelFunction:
 
     ``rule`` exposes describe() -> its JSON payload. Classifier rules carry a
     classifier, its featurizer and the calibrated confidence threshold
-    (mirrored here as ``threshold``) and are voted from the featurizer's row
-    tables; every other rule exposes apply_many(index) -> one weak label per
-    row of a split's ``corpus.TokenIndex``. Scoring computes each LF's votes
+    ``omega`` (described as the LF's ``threshold``; 0.0 for other rules) and
+    are voted from the featurizer's row tables; every other rule exposes
+    apply_many(index) -> one weak label per row of a split's
+    ``corpus.TokenIndex``. Scoring computes each LF's votes
     once on the unlabeled pool and keeps that column as ``votes`` (outside
     describe() and equality); est_coverage, dedup agreement and the label
     matrix all read it.
@@ -51,7 +52,6 @@ class LabelFunction:
     id: str
     category: Category
     rule: object
-    threshold: float = 0.0
     est_accuracy: float | None = None
     est_coverage: float | None = None
     meta: dict = field(default_factory=dict)
@@ -61,7 +61,7 @@ class LabelFunction:
         return {
             "id": self.id,
             "category": self.category.value,
-            "threshold": self.threshold,
+            "threshold": getattr(self.rule, "omega", 0.0),
             "est_accuracy": self.est_accuracy,
             "est_coverage": self.est_coverage,
             "meta": self.meta,

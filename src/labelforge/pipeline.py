@@ -71,12 +71,18 @@ def build_generators(
         count=config.candidates_per_round,
     )
     skip_sink: list[dict] = []
+    unreachable: list[int] = []  # rounds without a surface provider: one manifest warning
 
     def surface_gen(round_index: int):
         try:
             rules = generate_surface_lfs(provider, request, round_index=round_index)
         except (ProviderUnreachable, MalformedProviderReply) as exc:
             skip_sink.append({"category": "surface", "round": round_index, "reason": str(exc)})
+            if isinstance(exc, ProviderUnreachable):
+                if unreachable:  # the loop adds no other warning: the last is this one's
+                    manifest.warnings.pop()
+                unreachable.append(round_index)
+                manifest.warnings.append(f"surface provider unreachable in rounds {unreachable}")
             return []
         manifest.provider_warnings += provider.last_warnings
         return [

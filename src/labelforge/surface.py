@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,41 +132,28 @@ def class_token_log_odds(
     a token that is not evidence for the class is never a usable pattern.
     """
     name_to_idx = {n: i for i, n in enumerate(class_names)}
-    counts: dict[int, dict[str, int]] = {i: {} for i in range(len(class_names))}
-    totals = {i: 0 for i in range(len(class_names))}
-    vocab: set[str] = set()
+    counts = [Counter() for _ in class_names]
     for text, label_name in examples:
-        cls = name_to_idx[label_name]
-        for tok in (t for t in tokenize(text) if len(t) > 1):
-            counts[cls][tok] = counts[cls].get(tok, 0) + 1
-            totals[cls] += 1
-            vocab.add(tok)
-    v = max(len(vocab), 1)
+        counts[name_to_idx[label_name]].update(t for t in tokenize(text) if len(t) > 1)
+    overall = sum(counts, Counter())  # each token's count over all classes
+    v, total = max(len(overall), 1), overall.total()
     ranked: dict[int, list[str]] = {}
-    for cls in counts:
-        rest_total = sum(t for c, t in totals.items() if c != cls)
+    for cls, own in enumerate(counts):
+        inside_total = own.total()
         scored = []
-        for tok in vocab:
-            inside = counts[cls].get(tok, 0)
-            outside = sum(counts[c].get(tok, 0) for c in counts if c != cls)
-            score = math.log((inside + 1) / (totals[cls] + v)) - math.log(
-                (outside + 1) / (rest_total + v)
+        for tok, n in overall.items():  # the other classes' count is the exact n - own[tok]
+            score = math.log((own[tok] + 1) / (inside_total + v)) - math.log(
+                (n - own[tok] + 1) / (total - inside_total + v)
             )
             if score > 0:
                 scored.append((-score, tok))
-        scored.sort()
-        ranked[cls] = [tok for _, tok in scored]
+        ranked[cls] = [tok for _, tok in sorted(scored)]
     return ranked
 
 
 def _chunks(pool: list[str], count: int) -> list[list[str]]:
     """Split a ranked pool into count contiguous near-even slices."""
-    out = []
-    for k in range(count):
-        lo = k * len(pool) // count
-        hi = (k + 1) * len(pool) // count
-        out.append(pool[lo:hi])
-    return out
+    return [pool[k * len(pool) // count:(k + 1) * len(pool) // count] for k in range(count)]
 
 
 @dataclass
@@ -189,26 +177,18 @@ class OfflineSeededProvider:
     def generate(self, request: GenerationRequest, round_index: int = 0) -> list[SurfaceRule]:
         if self._ranked is None or self._ranked[0] != request:
             self._ranked = (request, class_token_log_odds(request.examples, request.class_names))
-        ranked = self._ranked[1]
-        num_classes = len(request.class_names)
-        offset = round_index * self.top_t
+        ranked, num_classes = self._ranked[1], len(request.class_names)
+        window = slice(round_index * self.top_t, (round_index + 1) * self.top_t)
         rng = np.random.default_rng(self.rng_seed + round_index)
-        per_class_chunks = {}
+        slices = []  # per class: its window cut in one slice per rule it targets, permuted
         for cls in range(num_classes):
-            rules_for_cls = len(range(cls, request.count, num_classes))
-            pool = ranked.get(cls, [])[offset:offset + self.top_t]
-            chunks = _chunks(pool, max(rules_for_cls, 1))
-            order = rng.permutation(len(chunks))
-            per_class_chunks[cls] = [chunks[i] for i in order]
-        rules: list[SurfaceRule] = []
-        for k in range(request.count):
-            cls = k % num_classes
-            idx = k // num_classes
-            chunk = per_class_chunks[cls][idx] if idx < len(per_class_chunks[cls]) else []
-            if chunk:
-                rules.append(SurfaceRule(patterns={cls: set(chunk)}, match_mode="token"))
+            rules_for_cls = max(len(range(cls, request.count, num_classes)), 1)
+            chunks = _chunks(ranked[cls][window], rules_for_cls)
+            slices.append([chunks[i] for i in rng.permutation(len(chunks))])
         self.last_warnings = 0
-        return rules
+        return [SurfaceRule(patterns={k % num_classes: set(chunk)}, match_mode="token")
+                for k in range(request.count)
+                if (chunk := slices[k % num_classes][k // num_classes])]
 
 
 def extract_rule_array(text: str) -> list:

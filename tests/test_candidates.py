@@ -390,7 +390,7 @@ def test_synthesize_candidates_deterministic_and_seeded():
     score_candidates(again, ds, cfg)
     assert [lf.est_accuracy for lf in again] == [lf.est_accuracy for lf in lfs]
     assert [lf.votes.tolist() for lf in again] == [lf.votes.tolist() for lf in lfs]
-    assert [lf.threshold for lf in again] == [lf.threshold for lf in lfs]
+    assert [lf.rule.omega for lf in again] == [lf.rule.omega for lf in lfs]
 
 
 def test_synthesize_on_separable_data_estimates_perfect():
@@ -431,7 +431,7 @@ def test_abstain_disabled_zeroes_omega():
     cfg = PipelineConfig(base_seed=2, abstain_enabled=False)
     lfs, _ = synthesize(Category.SEMANTIC, ds, 2, cfg)
     score_candidates(lfs, ds, cfg)
-    assert all(lf.threshold == 0.0 for lf in lfs)
+    assert all(lf.describe()["threshold"] == 0.0 for lf in lfs)
     assert all(lf.rule.omega == 0.0 for lf in lfs)
     assert all(ABSTAIN not in lf.votes for lf in lfs)
 
@@ -481,7 +481,7 @@ def test_each_candidate_predicts_once_per_split(monkeypatch):
         for lf in lfs:
             if isinstance(lf.rule.classifier, MlpNet):
                 assert sorted(mlp_rows[id(lf.rule.classifier)]) == [len(ds.seed), len(ds.unlabeled)]
-            assert lf.threshold == lf.rule.omega
+            assert lf.describe()["threshold"] == lf.rule.omega
     assert shared >= 2 and len(mlp_rows) >= 2
 
 

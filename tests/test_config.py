@@ -1,6 +1,7 @@
 """The config's bounds table: every row bounds a value a config holds, at the edges it names."""
 
 import copy
+import json
 import math
 
 import pytest
@@ -84,3 +85,10 @@ def test_each_bound_takes_its_edges_and_rejects_values_just_outside(interval, ke
         with pytest.raises(ConfigError) as err:
             PipelineConfig.from_json(obj)
         assert str(err.value) == f"{name} must be {message}"
+
+
+def test_a_config_file_with_a_byte_order_mark_loads(tmp_path):
+    """Read as data and labels files are: a leading UTF-8 byte-order mark is not JSON."""
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(DEFAULT, indent=2).encode("utf-8"))
+    assert PipelineConfig.load(str(path)) == PipelineConfig()

@@ -215,6 +215,87 @@ def test_remote_embedder_cache(tmp_path):
     assert calls == ["hello"]
 
 
+def test_remote_embedder_cache_is_keyed_by_the_text(tmp_path):
+    """A doc whose text changed calls the service and caches the new vector; an unchanged
+    text makes no call, in this embedder or in one over the same cache file. A record
+    written without the text digest never hits: its doc is requested once more."""
+    calls = []
+
+    def transport(endpoint, payload, headers, timeout):
+        calls.append(payload["input"])
+        return {"embedding": [float(len(payload["input"])), 1.0]}
+
+    def embedder():
+        return RemoteEmbedder(endpoint="http://x", model="m", dim=2, cache_path=cache,
+                              transport=transport)
+
+    cache = str(tmp_path / "cache.jsonl")
+    legacy = {"doc_id": "d1", "provider_hash": embedder().config_hash(), "vector": [9.0, 9.0]}
+    with open(cache, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(legacy) + "\n")
+    assert embedder().vectorize(doc("old", "d1")).tolist() == [3.0, 1.0]
+    second = embedder()
+    assert second.vectorize(doc("old", "d1")).tolist() == [3.0, 1.0]
+    assert calls == ["old"]
+    assert second.vectorize(doc("changed", "d1")).tolist() == [7.0, 1.0]
+    assert calls == ["old", "changed"]
+    third = embedder()
+    for text, vector in (("changed", [7.0, 1.0]), ("old", [3.0, 1.0])):
+        assert third.vectorize(doc(text, "d1")).tolist() == vector
+    assert calls == ["old", "changed"]
+    records = [json.loads(line) for line in open(cache, encoding="utf-8")]
+    assert records == [legacy] + [
+        {**legacy, "text_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+         "vector": [float(len(text)), 1.0]} for text in ("old", "changed")]
+
+
+def per_row_normalized(table):
+    """The table's nonzero rows divided by sqrt(row.dot(row)), one row at a time."""
+    out = table.copy()
+    norms = np.sqrt(np.fromiter((row.dot(row) for row in out), float, len(out)))[:, None]
+    return np.divide(out, norms, out=out, where=norms > 0)
+
+
+def test_row_norms_equal_the_per_row_dot_form_on_the_bench_tables(monkeypatch):
+    """Every table the three bench corpora (seed 0) normalize, the test splits included,
+    comes out bit-equal to the per-row form."""
+    from labelforge.synth import (make_noisy_corpus, make_separable_corpus,
+                                  noisy_experiment_overrides)
+
+    real, widths = features_module._normalize_rows, set()
+
+    def checked(table):
+        want = per_row_normalized(table)
+        got = real(table)
+        assert np.array_equal(got, want), table.shape
+        widths.add(table.shape[1])
+        return got
+
+    monkeypatch.setattr(features_module, "_normalize_rows", checked)
+    for dataset, config in ((make_separable_corpus(0, 4000, 40, 400), PipelineConfig()),
+                            (make_noisy_corpus(0, 16000, 40, 400),
+                             PipelineConfig(**noisy_experiment_overrides())),
+                            (make_separable_corpus(0, 2000, 400, 400), PipelineConfig())):
+        downstream = build_featurizers(dataset, config)[2]
+        downstream.transform_many(dataset.test_index)
+    assert widths == {21, 24, 27, 256, 374, 377}
+
+
+@pytest.mark.parametrize("rows", [
+    [[3.0, 4.0]],
+    [[0.1, 0.2, 0.3]],
+    [[0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0], [1e-3, 2.0, 0.5], [0.0, 0.0, 0.0]],
+    np.zeros((0, 3)),
+], ids=["one-row", "one-row-fraction", "zero-row", "zero-rows-around", "no-rows"])
+def test_row_norms_of_small_tables_and_zero_rows(rows):
+    table = np.array(rows, dtype=float)
+    want = per_row_normalized(table)
+    got = features_module._normalize_rows(table)
+    assert got is table and np.array_equal(got, want)
+    assert not np.any(got[~np.any(want, axis=1)])  # a zero row stays zero
+
+
 def test_remote_embedder_cache_survives_torn_last_line(tmp_path):
     calls = []
 
@@ -296,7 +377,8 @@ def test_remote_embedder_keeps_the_reply_after_a_failed_call(tmp_path, sleeps, f
     assert emb.vectorize(doc("x", "a")).tolist() == [1.0, 2.0]  # from the cache: no third call
     assert replies == [] and sleeps == [1.0]
     assert [json.loads(line) for line in open(cache, encoding="utf-8")] == [
-        {"doc_id": "a", "provider_hash": emb.config_hash(), "vector": [1.0, 2.0]}]
+        {"doc_id": "a", "provider_hash": emb.config_hash(),
+         "text_sha256": hashlib.sha256(b"x").hexdigest(), "vector": [1.0, 2.0]}]
 
 
 def test_featurizer_memoization():

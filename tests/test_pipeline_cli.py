@@ -765,6 +765,41 @@ def test_manifest_sums_provider_warnings_over_rounds(tmp_path, monkeypatch):
         assert "provider_warnings" not in open(os.path.join(out, digested)).read(), digested
 
 
+def test_manifest_names_the_rounds_without_a_surface_provider(tmp_path, monkeypatch):
+    """A surface provider that cannot be reached skips its rounds, as before, and one
+    manifest warning names them; the digested files do not carry it."""
+    import time
+
+    from labelforge import pipeline
+    from labelforge.surface import RemoteLlmProvider
+
+    calls = []
+
+    def transport(endpoint, payload, headers, timeout):
+        calls.append(endpoint)
+        raise OSError("connection refused")
+
+    def remote(config, dataset):
+        return RemoteLlmProvider(endpoint="http://llm", model="m", labels=dataset.labels,
+                                 transport=transport)
+
+    monkeypatch.setattr(pipeline, "build_provider", remote)
+    monkeypatch.setattr(time, "sleep", lambda seconds: None)
+    out = str(tmp_path / "run")
+    ds = make_separable_corpus(5, n_unlabeled=150, n_seed=20, n_test=0)
+    pipeline.run_pipeline(small_config(max_rounds=2), ds, out)
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert len(calls) == 2 * 3  # three tries in each of the two rounds
+    assert manifest["warnings"] == ["surface provider unreachable in rounds [0, 1]"]
+    assert manifest["provider_warnings"] == 0
+    lf_pool = json.load(open(os.path.join(out, "lf_pool.json")))
+    assert [(s["category"], s["round"]) for s in lf_pool["skip_reports"]
+            if s["category"] == "surface"] == [("surface", 0), ("surface", 1)]
+    assert lf_pool["counts"]["surface"] == 0
+    for digested in ("lf_pool.json", "report.json"):
+        assert "unreachable in rounds" not in open(os.path.join(out, digested)).read(), digested
+
+
 def test_manifest_warns_of_a_class_without_seed_examples(tmp_path):
     import dataclasses
 

@@ -411,3 +411,95 @@ def test_class_token_log_odds_positive_only():
     assert "good" in ranked[0]
     assert "shared" not in ranked[0]
     assert "shared" not in ranked[1]
+
+
+def reference_log_odds(examples, class_names):
+    """The ranking as first written: a dict of dicts, each token's count over the other
+    classes summed one class at a time."""
+    name_to_idx = {n: i for i, n in enumerate(class_names)}
+    counts = {i: {} for i in range(len(class_names))}
+    totals = {i: 0 for i in range(len(class_names))}
+    vocab = set()
+    for text, label_name in examples:
+        cls = name_to_idx[label_name]
+        for tok in (t for t in tokenize(text) if len(t) > 1):
+            counts[cls][tok] = counts[cls].get(tok, 0) + 1
+            totals[cls] += 1
+            vocab.add(tok)
+    v = max(len(vocab), 1)
+    ranked = {}
+    for cls in counts:
+        rest_total = sum(t for c, t in totals.items() if c != cls)
+        scored = []
+        for tok in vocab:
+            inside = counts[cls].get(tok, 0)
+            outside = sum(counts[c].get(tok, 0) for c in counts if c != cls)
+            score = math.log((inside + 1) / (totals[cls] + v)) - math.log(
+                (outside + 1) / (rest_total + v)
+            )
+            if score > 0:
+                scored.append((-score, tok))
+        scored.sort()
+        ranked[cls] = [tok for _, tok in scored]
+    return ranked
+
+
+def reference_generate(request, round_index, rng_seed, top_t):
+    """The offline provider's rules as first written: a per-class table of permuted slices,
+    then one rule per k looked up in it."""
+    ranked = reference_log_odds(request.examples, request.class_names)
+    num_classes = len(request.class_names)
+    offset = round_index * top_t
+    rng = np.random.default_rng(rng_seed + round_index)
+    per_class_chunks = {}
+    for cls in range(num_classes):
+        rules_for_cls = len(range(cls, request.count, num_classes))
+        pool = ranked.get(cls, [])[offset:offset + top_t]
+        count = max(rules_for_cls, 1)
+        chunks = [pool[k * len(pool) // count:(k + 1) * len(pool) // count] for k in range(count)]
+        order = rng.permutation(len(chunks))
+        per_class_chunks[cls] = [chunks[i] for i in order]
+    rules = []
+    for k in range(request.count):
+        cls = k % num_classes
+        idx = k // num_classes
+        chunk = per_class_chunks[cls][idx] if idx < len(per_class_chunks[cls]) else []
+        if chunk:
+            rules.append({cls: set(chunk)})
+    return rules
+
+
+def skewed_examples(num_classes, seed):
+    """Seed examples whose classes favour overlapping word ranges; the last class of three or
+    more has none, and some tokens are one character (never ranked)."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(12 * num_classes)] + list("xyz")
+    examples = []
+    for cls in range(num_classes - (num_classes >= 3)):
+        favoured = words[8 * cls:8 * cls + 16]
+        for _ in range(rng.randint(3, 9)):
+            text = rng.choices(favoured, k=rng.randint(2, 7)) + rng.choices(words, k=2)
+            examples.append((" ".join(text), f"c{cls}"))
+    return tuple(examples)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_offline_provider_matches_the_per_class_table_reference(num_classes, seed):
+    """Counts below C leave some classes without a rule; each class still takes its
+    permutation in class order, so the rules of the classes that have one do not move."""
+    class_names = tuple(f"c{cls}" for cls in range(num_classes))
+    examples = skewed_examples(num_classes, seed)
+    assert class_token_log_odds(examples, class_names) == reference_log_odds(examples,
+                                                                           class_names)
+    cases = 0
+    for count in range(1, 10):
+        request = GenerationRequest("t", class_names, examples, count=count)
+        for top_t in (1, 2, 5):
+            provider = OfflineSeededProvider(rng_seed=seed + 7, top_t=top_t)
+            for round_index in range(10):
+                got = [r.patterns for r in provider.generate(request, round_index)]
+                assert got == reference_generate(request, round_index, seed + 7, top_t), (
+                    count, top_t, round_index)
+                cases += bool(got)
+    assert cases > 100

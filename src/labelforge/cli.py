@@ -29,11 +29,12 @@ def _write_error(out_dir: str, stage: str, error: Exception) -> None:
         os.makedirs(out_dir, exist_ok=True)
         write_atomic(os.path.join(out_dir, "error.json"),
                      lambda fh: write_report_json(fh, {"stage": stage, "error": str(error)}))
-    except OSError:
-        pass
+    except OSError as exc:
+        print(f"stage {stage!r} failed: {error}; error.json not written: {exc}", file=sys.stderr)
 
 
 def _load_inputs(args) -> tuple[PipelineConfig, object]:
+    os.makedirs(args.out, exist_ok=True)  # an --out that cannot be a directory is bad input
     config = PipelineConfig.load(args.config)
     if args.seed_override is not None:
         config = PipelineConfig.from_json({**config.to_json(), "base_seed": args.seed_override})
@@ -117,7 +118,6 @@ def cmd_sweep(args) -> int:
         _write_error(args.out, "sweep", exc)
         return EXIT_INPUT
 
-    os.makedirs(args.out, exist_ok=True)
     rows = []
     for raw, cfg in zip(raw_values, configs):
         run_dir = os.path.join(args.out, f"{args.param}={raw}")

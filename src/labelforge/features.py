@@ -2,19 +2,18 @@
 
 Each featurizer is one fitted model that turns a whole split into a row
 table at once. TF-IDF and the hashing embedder read the split's token ids
-(``corpus.TokenIndex``) and build the table with array programs, a block of
-rows at a time; they keep a wide unlabeled-pool table as its nonzeros
-(``SparseRows``), which products densify one row block at a time. The
-remote embedder, which needs one service call per document, embeds each
-document's text. TF-IDF backs structural label functions and the downstream
-classifier; embeddings back semantic ones. The default embedder is a
-dependency-free signed hashing projection so the semantic pathway runs fully
+(``corpus.TokenIndex``) and build the table with array programs, one
+``corpus.row_blocks`` range at a time; they keep a wide unlabeled-pool table
+as those blocks' nonzeros (``SparseRows``), which products densify one block
+at a time. The remote embedder, which needs one service call per document,
+embeds each document's text. TF-IDF backs structural label functions and the
+downstream classifier; embeddings back semantic ones. The default embedder is
+a dependency-free signed hashing projection so the semantic pathway runs fully
 offline; a remote embedder with an on-disk cache covers real encoder services.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import sys
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, Document, TokenIndex
+from .corpus import Dataset, Document, TokenIndex, row_blocks
 from .errors import LabelForgeError, ProviderUnreachable, post_json, with_retries
 
 
@@ -30,34 +29,6 @@ def _normalize_rows(table: np.ndarray) -> np.ndarray:
     """L2-normalize each nonzero row in place by sqrt(row.dot(row)), as ``np.linalg.norm``."""
     norms = np.sqrt(np.vecdot(table, table))[:, None]  # row.dot(row)'s bits, which einsum's are not
     return np.divide(table, norms, out=table, where=norms > 0)
-
-
-BLOCK_TOKENS = 1 << 14  # tokens turned into n-grams at once; bounds the transient arrays
-
-# Products over a ``SparseRows`` table run in row blocks of about ROW_BLOCK rows.
-# Measured with OpenBLAS 0.3.31 on one thread, a block's rows of ``x @ w.T`` were
-# bit-equal to the whole table's product from 608 rows on, and for a single
-# candidate on the 256- and 377-column tables differed in the last bit at 576
-# rows; the shortest block, 768 rows, keeps clear of that.
-ROW_BLOCK = 1024
-
-
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """n rows split evenly into max(1, round(n / ROW_BLOCK)) ranges [lo, hi).
-
-    Each holds 768 to 1,535 rows; under 1,536 rows the one range is all of them.
-    """
-    count = max(1, round(n / ROW_BLOCK))
-    edges = [n * i // count for i in range(count + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _blocks(index: TokenIndex, spans=()) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of ``index`` holding about BLOCK_TOKENS tokens each,
-    also cut at the edges of the row ranges ``spans``."""
-    cuts = np.searchsorted(index.offsets, np.arange(0, index.offsets[-1], BLOCK_TOKENS))
-    edges = np.unique(np.concatenate([[0, len(index)], cuts, *spans])).tolist()
-    return list(zip(edges[:-1], edges[1:]))
 
 
 def _long_tokens(token_ids: dict[str, int], min_token_len: int) -> np.ndarray:
@@ -105,31 +76,15 @@ def _term(code: int, base: int, tokens: list[str]) -> str:
 class SparseRows:
     """A float64 (n, dim) row table kept as its nonzeros, one ``row_blocks`` range at a time.
 
-    Range j's nonzeros are ``values[starts[j]:starts[j + 1]]``, at the ``int32``
-    flat positions ``cells[starts[j]:starts[j + 1]]`` (row within the range *
-    dim + column) of the range's dense block, which fit while dim is under
-    1.39 million. Products never read the table sparse: ``blocks`` densifies
-    one range at a time, so each product is a dense one over a block of rows.
+    ``parts[j]`` is range j's (float64 values, ``int32`` cells): the cells are
+    flat positions (row within the range * dim + column) in the range's dense
+    block, which fit while dim is under 1.39 million. Products never read the
+    table sparse: ``blocks`` densifies one range at a time, so each product is
+    a dense one over a block of rows.
     """
 
-    def __init__(self, shape: tuple[int, int], values: np.ndarray, cells: np.ndarray,
-                 starts: np.ndarray):
-        self.shape, self.values, self.cells, self.starts = shape, values, cells, starts
-
-    @classmethod
-    def from_blocks(cls, shape: tuple[int, int], blocks) -> SparseRows:
-        """Keep the nonzeros of dense blocks (lo, hi, rows, at): rows lo to hi - 1 of the
-        table, in order and none across a ``row_blocks`` edge, and the ascending flat
-        positions in ``rows`` of all their nonzeros (zeros may be among them)."""
-        edges = [lo for lo, _ in row_blocks(shape[0])]
-        values, cells = [np.zeros(0)], [np.zeros(0, np.int32)]
-        counts = np.zeros(len(edges) + 1, np.int64)
-        for lo, hi, rows, at in blocks:
-            j = bisect.bisect_right(edges, lo) - 1
-            values.append(rows.reshape(-1)[at])
-            cells.append((at + (lo - edges[j]) * shape[1]).astype(np.int32))
-            counts[j + 1] += len(at)
-        return cls(shape, np.concatenate(values), np.concatenate(cells), np.cumsum(counts))
+    def __init__(self, shape: tuple[int, int], parts: list[tuple[np.ndarray, np.ndarray]]):
+        self.shape, self.parts = shape, parts
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -140,9 +95,9 @@ class SparseRows:
         spans = row_blocks(len(self))
         buf = np.zeros((max(hi - lo for lo, hi in spans), self.shape[1]))
         flat = buf.reshape(-1)
-        for (lo, hi), start, stop in zip(spans, self.starts[:-1], self.starts[1:]):
-            at = self.cells[start:stop].astype(np.intp)  # cast once, for the write and the reset
-            flat[at] = self.values[start:stop]
+        for (lo, hi), (values, cells) in zip(spans, self.parts, strict=True):
+            at = cells.astype(np.intp)  # cast once, for the write and the reset
+            flat[at] = values
             yield lo, hi, buf[:hi - lo]
             flat[at] = 0.0
 
@@ -168,9 +123,9 @@ class Featurizer:
     ``ngram_range`` and supply ``kind`` and ``_fill``, or override
     ``transform_many`` and ``build_tables``.
 
-    ``_fill(index, targets)`` takes (lo, hi, out) row blocks of ``index`` in
-    order, writes the L2-normalized vectors of rows lo to hi - 1 into ``out``,
-    and yields (lo, hi, out, at), ``at`` holding the ascending flat positions
+    ``_fill(index, targets)`` takes (lo, hi, out) for each ``row_blocks`` range
+    of ``index``, writes the L2-normalized vectors of rows lo to hi - 1 into
+    ``out``, and yields (out, at), ``at`` holding the ascending flat positions
     in ``out`` of all its nonzeros (zeros may be among them). A block is read
     before the next is written, so one buffer can serve every block.
     """
@@ -180,7 +135,7 @@ class Featurizer:
 
     def transform_many(self, index: TokenIndex) -> np.ndarray:
         table = np.empty((len(index), self.dim))
-        for _ in self._fill(index, ((lo, hi, table[lo:hi]) for lo, hi in _blocks(index))):
+        for _ in self._fill(index, ((lo, hi, table[lo:hi]) for lo, hi in row_blocks(len(index)))):
             pass
         return table
 
@@ -191,10 +146,11 @@ class Featurizer:
         # at most half its bytes. A narrower table stays dense, as little is saved
         # by scoring it a densified block at a time.
         if 3 * self._nonzero_bound(index) <= len(index) * self.dim:
-            blocks = _blocks(index, row_blocks(len(index)))
-            buf = np.empty((max((hi - lo for lo, hi in blocks), default=0), self.dim))
-            targets = ((lo, hi, buf[:hi - lo]) for lo, hi in blocks)
-            self.pool = SparseRows.from_blocks((len(index), self.dim), self._fill(index, targets))
+            spans = row_blocks(len(index))
+            buf = np.empty((max(hi - lo for lo, hi in spans), self.dim))
+            blocks = self._fill(index, ((lo, hi, buf[:hi - lo]) for lo, hi in spans))
+            self.pool = SparseRows((len(index), self.dim), [
+                (out.reshape(-1)[at], at.astype(np.int32)) for out, at in blocks])
         else:
             self.pool = self.transform_many(index)
         return self
@@ -238,7 +194,7 @@ class TfidfFeaturizer(Featurizer):
         if float(self._base) ** self.ngram_range[1] >= 2.0 ** 63:
             raise ValueError(f"ngram_range {self.ngram_range} is too wide for int64 n-gram codes")
         long, in_rows = _long_tokens(self.token_ids, min_token_len), [np.zeros(0, np.int64)]
-        for block in _blocks(index):
+        for block in row_blocks(len(index)):
             rows, codes = _ngrams(index, block, self.ngram_range, long, self._base)
             distinct, inverse = np.unique(codes, return_inverse=True)
             pairs = np.unique(rows * len(distinct) + inverse)  # distinct (row, code) pairs
@@ -273,7 +229,7 @@ class TfidfFeaturizer(Featurizer):
             out.fill(0.0)
             out.reshape(-1)[keys] = counts
             out *= self.idf
-            yield lo, hi, _normalize_rows(out), keys
+            yield _normalize_rows(out), keys
 
     def describe(self) -> dict:
         return {"kind": self.kind, "ngram_range": list(self.ngram_range), "dim": self.dim}
@@ -329,7 +285,7 @@ class HashingEmbedder(Featurizer):
             flat[cell[~negative]] = counts[~negative]
             flat[cell[negative]] -= counts[negative]
             # keys ascend, so a cell's two signs are neighbours in ``cell``
-            yield lo, hi, _normalize_rows(out), cell[np.diff(cell, prepend=-1) > 0]
+            yield _normalize_rows(out), cell[np.diff(cell, prepend=-1) > 0]
 
 
 @dataclass

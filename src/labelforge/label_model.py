@@ -17,9 +17,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .corpus import LabelSpace, iter_records
+from .corpus import LabelSpace, iter_records, row_blocks
 from .errors import LabelForgeError, MalformedRecord
-from .lf_core import ABSTAIN, ROW_BLOCK, LabelMatrix
+from .lf_core import ABSTAIN, LabelMatrix
 from .nets import class_max, class_sum
 
 DS_SMOOTHING = 1e-6
@@ -181,8 +181,8 @@ def write_dist_rows(fh: TextIO, dists: np.ndarray, doc_ids: list[str], labels: L
     hard = dists.argmax(axis=1).tolist()
     flags = ['{"covered": false, ', '{"covered": true, ']
     heads = ["{"] * len(dists) if covered is None else [flags[cov] for cov in covered.tolist()]
-    for start in range(0, len(dists), ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
+    for lo, hi in row_blocks(len(dists)):
+        block = slice(lo, hi)
         fh.write("".join([
             f'{head}"dist": [{", ".join(map(float_str, dist))}], '
             f'"doc_id": {encode_basestring_ascii(doc_id)}, "{class_key}": {names[cls]}}}\n'

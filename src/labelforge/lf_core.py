@@ -14,12 +14,11 @@ from typing import TextIO
 
 import numpy as np
 
-from .corpus import TokenIndex
+from .corpus import TokenIndex, row_blocks
 from .errors import LabelForgeError
 
 ABSTAIN = -1
 EPS = 1e-9
-ROW_BLOCK = 512  # artifact rows formatted per write: bounds the strings alive at once
 # an int8 vote's text, indexed by its byte: 255 is "-1"
 _CELL_STR = np.array([str(v if v < 128 else v - 256) for v in range(256)], dtype=object)
 _CSV_QUOTE = re.compile(r'[,"\r\n]')  # a doc id holding one is quoted, so csv.reader reads it
@@ -87,11 +86,10 @@ class LabelMatrix:
         if _CSV_QUOTE.search("".join(ids)):  # one scan per write: most ids need no quotes
             ids = ['"' + i.replace('"', '""') + '"' if _CSV_QUOTE.search(i) else i for i in ids]
         fh.write(",".join(["doc_id"] + list(self.col_ids)) + "\n")
-        for start in range(0, len(self.entries), ROW_BLOCK):
-            block = slice(start, start + ROW_BLOCK)
-            cells = _CELL_STR[self.entries[block].astype(np.uint8)].tolist()
+        for lo, hi in row_blocks(len(self.entries)):  # bounds the strings alive at once
+            cells = _CELL_STR[self.entries[lo:hi].astype(np.uint8)].tolist()
             fh.write("".join([f"{doc_id},{','.join(row)}\n"
-                              for doc_id, row in zip(ids[block], cells)]))
+                              for doc_id, row in zip(ids[lo:hi], cells)]))
 
 
 def build_label_matrix(lfs: list[LabelFunction], row_ids: list[str]) -> LabelMatrix:

@@ -71,18 +71,22 @@ def build_generators(
         count=config.candidates_per_round,
     )
     skip_sink: list[dict] = []
-    unreachable: list[int] = []  # rounds without a surface provider: one manifest warning
+    unreachable: list[int] = []  # the round that found the surface provider unreachable
 
     def surface_gen(round_index: int):
+        skip = {"category": "surface", "round": round_index}
+        if unreachable:  # a provider found unreachable is not asked again
+            skip_sink.append({**skip, "reason": f"surface provider unreachable since round "
+                                                f"{unreachable[0]}; not asked again"})
+            return []
         try:
             rules = generate_surface_lfs(provider, request, round_index=round_index)
         except (ProviderUnreachable, MalformedProviderReply) as exc:
-            skip_sink.append({"category": "surface", "round": round_index, "reason": str(exc)})
+            skip_sink.append({**skip, "reason": str(exc)})
             if isinstance(exc, ProviderUnreachable):
-                if unreachable:  # the loop adds no other warning: the last is this one's
-                    manifest.warnings.pop()
                 unreachable.append(round_index)
-                manifest.warnings.append(f"surface provider unreachable in rounds {unreachable}")
+                manifest.warnings.append(f"surface provider unreachable in round {round_index}; "
+                                         "later rounds skipped surface generation")
             return []
         manifest.provider_warnings += provider.last_warnings
         return [
@@ -128,7 +132,10 @@ def run_pipeline(
     dataset_path: str | None = None,
 ) -> dict:
     """Execute every stage and write artifacts; returns the summary dict."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # e.g. a file by that name: bad input, before any stage runs
+        raise StageError("ingest", exc) from exc
     seconds: dict[str, float] = {}
     manifest = RunManifest(config_hash=config.config_hash())
     if dataset_path:

@@ -4,12 +4,16 @@ import math
 import os
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from labelforge.config import PipelineConfig
-from labelforge.corpus import Dataset, Document, LabeledExample, LabelSpace, TokenIndex, tokenize
+from labelforge import corpus as corpus_module
+from labelforge.corpus import (
+    Dataset, Document, LabeledExample, LabelSpace, TokenIndex, row_blocks, tokenize,
+)
 from labelforge.errors import LabelForgeError, ProviderUnreachable
 from labelforge import features as features_module
 from labelforge.features import (
@@ -20,7 +24,6 @@ from labelforge.features import (
     TfidfFeaturizer,
     build_featurizers,
     dense,
-    row_blocks,
 )
 
 
@@ -565,10 +568,10 @@ def random_split_docs(rng, words, n, prefix):
     return [doc(t, f"{prefix}{i}") for i, t in enumerate(texts)]
 
 
-@pytest.mark.parametrize("block_tokens", [1 << 16, 5])  # one block per split, and many
+@pytest.mark.parametrize("row_block", [1 << 16, 5])  # one block per split, and many
 @pytest.mark.parametrize("ngram_range", [(1, 1), (1, 2), (2, 2), (1, 3)])
-def test_split_tables_equal_the_per_doc_reference(ngram_range, block_tokens, monkeypatch):
-    monkeypatch.setattr(features_module, "BLOCK_TOKENS", block_tokens)
+def test_split_tables_equal_the_per_doc_reference(ngram_range, row_block, monkeypatch):
+    monkeypatch.setattr(corpus_module, "ROW_BLOCK", row_block)
     rng = np.random.default_rng(11)
     words = ["a", "b", "bb", "cc", "dd", "ee", "Σx", "σ", "naïve", "zz9", "x"]
     pool = random_split_docs(rng, words, 300, "u")
@@ -623,11 +626,10 @@ def test_row_blocks_split_evenly_into_768_to_1535_rows():
             assert 768 <= min(sizes) and max(sizes) <= 1535
 
 
-@pytest.mark.parametrize("row_block", [features_module.ROW_BLOCK, 16])
+@pytest.mark.parametrize("row_block", [corpus_module.ROW_BLOCK, 16])
 def test_sparse_pool_tables_equal_the_dense_tables(row_block, monkeypatch):
     """Kept as its nonzeros, a pool table densifies, block by block, to the dense table."""
-    monkeypatch.setattr(features_module, "ROW_BLOCK", row_block)
-    monkeypatch.setattr(features_module, "BLOCK_TOKENS", 64)  # several build blocks per row block
+    monkeypatch.setattr(corpus_module, "ROW_BLOCK", row_block)
     bound = Featurizer._nonzero_bound
     monkeypatch.setattr(Featurizer, "_nonzero_bound", lambda self, index: 0)  # every table sparse
     rng = np.random.default_rng(5)
@@ -639,12 +641,37 @@ def test_sparse_pool_tables_equal_the_dense_tables(row_block, monkeypatch):
         table = feat.build_tables(dataset).pool
         want = feat.transform_many(dataset.pool_index)
         assert isinstance(table, SparseRows) and table.shape == want.shape == (305, feat.dim)
-        assert table.values.dtype == np.float64 and table.cells.dtype == np.int32
-        assert len(table) == len(want)
-        assert np.count_nonzero(table.values) == np.count_nonzero(want) <= len(table.values)
-        assert len(table.values) <= bound(feat, dataset.pool_index)
+        assert len(table) == len(want) and len(table.parts) == len(row_blocks(305))
+        for (lo, hi), (values, cells) in zip(row_blocks(305), table.parts):
+            assert values.dtype == np.float64 and cells.dtype == np.int32
+            assert np.all(np.diff(cells) > 0)
+            assert np.array_equal(values, want[lo:hi].reshape(-1)[cells])
+        kept = np.concatenate([values for values, _ in table.parts])
+        assert np.count_nonzero(kept) == np.count_nonzero(want) <= len(kept)
+        assert len(kept) <= bound(feat, dataset.pool_index)
         blocks = [(lo, hi, rows.copy()) for lo, hi, rows in table.blocks()]
         assert [(lo, hi) for lo, hi, _ in blocks] == row_blocks(305)
         for lo, hi, rows in blocks:
             assert np.array_equal(rows, want[lo:hi])
         assert np.array_equal(dense(table), want)
+
+
+def test_a_sparse_pool_build_never_holds_a_second_copy_of_its_nonzeros():
+    """Building the (1, 2) TF-IDF tables of a 32,000-row separable pool peaks under the bytes
+    kept, plus the one dense block buffer, plus half the bytes kept: a table gathered from
+    its blocks into one array would hold all its nonzeros twice for a moment."""
+    from labelforge.synth import make_separable_corpus
+
+    dataset = make_separable_corpus(0, 32000, 40, 0)
+    feat = TfidfFeaturizer(dataset.pool_index, (1, 2))
+    dataset.seed_index  # both token indexes are built before tracing starts
+    tracemalloc.start()
+    try:
+        feat.build_tables(dataset)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(feat.pool, SparseRows)
+    assert kept >= sum(values.nbytes + cells.nbytes for values, cells in feat.pool.parts)
+    buffer = max(hi - lo for lo, hi in row_blocks(32000)) * feat.dim * 8
+    assert peak < kept + buffer + kept / 2

@@ -1,5 +1,6 @@
 """Every module-level import of the package is read in its own module, no line is longer
-than 100 characters, and only ``errors.py`` reaches the network or sleeps."""
+than 100 characters, only ``errors.py`` reaches the network or sleeps, and only
+``corpus.py`` sets a block size."""
 
 import ast
 import pathlib
@@ -48,3 +49,28 @@ def test_only_errors_calls_remote_services_or_sleeps():
     callers = [p.name for p in sources if p.name != "errors.py"
                and any(word in p.read_text(encoding="utf-8") for word in ("urllib", "sleep"))]
     assert callers == []
+
+
+def assigned_names(source: str) -> list[str]:
+    """Names bound by the module's top-level assignments, plain, annotated or augmented."""
+    targets = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets.append(node.target)
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_only_corpus_sets_a_block_size():
+    """``ROW_BLOCK`` is assigned once, in ``corpus.py``, and no module assigns another
+    ``*BLOCK`` or ``*BLOCK_TOKENS`` name, so every walk over a split's rows goes through
+    ``corpus.row_blocks``."""
+    assert assigned_names("A_BLOCK, (b, C) = 1, (2, 3)\nD: int = 4\nE += 5\n") == [
+        "A_BLOCK", "b", "C", "D", "E"]
+    assigned = {p.name: assigned_names(p.read_text(encoding="utf-8"))
+                for p in sorted(PACKAGE.glob("*.py"))}
+    assert [(module, names.count("ROW_BLOCK")) for module, names in assigned.items()
+            if "ROW_BLOCK" in names] == [("corpus.py", 1)]
+    assert [(module, name) for module, names in assigned.items() for name in names
+            if name != "ROW_BLOCK" and name.endswith(("BLOCK", "BLOCK_TOKENS"))] == []

@@ -484,6 +484,31 @@ def test_cmd_sweep_fans_out(run_env):
     assert os.path.isdir(os.path.join(out, "alpha=0.9"))
 
 
+def test_run_into_an_out_that_is_a_file_fails_at_ingest(run_env, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    code = main(["run", "--config", run_env["config"], "--data", run_env["data"],
+                 "--out", str(out)])
+    assert code == 2 and out.read_text() == "a file"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("stage 'ingest' failed: ") and "error.json not written" in err
+
+
+def test_sweep_records_a_run_directory_that_is_a_file_as_an_error(run_env, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "alpha=0.5").write_text("a file")
+    code = main(["sweep", "--config", run_env["config"], "--data", run_env["data"],
+                 "--out", str(out), "--param", "alpha", "--values", "0.5,0.9"])
+    assert code == 0
+    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    assert [(r["value"], r["status"]) for r in rows] == [("0.5", "error"), ("0.9", "ok")]
+    assert (out / "alpha=0.5").read_text() == "a file"
+    assert os.path.isfile(out / "alpha=0.9" / "manifest.json")
+    assert capsys.readouterr().err.startswith("stage 'ingest' failed: ")
+
+
 def test_cmd_sweep_empty_values(run_env):
     out = os.path.join(run_env["root"], "sweep_empty")
     code = main(["sweep", "--config", run_env["config"], "--data", run_env["data"],
@@ -766,8 +791,9 @@ def test_manifest_sums_provider_warnings_over_rounds(tmp_path, monkeypatch):
 
 
 def test_manifest_names_the_rounds_without_a_surface_provider(tmp_path, monkeypatch):
-    """A surface provider that cannot be reached skips its rounds, as before, and one
-    manifest warning names them; the digested files do not carry it."""
+    """A surface provider that cannot be reached is asked in one round only; every round
+    skips surface generation, and one manifest warning names the round that found it
+    unreachable; the digested files do not carry it."""
     import time
 
     from labelforge import pipeline
@@ -789,15 +815,42 @@ def test_manifest_names_the_rounds_without_a_surface_provider(tmp_path, monkeypa
     ds = make_separable_corpus(5, n_unlabeled=150, n_seed=20, n_test=0)
     pipeline.run_pipeline(small_config(max_rounds=2), ds, out)
     manifest = json.load(open(os.path.join(out, "manifest.json")))
-    assert len(calls) == 2 * 3  # three tries in each of the two rounds
-    assert manifest["warnings"] == ["surface provider unreachable in rounds [0, 1]"]
+    assert len(calls) == 3  # three tries in round 0, none in round 1
+    warning = "surface provider unreachable in round 0; later rounds skipped surface generation"
+    assert manifest["warnings"] == [warning]
     assert manifest["provider_warnings"] == 0
     lf_pool = json.load(open(os.path.join(out, "lf_pool.json")))
-    assert [(s["category"], s["round"]) for s in lf_pool["skip_reports"]
-            if s["category"] == "surface"] == [("surface", 0), ("surface", 1)]
+    skips = [s for s in lf_pool["skip_reports"] if s["category"] == "surface"]
+    assert [s["round"] for s in skips] == [0, 1]
+    assert "failed after 3 tries" in skips[0]["reason"]
+    assert skips[1]["reason"] == "surface provider unreachable since round 0; not asked again"
     assert lf_pool["counts"]["surface"] == 0
     for digested in ("lf_pool.json", "report.json"):
-        assert "unreachable in rounds" not in open(os.path.join(out, digested)).read(), digested
+        assert warning not in open(os.path.join(out, digested)).read(), digested
+
+
+def test_a_malformed_surface_reply_skips_only_its_round(tmp_path, monkeypatch):
+    from labelforge import pipeline
+    from labelforge.surface import RemoteLlmProvider
+
+    calls = []
+
+    def transport(endpoint, payload, headers, timeout):
+        calls.append(endpoint)
+        return {"choices": []}
+
+    def remote(config, dataset):
+        return RemoteLlmProvider(endpoint="http://llm", model="m", labels=dataset.labels,
+                                 transport=transport)
+
+    monkeypatch.setattr(pipeline, "build_provider", remote)
+    out = str(tmp_path / "run")
+    ds = make_separable_corpus(5, n_unlabeled=150, n_seed=20, n_test=0)
+    pipeline.run_pipeline(small_config(max_rounds=2), ds, out)
+    assert len(calls) == 2  # asked again in the next round, with no retries
+    assert json.load(open(os.path.join(out, "manifest.json")))["warnings"] == []
+    lf_pool = json.load(open(os.path.join(out, "lf_pool.json")))
+    assert [s["round"] for s in lf_pool["skip_reports"] if s["category"] == "surface"] == [0, 1]
 
 
 def test_manifest_warns_of_a_class_without_seed_examples(tmp_path):

@@ -157,6 +157,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)  # --out's parent is input
         if not os.path.exists(args.labels) or not os.path.exists(args.data):
             raise FileNotFoundError("labels or dataset file missing")
         config = PipelineConfig.load(args.config) if args.config else None
@@ -175,7 +176,6 @@ def cmd_eval(args) -> int:
     except (IdAlignment, ValueError) as exc:
         _write_error(os.path.dirname(args.out) or ".", "eval", exc)
         return EXIT_ALIGNMENT if isinstance(exc, IdAlignment) else EXIT_INPUT
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_atomic(args.out, lambda fh: write_report_json(fh, report))
     print(json.dumps(report))
     return EXIT_OK

@@ -83,7 +83,7 @@ class LabelSpace:
         return self.class_names[index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     id: str
     text: str  # may be empty; label functions must still handle it
@@ -105,9 +105,16 @@ class TokenIndex:
     def __init__(self, docs: list[Document], token_ids: dict[str, int] | None = None):
         self.docs = docs
         self.token_ids = vocab = {} if token_ids is None else token_ids
-        rows = [[vocab.setdefault(t, len(vocab)) for t in tokenize(doc.text)] for doc in docs]
-        self.ids = np.fromiter(itertools.chain.from_iterable(rows), np.int32)
-        self.offsets = np.concatenate(([0], np.cumsum(np.fromiter(map(len, rows), np.int64))))
+        lengths = np.empty(len(docs), np.int64)
+
+        def rows():  # one document's ids at a time, its length recorded as it goes
+            for r, doc in enumerate(docs):
+                row = [vocab.setdefault(t, len(vocab)) for t in tokenize(doc.text)]
+                lengths[r] = len(row)
+                yield row
+
+        self.ids = np.fromiter(itertools.chain.from_iterable(rows()), np.int32)
+        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -135,7 +142,7 @@ class TokenIndex:
         return rows[starts[i]:starts[i + 1]] if i + 1 < len(starts) else self._NO_ROWS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
     doc: Document
     gold: int

@@ -197,7 +197,8 @@ class TfidfFeaturizer(Featurizer):
         for block in row_blocks(len(index)):
             rows, codes = _ngrams(index, block, self.ngram_range, long, self._base)
             distinct, inverse = np.unique(codes, return_inverse=True)
-            pairs = np.unique(rows * len(distinct) + inverse)  # distinct (row, code) pairs
+            # distinct (row, code) pairs; a return_* argument keeps np.unique on its sort path
+            pairs, _ = np.unique(rows * len(distinct) + inverse, return_counts=True)
             in_rows.append(distinct[pairs % len(distinct)])
         codes, df = np.unique(np.concatenate(in_rows), return_counts=True)
         codes, df = codes[df >= min_df], df[df >= min_df]
@@ -272,11 +273,13 @@ class HashingEmbedder(Featurizer):
     def _fill(self, index: TokenIndex, targets):
         tokens = list(index.token_ids)
         long, base = np.ones(len(tokens), bool), len(tokens) + 2
+        coded: dict[int, int] = {}  # n-gram code of this fill -> ``_code`` of its string
         for lo, hi, out in targets:
             rows, codes = _ngrams(index, (lo, hi), self.ngram_range, long, base)
             terms, at = np.unique(codes, return_inverse=True)
-            codes = np.array([self._code(_term(c, base, tokens)) for c in terms.tolist()],
-                             dtype=np.int64)[at]
+            for c in set(terms.tolist()).difference(coded):
+                coded[c] = self._code(_term(c, base, tokens))
+            codes = np.array([coded[c] for c in terms.tolist()], dtype=np.int64)[at]
             # key // 2 is the cell row * dim + coord; key % 2 is the sign bit
             keys, counts = np.unique((rows - lo) * (2 * self.dim) + codes, return_counts=True)
             negative, cell = keys % 2 == 1, keys // 2

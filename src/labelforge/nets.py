@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .corpus import ROW_BLOCK
+
 
 # numpy reduces a short last axis with a generic loop once per row. Below 8 classes
 # and from 64 rows on, a chain of whole-column ops is faster and gives the same floats:
@@ -104,23 +106,29 @@ class MlpNet:
     ) -> "MlpNet":
         """Minibatch gradient descent on ``x[rows]``; None means all rows, or full batch.
 
-        Batches are slices of the rows permuted into one buffer per epoch. The
-        gradients are views of one vector, like the parameters, so a step is one
-        scale and one subtraction, with the float operations of the plain step.
+        Batches are slices of the permuted rows, gathered ``corpus.ROW_BLOCK // size``
+        whole batches (at least one) at a time into one buffer. The gradients are
+        views of one vector, like the parameters, so a step is one scale and one
+        subtraction, with the float operations of the plain step.
         """
         rows = np.arange(len(x)) if rows is None else rows
         n = len(rows)
         rng = np.random.default_rng(shuffle_seed)
         size = n if batch_size is None else min(batch_size, n)
-        xs, ts = np.empty((n, x.shape[1])), np.empty_like(targets, order="C")
+        chunk = min(n, max(1, ROW_BLOCK // size) * size)
+        xs, ts = np.empty((chunk, x.shape[1])), np.empty((chunk, targets.shape[1]), targets.dtype)
         grad = np.empty_like(self.theta)
         gw2, gb2, gw1, gb1 = self._views(grad)
         for _ in range(epochs):
             order = rng.permutation(n) if batch_size is not None else np.arange(n)
-            np.take(x, rows[order], axis=0, out=xs, mode="clip")  # "raise" would buffer a copy
-            np.take(targets, order, axis=0, out=ts, mode="clip")
             for start in range(0, n, size):
-                xb, tb = xs[start:start + size], ts[start:start + size]
+                at = start % chunk
+                if at == 0:  # gather the next chunk; "raise" would buffer a copy
+                    part = order[start:start + chunk]
+                    np.take(x, rows[part], axis=0, out=xs[:len(part)], mode="clip")
+                    np.take(targets, part, axis=0, out=ts[:len(part)], mode="clip")
+                stop = min(at + size, len(part))
+                xb, tb = xs[at:stop], ts[at:stop]
                 h_pre = xb @ self.w1
                 h_pre += self.b1
                 h = np.maximum(h_pre, 0.0)

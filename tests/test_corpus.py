@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from labelforge.corpus import (
     TokenIndex,
     load_dataset,
     save_dataset,
+    tokenize,
 )
 from labelforge.errors import LabelForgeError, MalformedRecord
 
@@ -192,6 +195,28 @@ def test_token_index_shares_one_vocabulary():
     assert index.rows("zebra").tolist() == []  # in the vocabulary, not in this split
     TokenIndex([Document("b", "late")], token_ids)  # grows the vocabulary after the postings
     assert token_ids["late"] == 3 and index.rows("late").tolist() == []
+
+
+def test_documents_and_examples_are_frozen_without_an_instance_dict():
+    """A pool holds one of each per document, so neither carries a ``__dict__``."""
+    example = LabeledExample(Document("a", "text"), 1)
+    for value, name in ((example, "gold"), (example.doc, "text")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0)
+
+
+@pytest.mark.parametrize("texts", [
+    [], [""], ["", ""], ["good movie", "", "Good, good!", "", "movie"], ["a b c " * 50, "b"]])
+def test_token_index_equals_the_list_of_lists_construction(texts):
+    token_ids, want_ids = {"movie": 0}, {"movie": 0}
+    index = TokenIndex([Document(f"d{i}", t) for i, t in enumerate(texts)], token_ids)
+    rows = [[want_ids.setdefault(t, len(want_ids)) for t in tokenize(text)] for text in texts]
+    want = np.fromiter(itertools.chain.from_iterable(rows), np.int32)
+    offsets = np.concatenate(([0], np.cumsum(np.fromiter(map(len, rows), np.int64))))
+    assert token_ids == want_ids
+    assert index.ids.dtype == want.dtype and np.array_equal(index.ids, want)
+    assert index.offsets.dtype == offsets.dtype and np.array_equal(index.offsets, offsets)
 
 
 def test_dataset_indexes_split_after_split_over_one_vocabulary():

@@ -420,6 +420,20 @@ def test_cmd_eval_creates_the_out_directory(run_env, tmp_path):
     assert json.load(open(eval_out)) == report["labeling_report"]
 
 
+def test_cmd_eval_into_an_out_under_a_file_fails_at_eval(run_env, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", run_env["config"], "--data", run_env["data"], "--out", out]) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    capsys.readouterr()
+    code = main(["eval", "--labels", os.path.join(out, "labels.jsonl"), "--data", run_env["data"],
+                 "--out", str(taken / "eval.json")])
+    assert code == 2 and taken.read_text() == "a file"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("stage 'eval' failed: ") and "error.json not written" in err
+
+
 def test_cmd_eval_misaligned_ids(run_env, tmp_path):
     labels_path = str(tmp_path / "labels.jsonl")
     with open(labels_path, "w") as fh:

@@ -182,7 +182,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        _write_error(args.out, "gen-synth", exc)
+        return EXIT_INPUT
     made = {}
     for kind, make in (("separable", make_separable_corpus), ("noisy", make_noisy_corpus)):
         if args.kind in (kind, "both"):

@@ -90,17 +90,14 @@ class Document:
 
 
 class TokenIndex:
-    """One split as token ids over a shared vocabulary, plus its posting index.
+    """One split as token ids over a shared vocabulary.
 
     ``token_ids`` (token -> id, a new token takes the next id) may be shared
     by several indexes. Each text is tokenized once, here, and ``ids`` is
     the only copy of the split's tokens: one ``int32`` array, row r at
-    ``offsets[r]:offsets[r + 1]``. Featurizers build tables from these
-    arrays, and the postings (token -> sorted ``int32`` rows holding it)
-    that token-mode surface rules vote from come from them too.
+    ``offsets[r]:offsets[r + 1]``. Featurizers and token-mode surface rules
+    read these two arrays.
     """
-
-    _NO_ROWS = np.zeros(0, dtype=np.int32)
 
     def __init__(self, docs: list[Document], token_ids: dict[str, int] | None = None):
         self.docs = docs
@@ -122,24 +119,9 @@ class TokenIndex:
     def __iter__(self):
         return iter(self.docs)
 
-    def token_rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """The row of each token of rows lo to hi - 1 (default: all), in ``ids`` order."""
-        hi = len(self.docs) if hi is None else hi
+    def token_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The row of each token of rows lo to hi - 1, in ``ids`` order."""
         return np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(self.offsets[lo:hi + 1]))
-
-    @cached_property
-    def _postings(self) -> tuple[np.ndarray, np.ndarray]:
-        # A stable sort by id keeps each id's rows ascending; keep each (id, row) once.
-        order = np.argsort(self.ids, kind="stable")
-        ids, rows = self.ids[order], self.token_rows()[order]
-        first = np.ones(len(ids), dtype=bool)
-        first[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
-        return rows[first], np.searchsorted(ids[first], np.arange(self.ids.max(initial=-1) + 2))
-
-    def rows(self, token: str) -> np.ndarray:
-        rows, starts = self._postings
-        i = self.token_ids.get(token, len(starts))
-        return rows[starts[i]:starts[i + 1]] if i + 1 < len(starts) else self._NO_ROWS
 
 
 @dataclass(frozen=True, slots=True)

@@ -50,8 +50,9 @@ class SurfaceRule:
     def apply_many(self, index: TokenIndex) -> np.ndarray:
         """One int8 vote per row of a split's index: the single class with a match, else abstain.
 
-        Token mode reads each needle's rows from the posting index; substring
-        mode (LLM replies only) looks for each needle in each lowercased text.
+        Token mode finds each needle's rows in one scan of the index's ids;
+        substring mode (LLM replies only) looks for each needle in each
+        lowercased text.
         """
         texts = [doc.text.lower() for doc in index] if self.match_mode == "substring" else None
         matched = np.zeros(len(index), dtype=np.int8)  # classes with a matching needle
@@ -82,22 +83,20 @@ class SurfaceRule:
 
 
 def _phrase_rows(index: TokenIndex, phrase: tuple[str, ...]) -> np.ndarray:
-    """Sorted rows whose tokens hold ``phrase`` as a contiguous run.
+    """The row of each place where ``phrase`` starts a contiguous run of a row's tokens.
 
-    A one-token phrase is its posting list. A longer one intersects its
-    tokens' postings, then tests adjacency on those rows' token ids alone.
+    One scan of ``index.ids``: the places holding the first token, kept where
+    each later token follows, mapped to rows through ``index.offsets``. A
+    run that crosses into the next row is dropped; a token outside the
+    vocabulary matches nothing.
     """
-    rows = index.rows(phrase[0])
-    for token in phrase[1:]:
-        rows = np.intersect1d(rows, index.rows(token), assume_unique=True)
-    if len(phrase) == 1 or not len(rows):
-        return rows
-    want, span = [index.token_ids[t] for t in phrase], len(phrase)  # all held by these rows
-    adjacent = []
-    for row in rows.tolist():
-        ids = index.ids[index.offsets[row]:index.offsets[row + 1]].tolist()
-        adjacent.append(any(ids[i:i + span] == want for i in range(len(ids) - span + 1)))
-    return rows[np.array(adjacent, dtype=bool)]
+    want = [index.token_ids.get(t, -1) for t in phrase]  # no id is -1
+    ids, n = index.ids, len(phrase)
+    at = np.flatnonzero(ids[:max(len(ids) - n + 1, 0)] == want[0])
+    for j in range(1, n):
+        at = at[ids[at + j] == want[j]]
+    rows = np.searchsorted(index.offsets, at, side="right") - 1
+    return rows if n == 1 else rows[at + n <= index.offsets[rows + 1]]
 
 
 def surface_similarity(a: SurfaceRule, b: SurfaceRule) -> float:

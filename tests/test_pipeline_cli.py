@@ -434,6 +434,19 @@ def test_cmd_eval_into_an_out_under_a_file_fails_at_eval(run_env, tmp_path, caps
     assert err.startswith("stage 'eval' failed: ") and "error.json not written" in err
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+def test_gen_synth_into_an_out_that_is_a_file_fails_at_gen_synth(tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    out = taken / under if under else taken
+    code = main(["gen-synth", "--out", str(out), "--kind", "separable"])
+    assert code == 2 and taken.read_text() == "a file"
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("stage 'gen-synth' failed: ")
+    assert "error.json not written" in captured.err
+
+
 def test_cmd_eval_misaligned_ids(run_env, tmp_path):
     labels_path = str(tmp_path / "labels.jsonl")
     with open(labels_path, "w") as fh:

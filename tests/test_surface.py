@@ -121,7 +121,7 @@ def test_surface_votes_match_phrase_scan_oracle():
         assert vote(rule, document) == phrase_scan_vote(rule, document), trial
 
 
-def test_posting_index_votes_match_phrase_scan_oracle():
+def test_token_scan_votes_match_phrase_scan_oracle():
     # A small vocabulary makes repeated tokens, phrases whose tokens occur
     # apart, empty docs and tokens claimed by two classes all common.
     rng = random.Random(1)
@@ -141,17 +141,83 @@ def test_posting_index_votes_match_phrase_scan_oracle():
         assert votes.tolist() == want, trial
 
 
-def test_posting_index_rows_and_phrase_adjacency():
+def test_token_scan_phrase_adjacency():
     docs = [doc(t) for t in ("good good movie", "", "movie good", "bad movie good")]
     index = TokenIndex(docs)
     assert len(index) == 4 and list(index) == docs
-    assert index.rows("good").tolist() == [0, 2, 3]
-    assert index.rows("good").dtype == np.int32
-    assert index.rows("absent").tolist() == []
     phrase = SurfaceRule(patterns={0: {"good movie"}, 1: {"bad"}}, match_mode="token")
     assert phrase.apply_many(index).tolist() == [0, ABSTAIN, ABSTAIN, 1]
     shared = SurfaceRule(patterns={0: {"movie"}, 1: {"movie good"}}, match_mode="token")
     assert shared.apply_many(index).tolist() == [0, ABSTAIN, ABSTAIN, ABSTAIN]
+
+
+@pytest.mark.parametrize("texts, pattern, want", [
+    # the phrase's tokens end row 0 and start row 1: no row holds the run
+    (["bad good", "movie bad"], "good movie", [ABSTAIN, ABSTAIN]),
+    (["bad good", "movie good movie"], "good movie", [ABSTAIN, 0]),
+    # the phrase is the split's last tokens, and the last row holds only it
+    (["movie", "bad good movie"], "good movie", [ABSTAIN, 0]),
+    (["movie", "good movie"], "good movie", [ABSTAIN, 0]),
+    (["good", "movie"], "movie", [ABSTAIN, 0]),
+    # in the shared vocabulary, not in this split
+    (["good movie", "bad"], "zebra", [ABSTAIN, ABSTAIN]),
+    (["good movie", "bad"], "good zebra", [ABSTAIN, ABSTAIN]),
+    # in no vocabulary at all
+    (["good movie", "bad"], "unseen", [ABSTAIN, ABSTAIN]),
+    (["good movie", "bad"], "good unseen", [ABSTAIN, ABSTAIN]),
+    # longer than the whole split
+    (["good", "movie"], "good movie good movie", [ABSTAIN, ABSTAIN]),
+    (["good movie"], "good movie bad", [ABSTAIN]),
+    # empty docs between matches, before the first and after the last
+    (["", "good movie", "", "", "good movie", ""], "good movie",
+     [ABSTAIN, 0, ABSTAIN, ABSTAIN, 0, ABSTAIN]),
+    (["", "good", "", "movie", ""], "good movie", [ABSTAIN] * 5),
+    (["", "good", "", "good", ""], "good", [ABSTAIN, 0, ABSTAIN, 0, ABSTAIN]),
+    # a split of empty docs, and a split of no documents
+    (["", ""], "good", [ABSTAIN, ABSTAIN]),
+    ([], "good", []),
+    ([], "good movie", []),
+])
+def test_token_scan_edge_cases(texts, pattern, want):
+    token_ids = {}
+    TokenIndex([doc("zebra good movie")], token_ids)  # "zebra" enters the shared vocabulary
+    index = TokenIndex([Document(f"d{i}", t) for i, t in enumerate(texts)], token_ids)
+    rule = SurfaceRule(patterns={0: {pattern}}, match_mode="token")
+    votes = rule.apply_many(index)
+    assert votes.dtype == np.int8 and votes.tolist() == want
+    assert want == [phrase_scan_vote(rule, t) for t in texts]
+
+
+@pytest.fixture(scope="module")
+def noisy_pool():
+    from labelforge.synth import make_noisy_corpus
+
+    return make_noisy_corpus(0, 16000, 40, 0).unlabeled
+
+
+@pytest.mark.parametrize("kind", ["one-token", "frequent-token", "two-token"])
+def test_first_vote_on_a_pool_holds_no_per_split_table(noisy_pool, kind):
+    """The first token-mode vote on a fresh 16,000-doc noisy pool index peaks under 1 MiB
+    traced: a posting index of the split would take about 25 bytes a token (5.4 MiB)."""
+    import tracemalloc
+
+    index = TokenIndex(noisy_pool)
+    counts = np.bincount(index.ids)
+    vocab = sorted(index.token_ids, key=index.token_ids.get)
+    first = index.ids[:2]  # the first document has at least two tokens
+    pattern = {"one-token": vocab[int(np.argsort(counts)[len(counts) // 2])],
+               "frequent-token": vocab[int(np.argmax(counts))],
+               "two-token": " ".join(vocab[i] for i in first)}[kind]
+    rule = SurfaceRule(patterns={0: {pattern}}, match_mode="token")
+    assert len(index.ids) > 100_000
+    tracemalloc.start()
+    try:
+        votes = rule.apply_many(index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(votes == 0) > 0
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_substring_rules_scan_each_doc():

@@ -182,16 +182,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
+    made = {}
     try:
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
+        for kind, make in (("separable", make_separable_corpus), ("noisy", make_noisy_corpus)):
+            if args.kind in (kind, "both"):
+                made[kind] = os.path.join(args.out, f"{kind}.jsonl")
+                save_dataset(make(args.seed), made[kind])  # a negative seed is a ValueError
+    except (OSError, ValueError) as exc:
         _write_error(args.out, "gen-synth", exc)
         return EXIT_INPUT
-    made = {}
-    for kind, make in (("separable", make_separable_corpus), ("noisy", make_noisy_corpus)):
-        if args.kind in (kind, "both"):
-            made[kind] = os.path.join(args.out, f"{kind}.jsonl")
-            save_dataset(make(args.seed), made[kind])
     print(json.dumps(made))
     return EXIT_OK
 

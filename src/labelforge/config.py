@@ -161,6 +161,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(obj).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(obj) - known
         if unknown:

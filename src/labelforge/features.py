@@ -2,8 +2,9 @@
 
 Each featurizer is one fitted model that turns a whole split into a row
 table at once. TF-IDF and the hashing embedder read the split's token ids
-(``corpus.TokenIndex``) and build the table with array programs, one
-``corpus.row_blocks`` range at a time; they keep a wide unlabeled-pool table
+(``corpus.TokenIndex``) and only count: per ``corpus.row_blocks`` range, an
+array program yields each cell's exact integer count, and one ``Featurizer``
+step scales and L2-normalizes the block. Their unlabeled-pool tables are kept
 as those blocks' nonzeros (``SparseRows``), which products densify one block
 at a time. The remote embedder, which needs one service call per document,
 embeds each document's text. TF-IDF backs structural label functions and the
@@ -118,50 +119,47 @@ class Featurizer:
     ``transform_many(index)``, index a split's ``TokenIndex``, returns one
     dense (len(index), dim) array. ``build_tables`` featurizes each split
     once, from the dataset's token indexes, in split row order: the seed table
-    dense, and the pool table, when it is wide enough, as its nonzeros
-    (``SparseRows``), never dense whole. Subclasses set ``dim`` and
-    ``ngram_range`` and supply ``kind`` and ``_fill``, or override
-    ``transform_many`` and ``build_tables``.
+    dense, and the pool table as its nonzeros (``SparseRows``), never dense
+    whole. Subclasses set ``dim`` and ``ngram_range`` and supply ``kind`` and
+    ``_counts``, or override ``transform_many`` and ``build_tables``.
 
-    ``_fill(index, targets)`` takes (lo, hi, out) for each ``row_blocks`` range
-    of ``index``, writes the L2-normalized vectors of rows lo to hi - 1 into
-    ``out``, and yields (out, at), ``at`` holding the ascending flat positions
-    in ``out`` of all its nonzeros (zeros may be among them). A block is read
-    before the next is written, so one buffer can serve every block.
+    ``_counts(index)`` yields, for each ``row_blocks`` range (lo, hi) of
+    ``index``, the ascending flat cells (row - lo) * dim + column of the
+    range's nonzero counts and those exact integer counts (a count may be 0).
+    ``_rows`` scales them by ``idf`` per column, when it is set, and
+    L2-normalizes each row.
     """
+
+    idf: np.ndarray | None = None
 
     def describe(self) -> dict:
         return {"kind": self.kind, "provider": type(self).__name__, "dim": self.dim}
 
+    def _rows(self, index: TokenIndex):
+        """Yield (lo, hi, rows, cells) for each ``row_blocks`` range of ``index``: rows is
+        the range's vectors, written into one buffer that every block of this call
+        reuses, and cells the ascending flat positions in rows of all its nonzeros."""
+        spans = row_blocks(len(index))
+        buf = np.zeros((max(hi - lo for lo, hi in spans), self.dim))
+        flat = buf.reshape(-1)
+        for (lo, hi), (cells, counts) in zip(spans, self._counts(index), strict=True):
+            flat[cells] = counts if self.idf is None else counts * self.idf[cells % self.dim]
+            yield lo, hi, _normalize_rows(buf[:hi - lo]), cells
+            flat[cells] = 0.0
+
     def transform_many(self, index: TokenIndex) -> np.ndarray:
         table = np.empty((len(index), self.dim))
-        for _ in self._fill(index, ((lo, hi, table[lo:hi]) for lo, hi in row_blocks(len(index)))):
-            pass
+        for lo, hi, rows, _ in self._rows(index):
+            table[lo:hi] = rows
         return table
 
     def build_tables(self, dataset: Dataset) -> Featurizer:
         self.seed = self.transform_many(dataset.seed_index)
         index = dataset.pool_index
-        # 12 bytes a nonzero against 8 a cell: a table at most a third nonzero keeps
-        # at most half its bytes. A narrower table stays dense, as little is saved
-        # by scoring it a densified block at a time.
-        if 3 * self._nonzero_bound(index) <= len(index) * self.dim:
-            spans = row_blocks(len(index))
-            buf = np.empty((max(hi - lo for lo, hi in spans), self.dim))
-            blocks = self._fill(index, ((lo, hi, buf[:hi - lo]) for lo, hi in spans))
-            self.pool = SparseRows((len(index), self.dim), [
-                (out.reshape(-1)[at], at.astype(np.int32)) for out, at in blocks])
-        else:
-            self.pool = self.transform_many(index)
+        self.pool = SparseRows((len(index), self.dim), [
+            (rows.reshape(-1)[cells], cells.astype(np.int32))
+            for _, _, rows, cells in self._rows(index)])
         return self
-
-    def _nonzero_bound(self, index: TokenIndex) -> int:
-        """At most how many cells of the table of ``index`` are nonzero: per row, its
-        n-gram count or ``dim``, whichever is less."""
-        lengths = np.diff(index.offsets)
-        low, high = self.ngram_range
-        ngrams = sum(np.maximum(lengths - n + 1, 0) for n in range(low, high + 1))
-        return int(np.minimum(ngrams, self.dim).sum())
 
 
 class TfidfFeaturizer(Featurizer):
@@ -215,22 +213,16 @@ class TfidfFeaturizer(Featurizer):
         self.idf = np.log((1 + n) / (1 + df[order])) + 1.0
         self.dim = len(terms)
 
-    def _fill(self, index: TokenIndex, targets):
+    def _counts(self, index: TokenIndex):
         if index.token_ids is not self.token_ids:
             raise ValueError("TF-IDF transforms only indexes over the vocabulary it was fitted on")
         long = _long_tokens(index.token_ids, self.min_token_len)
-        for lo, hi, out in targets:
+        for lo, hi in row_blocks(len(index)):
             rows, codes = _ngrams(index, (lo, hi), self.ngram_range, long, self._base)
             at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
             known = self._codes[at] == codes
-            # Counts are exact integers scattered from the distinct (row, col)
-            # keys, so no integer table of the block's shape sits beside the float one.
-            keys, counts = np.unique((rows[known] - lo) * self.dim + self._columns[at[known]],
-                                     return_counts=True)
-            out.fill(0.0)
-            out.reshape(-1)[keys] = counts
-            out *= self.idf
-            yield _normalize_rows(out), keys
+            yield np.unique((rows[known] - lo) * self.dim + self._columns[at[known]],
+                            return_counts=True)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "ngram_range": list(self.ngram_range), "dim": self.dim}
@@ -250,9 +242,9 @@ class HashingEmbedder(Featurizer):
 
     A term is hashed once per embedder: its code (2 * coord, plus 1 when the
     sign is negative) is kept in ``_codes``; each block of a split looks up
-    its distinct n-grams once. A row counts its codes and takes positive minus
-    negative counts: every sum is a small exact integer, so the float64 bits
-    do not depend on the order terms are added in.
+    its distinct n-grams once. A cell sums +1 or -1 per n-gram that lands on
+    it: every sum is a small exact integer, so the float64 bits do not depend
+    on the order terms are added in.
     """
 
     kind = "embedding"
@@ -270,25 +262,20 @@ class HashingEmbedder(Featurizer):
             code = self._codes[term] = 2 * coord + negative
         return code
 
-    def _fill(self, index: TokenIndex, targets):
+    def _counts(self, index: TokenIndex):
         tokens = list(index.token_ids)
         long, base = np.ones(len(tokens), bool), len(tokens) + 2
-        coded: dict[int, int] = {}  # n-gram code of this fill -> ``_code`` of its string
-        for lo, hi, out in targets:
+        coded: dict[int, int] = {}  # n-gram code of this call -> ``_code`` of its string
+        for lo, hi in row_blocks(len(index)):
             rows, codes = _ngrams(index, (lo, hi), self.ngram_range, long, base)
             terms, at = np.unique(codes, return_inverse=True)
             for c in set(terms.tolist()).difference(coded):
                 coded[c] = self._code(_term(c, base, tokens))
             codes = np.array([coded[c] for c in terms.tolist()], dtype=np.int64)[at]
-            # key // 2 is the cell row * dim + coord; key % 2 is the sign bit
-            keys, counts = np.unique((rows - lo) * (2 * self.dim) + codes, return_counts=True)
-            negative, cell = keys % 2 == 1, keys // 2
-            flat = out.reshape(-1)
-            out.fill(0.0)
-            flat[cell[~negative]] = counts[~negative]
-            flat[cell[negative]] -= counts[negative]
-            # keys ascend, so a cell's two signs are neighbours in ``cell``
-            yield _normalize_rows(out), cell[np.diff(cell, prepend=-1) > 0]
+            # code // 2 is the coordinate, code % 2 the sign bit; a cell whose signs
+            # cancel keeps its count of 0
+            cells, at = np.unique((rows - lo) * self.dim + codes // 2, return_inverse=True)
+            yield cells, np.bincount(at, 1 - 2 * (codes % 2), len(cells))
 
 
 @dataclass

@@ -213,6 +213,10 @@ def load_labels_jsonl(path: str, labels: LabelSpace) -> tuple[np.ndarray, np.nda
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in dist)
         ):
             raise MalformedRecord(line_no, f"'dist' must be a list of {labels.num_classes} numbers")
+        try:
+            dist = [float(v) for v in dist]
+        except OverflowError:  # a JSON integer past float64's range
+            raise MalformedRecord(line_no, "'dist' holds an integer no float can hold") from None
         if not isinstance(rec.get("covered"), bool):
             raise MalformedRecord(line_no, "'covered' must be a bool")
         argmax_name = labels.name_of(int(np.argmax(dist)))

@@ -17,7 +17,6 @@ from labelforge.corpus import (
 from labelforge.errors import LabelForgeError, ProviderUnreachable
 from labelforge import features as features_module
 from labelforge.features import (
-    Featurizer,
     HashingEmbedder,
     RemoteEmbedder,
     SparseRows,
@@ -197,6 +196,27 @@ def test_hashing_one_token_changes_at_most_two_raw_coords(monkeypatch):
         extra = str(rng.choice(words))
         before, after = emb.transform_many(index([doc(base), doc(base + " " + extra)]))
         assert int(np.sum(before != after)) <= 2
+
+
+def test_hashing_terms_that_cancel_leave_a_kept_zero():
+    """In "b c" at dim 8, "b" and "b c" land on coordinate 5 with opposite signs: the
+    cell reads 0.0 (not -0.0) in the dense rows, and is kept, as 0.0, among the nonzeros."""
+    h = features_module._stable_hash
+    assert h("b", b"lf-coord") % 8 == h("b c", b"lf-coord") % 8 == 5 != h("c", b"lf-coord") % 8
+    assert h("b", b"lf-sign") % 2 != h("b c", b"lf-sign") % 2
+    pool = [doc("b c", "u0"), doc("b", "u1"), doc("c b", "u2")]
+    dataset = Dataset(labels=LabelSpace(("pos", "neg")), unlabeled=pool,
+                      seed=[LabeledExample(doc("b c", "s"), 0)])
+    emb = HashingEmbedder(dim=8).build_tables(dataset)
+    for rows in (emb.transform_many(dataset.pool_index), emb.seed):
+        assert rows[0, 5] == 0.0 and not np.signbit(rows[0, 5])
+        assert np.count_nonzero(rows[0]) == 1
+    assert np.array_equal(dense(emb.pool), emb.transform_many(dataset.pool_index))
+    [(values, cells)] = emb.pool.parts
+    assert 5 in cells.tolist()
+    kept = values[cells.tolist().index(5)]
+    assert kept == 0.0 and not np.signbit(kept)
+    assert abs(emb.seed[0].sum()) == 1.0  # the row is "c" alone, normalized
 
 
 def test_remote_embedder_cache(tmp_path):
@@ -630,8 +650,6 @@ def test_row_blocks_split_evenly_into_768_to_1535_rows():
 def test_sparse_pool_tables_equal_the_dense_tables(row_block, monkeypatch):
     """Kept as its nonzeros, a pool table densifies, block by block, to the dense table."""
     monkeypatch.setattr(corpus_module, "ROW_BLOCK", row_block)
-    bound = Featurizer._nonzero_bound
-    monkeypatch.setattr(Featurizer, "_nonzero_bound", lambda self, index: 0)  # every table sparse
     rng = np.random.default_rng(5)
     words = ["a", "b", "bb", "cc", "dd", "ee", "Σx", "σ", "naïve", "zz9", "x"]
     pool = random_split_docs(rng, words, 300, "u")
@@ -648,7 +666,6 @@ def test_sparse_pool_tables_equal_the_dense_tables(row_block, monkeypatch):
             assert np.array_equal(values, want[lo:hi].reshape(-1)[cells])
         kept = np.concatenate([values for values, _ in table.parts])
         assert np.count_nonzero(kept) == np.count_nonzero(want) <= len(kept)
-        assert len(kept) <= bound(feat, dataset.pool_index)
         blocks = [(lo, hi, rows.copy()) for lo, hi, rows in table.blocks()]
         assert [(lo, hi) for lo, hi, _ in blocks] == row_blocks(305)
         for lo, hi, rows in blocks:

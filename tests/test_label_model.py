@@ -378,6 +378,16 @@ def test_labels_jsonl_round_trip(tmp_path):
     assert '"hard": "pos"' in first
 
 
+def test_labels_jsonl_loads_the_non_finite_values_it_writes(tmp_path):
+    dists = np.array([[np.nan, 0.5], [np.inf, -np.inf], [1.0, 0.0]])
+    fh = io.StringIO()
+    write_dist_rows(fh, dists, ["d0", "d1", "d2"], LABELS2, "hard", np.array([True, False, True]))
+    path = tmp_path / "labels.jsonl"
+    path.write_text(fh.getvalue(), encoding="utf-8")
+    again, _, _ = load_labels_jsonl(str(path), LABELS2)
+    assert again.tobytes() == dists.tobytes()
+
+
 def reference_labels_jsonl(fh, dists, covered, doc_ids, labels):
     """The per-row writer built on json.dumps that the array formatter replaced."""
     hard = dists.argmax(axis=1).tolist()

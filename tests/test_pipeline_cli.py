@@ -485,6 +485,7 @@ def test_cmd_eval_rejects_labels_written_in_another_class_order(run_env, tmp_pat
     {"doc_id": "d0", "dist": [1.0, 0.0], "covered": 1},
     {"doc_id": 7, "dist": [1.0, 0.0], "covered": True},
     {"doc_id": "d1", "dist": [1.0, 0.0], "covered": True},  # would be scored twice
+    {"doc_id": "d0", "dist": [10 ** 400, 0], "covered": True},  # no float holds it
 ])
 def test_cmd_eval_malformed_labels_exit_2(run_env, tmp_path, record):
     labels_path = str(tmp_path / "labels.jsonl")
@@ -592,6 +593,28 @@ def test_negative_seed_override_fails_at_ingest(run_env, tmp_path):
                  "--out", out, "--seed-override", "-1"]) == 2
     err = json.load(open(os.path.join(out, "error.json")))
     assert err == {"stage": "ingest", "error": "base_seed must be >= 0"}
+
+
+def test_gen_synth_negative_seed_fails_at_gen_synth(tmp_path):
+    out = tmp_path / "synth"
+    assert main(["gen-synth", "--out", str(out), "--seed", "-1"]) == 2
+    assert json.load(open(out / "error.json"))["stage"] == "gen-synth"
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+@pytest.mark.parametrize("top", [5, None, [{}]], ids=["number", "null", "list"])
+@pytest.mark.parametrize("command,stage", [("run", "ingest"), ("sweep", "sweep"), ("eval", "eval")])
+def test_a_config_that_is_not_a_json_object_is_bad_input(run_env, tmp_path, top, command, stage):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(top))
+    out = tmp_path / "out"
+    args = {"run": ["--out", str(out)],
+            "sweep": ["--out", str(out), "--param", "alpha", "--values", "0.5"],
+            "eval": ["--out", str(out / "eval.json"), "--labels", run_env["data"]]}[command]
+    assert main([command, "--config", str(config), "--data", run_env["data"], *args]) == 2
+    err = json.load(open(out / "error.json"))
+    assert err == {"stage": stage,
+                   "error": f"a config must be a JSON object, not {type(top).__name__}"}
 
 
 def test_seed_override_changes_results(run_env):
@@ -716,11 +739,11 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
 
     tables = []  # (featurizer, doc ids of the split, stage) per table built
     for cls in (features.TfidfFeaturizer, features.HashingEmbedder):
-        def counting_fill(self, index, targets, real=cls._fill):  # dense or kept as nonzeros
+        def counting_counts(self, index, real=cls._counts):  # dense or kept as nonzeros
             tables.append((id(self), tuple(d.id for d in index), stage_now[-1]))
-            return real(self, index, targets)
+            return real(self, index)
 
-        monkeypatch.setattr(cls, "_fill", counting_fill)
+        monkeypatch.setattr(cls, "_counts", counting_counts)
 
     tokenized = []
     real_tokenize = corpus.tokenize

@@ -4,7 +4,7 @@ Each candidate is a lightweight probabilistic classifier trained on a random
 seed subsample, turned into a label function by a confidence threshold. The
 threshold is picked on a grid by maximizing the weighted harmonic mean of
 precision (on the seed) and coverage, with beta weighting precision, once
-``exploitation.score_candidates`` has the candidate's seed and pool probabilities.
+``exploitation.score_candidates`` has each seed and pool row's ``class_top``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .errors import DegenerateSubsample, LabelForgeError
-from .features import SparseRows
+from .features import table_blocks
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
 from .nets import MlpNet, class_major_sum, class_max, softmax
 
@@ -33,30 +33,31 @@ class LinearClassifier:
     bias: np.ndarray  # C
 
     def predict_proba_many(self, x: np.ndarray) -> np.ndarray:
-        return predict_proba_stack([self], x)[:, 0]
-
-
-def predict_proba_stack(classifiers: list[LinearClassifier], x) -> np.ndarray:
-    """(n, k, C) class probabilities of k classifiers over the rows of x, in one pass.
-
-    x is a dense table, read as one product, or a ``features.SparseRows``,
-    read one densified row block at a time (``SparseRows.blocks``); each
-    block's product fills its rows of the (n, k * C) logits.
-    """
-    if isinstance(x, SparseRows):
-        blocks = x.blocks()
-    else:
         x = np.atleast_2d(x)
-        blocks = [(0, len(x), x)]
+        if x.shape[1] != self.weights.shape[1]:
+            raise LabelForgeError(f"expected dim {self.weights.shape[1]}, got {x.shape[1]}")
+        return softmax(x @ self.weights.T + self.bias)
+
+
+def class_top(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(top, cls) of class probabilities: each row's maximum and its argmax as int8."""
+    return class_max(probs)[..., 0], probs.argmax(axis=-1).astype(np.int8)
+
+
+def top_stack(classifiers: list[LinearClassifier], table) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) ``class_top`` tables of k classifiers over a row table's n rows, in one pass.
+
+    Each ``features.table_blocks`` block of the table, dense or ``SparseRows``,
+    gets one product for all k and its softmax is reduced at once, so no
+    probability table of the whole pool is ever made.
+    """
     w, b = np.concatenate([c.weights for c in classifiers]), np.stack([c.bias for c in classifiers])
-    if x.shape[1] != w.shape[1]:
-        raise LabelForgeError(f"expected dim {w.shape[1]}, got {x.shape[1]}")
-    z = np.empty((len(x), len(w)))
-    for lo, hi, rows in blocks:
-        np.matmul(rows, w.T, out=z[lo:hi])
-    z = z.reshape(len(x), *b.shape)
-    z += b
-    return softmax(z, out=z)
+    top, cls = np.empty((len(b), len(table))), np.empty((len(b), len(table)), np.int8)
+    for lo, hi, rows in table_blocks(table):
+        z = (rows @ w.T).reshape(hi - lo, *b.shape)
+        z += b
+        top[:, lo:hi].T[...], cls[:, lo:hi].T[...] = class_top(softmax(z, out=z))
+    return top, cls
 
 
 def fit_logistic(
@@ -74,9 +75,9 @@ def fit_logistic(
     so the softmax works on one contiguous row per class, summed in numpy's
     order for a row of classes (``class_major_sum``). The error goes into a
     (k, n, C) buffer, which the backward product reads as it always has: a
-    class-major operand changes that product's bits at some widths. So every
-    classifier gets the weights a k = 1 fit of its own slice in the (n, C)
-    layout would.
+    class-major operand changes that product's bits at some widths. On the
+    SkylakeX kernel every classifier gets the weights a k = 1 fit of its own
+    slice in the (n, C) layout would; under Haswell, not for C = 3, 5 or 9.
     """
     k, n, d = x.shape
     l2 = np.reshape(l2, (-1, 1, 1))
@@ -123,11 +124,9 @@ def whm(precision, coverage, beta: float):
     return np.divide(score, denom, out=np.zeros_like(denom), where=denom != 0)[()]
 
 
-def threshold_votes(probs: np.ndarray, omega: float) -> np.ndarray:
-    """Argmax class per row as int8, ABSTAIN where the max probability is <= omega."""
-    votes = probs.argmax(axis=1).astype(np.int8)
-    votes[class_max(probs)[:, 0] <= omega] = ABSTAIN
-    return votes
+def threshold_votes(top: np.ndarray, cls: np.ndarray, omega: float) -> np.ndarray:
+    """cls (int8) per row, ABSTAIN where top is <= omega (a NaN top keeps its vote)."""
+    return np.where(top <= omega, ABSTAIN, cls)
 
 
 @dataclass
@@ -136,7 +135,7 @@ class CalibratedClassifierLF:
 
     Votes argmax when the max class probability strictly exceeds omega,
     abstains otherwise (omega 0 means the LF always votes). Its votes come
-    from ``threshold_votes`` over the probabilities of the featurizer's
+    from ``threshold_votes`` over the ``class_top`` of the featurizer's
     tables, which ``exploitation.score_candidates`` computes.
     """
 
@@ -161,32 +160,25 @@ def threshold_grid(grid_step: float) -> list[float]:
     return grid
 
 
-def calibrate_threshold(
-    seed_probs: np.ndarray,
-    gold,
-    pool_probs: np.ndarray,
-    beta: float,
-    grid_step: float = 0.01,
-) -> float:
+def calibrate_threshold(seed_top: np.ndarray, seed_correct: np.ndarray, pool_top: np.ndarray,
+                        beta: float, grid_step: float = 0.01) -> float:
     """The omega maximizing WHM(precision, coverage) over the threshold grid.
 
-    Reads class probabilities: seed rows (with their gold classes) and pool
-    rows. Precision comes from the seed; coverage from the unlabeled pool when
-    the seed is small (< 50 examples), from the seed otherwise. Ties resolve to
-    the smallest omega so coverage is never given up for free.
+    Reads row tops (``class_top``): the seed's, with whether each seed row's
+    class is its gold one, and the pool's. Precision comes from the seed; coverage
+    from the pool when the seed is small (< 50 examples), from the seed otherwise.
+    Ties resolve to the smallest omega so coverage is never given up for free.
     """
-    if len(seed_probs) == 0:
+    if len(seed_top) == 0:
         raise ValueError("calibration needs a non-empty seed set")
     omegas = np.array(threshold_grid(grid_step))
 
     def above(values):  # how many values strictly exceed each omega
         return len(values) - np.searchsorted(np.sort(values), omegas, side="right")
 
-    max_seed = class_max(seed_probs)[:, 0]
-    correct = seed_probs.argmax(axis=1) == np.asarray(gold)
-    max_cov = class_max(pool_probs)[:, 0] if len(seed_probs) < 50 and len(pool_probs) else max_seed
-    prec = above(max_seed[correct]) / (above(max_seed) + EPS)
-    cov = above(max_cov) / len(max_cov)
+    cov_top = pool_top if len(seed_top) < 50 and len(pool_top) else seed_top
+    prec = above(seed_top[seed_correct]) / (above(seed_top) + EPS)
+    cov = above(cov_top) / len(cov_top)
     best_omega, best_score = 0.0, -1.0
     for omega, score in zip(omegas.tolist(), whm(prec, cov, beta).tolist()):
         if score > best_score + 1e-15:

@@ -119,6 +119,14 @@ def cmd_sweep(args) -> int:
         return EXIT_INPUT
 
     rows = []
+    sweep_csv = os.path.join(args.out, "sweep.csv")
+    fields = ["param", "value", "coverage", "label_quality", "e2e_f1", "wall_time_s", "status"]
+
+    def write_rows(fh):
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+
     for raw, cfg in zip(raw_values, configs):
         run_dir = os.path.join(args.out, f"{args.param}={raw}")
         start = time.perf_counter()
@@ -141,16 +149,7 @@ def cmd_sweep(args) -> int:
             row.update(coverage="", label_quality="", e2e_f1="", status="error")
         row["wall_time_s"] = round(time.perf_counter() - start, 3)
         rows.append(row)
-
-    sweep_csv = os.path.join(args.out, "sweep.csv")
-    fields = ["param", "value", "coverage", "label_quality", "e2e_f1", "wall_time_s", "status"]
-
-    def write_rows(fh):
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-
-    write_atomic(sweep_csv, write_rows)
+        write_atomic(sweep_csv, write_rows)  # an interrupted sweep keeps the rows it finished
     print(f"sweep complete: {sweep_csv}")
     return EXIT_OK
 

@@ -80,8 +80,8 @@ class SparseRows:
     ``parts[j]`` is range j's (float64 values, ``int32`` cells): the cells are
     flat positions (row within the range * dim + column) in the range's dense
     block, which fit while dim is under 1.39 million. Products never read the
-    table sparse: ``blocks`` densifies one range at a time, so each product is
-    a dense one over a block of rows.
+    table sparse: ``table_blocks`` densifies one range at a time, so each
+    product is a dense one over a block of rows.
     """
 
     def __init__(self, shape: tuple[int, int], parts: list[tuple[np.ndarray, np.ndarray]]):
@@ -90,17 +90,21 @@ class SparseRows:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def blocks(self):
-        """Yield (lo, hi, rows) for each ``row_blocks`` range: rows is the dense table's rows
-        lo to hi - 1, written into one buffer that every block of this call reuses."""
-        spans = row_blocks(len(self))
-        buf = np.zeros((max(hi - lo for lo, hi in spans), self.shape[1]))
-        flat = buf.reshape(-1)
-        for (lo, hi), (values, cells) in zip(spans, self.parts, strict=True):
-            at = cells.astype(np.intp)  # cast once, for the write and the reset
-            flat[at] = values
-            yield lo, hi, buf[:hi - lo]
-            flat[at] = 0.0
+
+def table_blocks(table):
+    """Yield (lo, hi, rows) per ``row_blocks`` range of a table: rows lo to hi - 1 as a view,
+    or of a ``SparseRows`` written into one buffer that every block of this call reuses."""
+    spans = row_blocks(len(table))
+    if not isinstance(table, SparseRows):
+        yield from ((lo, hi, table[lo:hi]) for lo, hi in spans)
+        return
+    buf = np.zeros((max(hi - lo for lo, hi in spans), table.shape[1]))
+    flat = buf.reshape(-1)
+    for (lo, hi), (values, cells) in zip(spans, table.parts, strict=True):
+        at = cells.astype(np.intp)  # cast once, for the write and the reset
+        flat[at] = values
+        yield lo, hi, buf[:hi - lo]
+        flat[at] = 0.0
 
 
 def dense(table) -> np.ndarray:
@@ -108,7 +112,7 @@ def dense(table) -> np.ndarray:
     if not isinstance(table, SparseRows):
         return table
     out = np.empty(table.shape)
-    for lo, hi, rows in table.blocks():
+    for lo, hi, rows in table_blocks(table):
         out[lo:hi] = rows
     return out
 

@@ -136,6 +136,9 @@ def run_pipeline(
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # e.g. a file by that name: bad input, before any stage runs
         raise StageError("ingest", exc) from exc
+    for name in ("manifest.json", "error.json"):  # the last run's outcome goes first
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     seconds: dict[str, float] = {}
     manifest = RunManifest(config_hash=config.config_hash())
     if dataset_path:
@@ -208,11 +211,11 @@ def run_pipeline(
         if dataset.test:
             artifacts["predictions.jsonl"] = lambda fh: write_dist_rows(
                 fh, test_probs, [ex.doc.id for ex in dataset.test], dataset.labels, "pred")
+        else:  # an earlier run's predictions would read as this run's
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "predictions.jsonl"))
         paths = {os.path.splitext(name)[0]: os.path.join(out_dir, name)
                  for name in (*artifacts, "manifest.json")}
-        # a manifest lists only files of the run it describes, so the last run's goes first
-        with suppress(FileNotFoundError):
-            os.remove(paths["manifest"])
         for name, write in artifacts.items():
             write_atomic(os.path.join(out_dir, name), write)
         manifest.stage_seconds = {**seconds, "write": time.perf_counter() - write_start}

@@ -18,6 +18,7 @@ import pytest
 from labelforge.candidates import (
     LinearClassifier,
     calibrate_threshold,
+    class_top,
     whm,
 )
 from labelforge.cli import main
@@ -167,7 +168,9 @@ def test_criterion_2_calibration_oracle():
         beta = float(rng.choice([0.0, 0.05, 0.1, 0.3, 1.0]))
         seed_probs = clf.predict_proba_many(x_seed)
         pool_probs = clf.predict_proba_many(x_pool)
-        omega = calibrate_threshold(seed_probs, gold, pool_probs, beta=beta, grid_step=0.01)
+        seed_top, seed_cls = class_top(seed_probs)
+        omega = calibrate_threshold(seed_top, seed_cls == np.array(gold), class_top(pool_probs)[0],
+                                    beta=beta, grid_step=0.01)
 
         max_probs = seed_probs.max(axis=1).tolist()
         correct = (seed_probs.argmax(axis=1) == np.array(gold)).tolist()

@@ -10,6 +10,7 @@ from labelforge.candidates import (
     CalibratedClassifierLF,
     LinearClassifier,
     calibrate_threshold,
+    class_top,
     draw_subsample,
     fit_logistic,
     synthesize_candidates,
@@ -197,10 +198,17 @@ def test_threshold_grid_covers_unit_interval():
 NO_POOL = np.zeros((0, 2))
 
 
+def calibrate_probs(seed_probs, gold, pool_probs, beta, grid_step=0.01):
+    """``calibrate_threshold`` on the ``class_top`` of seed and pool probability tables."""
+    seed_top, seed_cls = class_top(np.asarray(seed_probs))
+    return calibrate_threshold(seed_top, seed_cls == np.asarray(gold), class_top(pool_probs)[0],
+                               beta, grid_step)
+
+
 def test_calibrate_flat_curve_picks_smallest_omega():
     # all max-probs 0.9 and perfect precision -> best omega 0
-    omega = calibrate_threshold(np.array([[0.9, 0.1]] * 4), [0] * 4, NO_POOL,
-                                beta=0.1, grid_step=0.01)
+    omega = calibrate_probs(np.array([[0.9, 0.1]] * 4), [0] * 4, NO_POOL,
+                            beta=0.1, grid_step=0.01)
     assert omega == 0.0
 
 
@@ -210,7 +218,7 @@ def test_calibrate_two_point_example():
     # WHM(1.0, 0.5, 0.1) > WHM(0.5, 1.0, 0.1), so best omega lands in (0.6, 0.9]
     probs = np.array([[0.605, 0.395], [0.9, 0.1]])  # predicted 0 twice
     gold = [1, 0]  # the first prediction is wrong, the second right
-    omega = calibrate_threshold(probs, gold, NO_POOL, beta=0.1, grid_step=0.01)
+    omega = calibrate_probs(probs, gold, NO_POOL, beta=0.1, grid_step=0.01)
     assert 0.6 < omega <= 0.9
     assert whm(1.0, 0.5, 0.1) > whm(0.5, 1.0, 0.1)
 
@@ -224,7 +232,7 @@ def seed_precision(probs, gold, omega):
 
 def test_calibrate_beta_zero_maximizes_precision():
     probs, gold = np.array([[0.605, 0.395], [0.9, 0.1]]), np.array([1, 0])
-    omega = calibrate_threshold(probs, gold, NO_POOL, beta=0.0, grid_step=0.01)
+    omega = calibrate_probs(probs, gold, NO_POOL, beta=0.0, grid_step=0.01)
     assert seed_precision(probs, gold, omega) == max(
         seed_precision(probs, gold, w) for w in threshold_grid(0.01)
     )
@@ -260,7 +268,7 @@ def test_calibration_matches_brute_force_oracle():
             probs.append([p, 1 - p])
             gold.append(int(rng.integers(0, 2)))
         beta = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
-        omega = calibrate_threshold(np.array(probs), gold, NO_POOL, beta=beta, grid_step=0.01)
+        omega = calibrate_probs(np.array(probs), gold, NO_POOL, beta=beta, grid_step=0.01)
         max_probs = [max(p) for p in probs]
         correct = [int(np.argmax(p)) == g for p, g in zip(probs, gold)]
         expected = brute_force_best_omega(max_probs, correct, max_probs, beta, 0.01)
@@ -279,10 +287,10 @@ def test_seed_of_50_takes_coverage_from_the_seed_even_with_a_pool():
     by_seed = brute_force_best_omega(max_seed, correct, max_seed, 0.1, 0.01)
     by_pool = brute_force_best_omega(max_seed, correct, max_pool, 0.1, 0.01)
     assert 0.6 < by_seed < 0.9 and by_pool == 0.0
-    omega = calibrate_threshold(seed_probs, gold, pool_probs, beta=0.1, grid_step=0.01)
+    omega = calibrate_probs(seed_probs, gold, pool_probs, beta=0.1, grid_step=0.01)
     assert omega == pytest.approx(by_seed)
     # one seed row fewer and the pool decides
-    small = calibrate_threshold(seed_probs[1:], gold[1:], pool_probs, beta=0.1, grid_step=0.01)
+    small = calibrate_probs(seed_probs[1:], gold[1:], pool_probs, beta=0.1, grid_step=0.01)
     assert small == brute_force_best_omega(
         max_seed[1:], correct[1:], max_pool, 0.1, 0.01
     ) == 0.0
@@ -293,7 +301,8 @@ def test_coverage_is_nonincreasing_in_omega():
     for _ in range(20):
         n = int(rng.integers(4, 30))
         probs = np.array([[p, 1 - p] for p in rng.uniform(0.3, 1.0, size=n)])
-        covs = [(threshold_votes(probs, w) != ABSTAIN).sum() for w in threshold_grid(0.05)]
+        covs = [(threshold_votes(*class_top(probs), w) != ABSTAIN).sum()
+                for w in threshold_grid(0.05)]
         assert all(a >= b for a, b in zip(covs, covs[1:]))
 
 
@@ -308,8 +317,8 @@ def test_describe_needs_the_classifier_training_record():
 
 def test_calibrated_lf_thresholding():
     probs = np.array([[0.55, 0.45], [0.9, 0.1], [0.4, 0.6]])
-    assert threshold_votes(probs, 0.6).tolist() == [ABSTAIN, 0, ABSTAIN]
-    assert threshold_votes(probs, 0.0).tolist() == [0, 0, 1]
+    assert threshold_votes(*class_top(probs), 0.6).tolist() == [ABSTAIN, 0, ABSTAIN]
+    assert threshold_votes(*class_top(probs), 0.0).tolist() == [0, 0, 1]
 
 
 def reference_threshold_votes(probs, omega):
@@ -346,12 +355,12 @@ def test_thresholding_a_4000_row_pool_equals_numpy_row_maxima(num_classes):
     seed_probs = reference_softmax(rng.normal(scale=2.0, size=(40, num_classes)))
     gold = rng.integers(0, num_classes, size=40)
     for omega in threshold_grid(0.05) + [1.0 / num_classes, float(pool_probs[0].max())]:
-        assert np.array_equal(threshold_votes(pool_probs, omega),
+        assert np.array_equal(threshold_votes(*class_top(pool_probs), omega),
                               reference_threshold_votes(pool_probs, omega))
     for rows in (40, 80):  # coverage from the pool below 50 seed rows, from the seed above
         seed, seed_gold = np.resize(seed_probs, (rows, num_classes)), np.resize(gold, rows)
         for beta in (0.0, 0.1, 1.0):
-            omega = calibrate_threshold(seed, seed_gold, pool_probs, beta)
+            omega = calibrate_probs(seed, seed_gold, pool_probs, beta)
             assert omega == reference_calibrate_threshold(seed, seed_gold, pool_probs, beta, 0.01)
 
 
@@ -443,15 +452,19 @@ def test_each_candidate_predicts_once_per_split(monkeypatch):
     ds = toy_dataset()
     cfg = PipelineConfig(base_seed=3)
     cfg.candidate_training["semantic_head_widths"] = [0, 16]
-    products = []  # (table, classifiers) per predict_proba_stack call
-    real_stack = candidates.predict_proba_stack
+    products = []  # (table, classifiers) per top_stack or LinearClassifier product
+    real_stack, real_linear = candidates.top_stack, LinearClassifier.predict_proba_many
 
     def counting_stack(classifiers, x):
         products.append((x, list(classifiers)))
         return real_stack(classifiers, x)
 
-    for module in (candidates, exploitation):  # predict_proba_many's caller and the scorer
-        monkeypatch.setattr(module, "predict_proba_stack", counting_stack)
+    def counting_linear(self, x):
+        products.append((x, [self]))
+        return real_linear(self, x)
+
+    monkeypatch.setattr(exploitation, "top_stack", counting_stack)
+    monkeypatch.setattr(LinearClassifier, "predict_proba_many", counting_linear)
     mlp_rows = {}
     real_mlp = MlpNet.predict_proba_many
 

@@ -23,6 +23,7 @@ from labelforge.features import (
     TfidfFeaturizer,
     build_featurizers,
     dense,
+    table_blocks,
 )
 
 
@@ -666,7 +667,7 @@ def test_sparse_pool_tables_equal_the_dense_tables(row_block, monkeypatch):
             assert np.array_equal(values, want[lo:hi].reshape(-1)[cells])
         kept = np.concatenate([values for values, _ in table.parts])
         assert np.count_nonzero(kept) == np.count_nonzero(want) <= len(kept)
-        blocks = [(lo, hi, rows.copy()) for lo, hi, rows in table.blocks()]
+        blocks = [(lo, hi, rows.copy()) for lo, hi, rows in table_blocks(table)]
         assert [(lo, hi) for lo, hi, _ in blocks] == row_blocks(305)
         for lo, hi, rows in blocks:
             assert np.array_equal(rows, want[lo:hi])

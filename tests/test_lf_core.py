@@ -180,11 +180,11 @@ def test_matrix_csv_export():
 
 
 def test_vote_columns_and_matrix_are_int8_and_csv_bytes_hold():
-    from labelforge.candidates import threshold_votes
+    from labelforge.candidates import class_top, threshold_votes
 
     ds = docs(3)
     probs = np.array([[0.9, 0.1], [0.45, 0.55], [0.5, 0.5]])
-    assert threshold_votes(probs, 0.5).dtype == np.int8
+    assert threshold_votes(*class_top(probs), 0.5).dtype == np.int8
     lfs = [lf("a", {"d0": 0, "d2": 1}), lf("b", {"d1": 1})]
     matrix = matrix_of(lfs, ds)
     assert lfs[0].votes.dtype == np.int8

@@ -512,6 +512,72 @@ def test_cmd_sweep_fans_out(run_env):
     assert os.path.isdir(os.path.join(out, "alpha=0.9"))
 
 
+def run_into(run_env, out, data=None):
+    return main(["run", "--config", run_env["config"], "--data", data or run_env["data"],
+                 "--out", str(out)])
+
+
+def fail_at_featurize(monkeypatch):
+    from labelforge import pipeline
+
+    def broken(*args):
+        raise RuntimeError("embedding service down")
+
+    monkeypatch.setattr(pipeline, "build_featurizers", broken)
+
+
+def test_a_failed_run_leaves_its_error_and_not_the_earlier_manifest(run_env, tmp_path,
+                                                                    monkeypatch):
+    out = tmp_path / "run"
+    assert run_into(run_env, out) == 0 and (out / "manifest.json").is_file()
+    fail_at_featurize(monkeypatch)
+    assert run_into(run_env, out) == 1
+    assert json.load(open(out / "error.json"))["stage"] == "featurize"
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_successful_run_removes_an_earlier_error(run_env, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    fail_at_featurize(monkeypatch)
+    assert run_into(run_env, out) == 1 and (out / "error.json").is_file()
+    monkeypatch.undo()
+    assert run_into(run_env, out) == 0
+    assert not (out / "error.json").exists() and (out / "manifest.json").is_file()
+
+
+def test_a_run_without_a_test_split_removes_only_the_earlier_predictions(run_env, tmp_path):
+    out = tmp_path / "run"
+    assert run_into(run_env, out) == 0 and (out / "predictions.jsonl").is_file()
+    (out / "notes.txt").write_text("kept")
+    no_test = str(tmp_path / "no_test.jsonl")
+    save_dataset(make_separable_corpus(3, n_unlabeled=300, n_seed=30, n_test=0), no_test)
+    before = set(os.listdir(out))
+    assert run_into(run_env, out, no_test) == 0
+    assert set(os.listdir(out)) == before - {"predictions.jsonl"}
+    assert (out / "notes.txt").read_text() == "kept"
+    assert "predictions" not in json.load(open(out / "manifest.json"))["artifacts"]
+
+
+def test_an_interrupted_sweep_keeps_the_rows_it_finished(run_env, tmp_path, monkeypatch):
+    from labelforge import cli
+
+    real_run = cli.run_pipeline
+
+    def interrupted(cfg, *args, **kwargs):
+        if cfg.alpha == 0.9:
+            raise KeyboardInterrupt
+        return real_run(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", interrupted)
+    out = tmp_path / "sweep"
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--config", run_env["config"], "--data", run_env["data"],
+              "--out", str(out), "--param", "alpha", "--values", "0.5,0.9"])
+    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    assert [(r["value"], r["status"]) for r in rows] == [("0.5", "ok")]
+    assert not (out / "sweep.csv.tmp").exists()
+
+
 def test_run_into_an_out_that_is_a_file_fails_at_ingest(run_env, tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("a file")
@@ -668,7 +734,7 @@ def test_classifier_lfs_record_their_calibrated_omega(run_env):
 
 
 def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path, monkeypatch):
-    from labelforge import candidates, corpus, exploitation, features, lf_core, pipeline
+    from labelforge import corpus, exploitation, features, lf_core, pipeline
     from labelforge.candidates import LinearClassifier
     from labelforge.nets import MlpNet
     from labelforge.pipeline import run_pipeline
@@ -689,13 +755,17 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
         return real_apply(lf, docs)
 
     pool_passes = []  # how many logistic LFs each pass over the pool table scores
-    real_stack = candidates.predict_proba_stack
+    real_stack, real_linear = exploitation.top_stack, LinearClassifier.predict_proba_many
 
-    def counting_stack(classifiers, x):  # logistic LFs: probabilities, then votes
+    def counting_stack(classifiers, x):  # logistic LFs over the pool: (top, cls), then votes
         count(len(x), len(classifiers))
         if len(x) == pool_size:
             pool_passes.append(len(classifiers))
         return real_stack(classifiers, x)
+
+    def counting_linear(self, x):  # logistic LFs over the seed, one LF per call
+        count(len(x))
+        return real_linear(self, x)
 
     real_mlp = MlpNet.predict_proba_many
 
@@ -711,8 +781,8 @@ def test_each_lf_applied_once_to_the_pool_and_each_doc_featurized_once(tmp_path,
                               if isinstance(getattr(lf.rule, "classifier", None), LinearClassifier)})
         return real_score(lfs, *args)
 
-    for module in (candidates, exploitation):  # predict_proba_many's caller and the scorer
-        monkeypatch.setattr(module, "predict_proba_stack", counting_stack)
+    monkeypatch.setattr(exploitation, "top_stack", counting_stack)
+    monkeypatch.setattr(LinearClassifier, "predict_proba_many", counting_linear)
     monkeypatch.setattr(MlpNet, "predict_proba_many", counting_mlp)
     monkeypatch.setattr(exploitation, "score_candidates", counting_score)
 

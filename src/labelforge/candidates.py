@@ -187,26 +187,23 @@ def calibrate_threshold(seed_top: np.ndarray, seed_correct: np.ndarray, pool_top
 
 
 def synthesize_candidates(
-    category: Category,
-    dataset: Dataset,
-    count: int,
-    config,
-    featurizers: list,
-    base_seed: int | None = None,
+    category: Category, dataset: Dataset, config, featurizers: list, round_index: int = 0
 ) -> tuple[list[LabelFunction], list[dict]]:
-    """Produce ``count`` trained classifier LFs for the structural or semantic category.
+    """A round's ``config.candidates_per_round`` trained structural or semantic LFs.
 
-    Candidate k trains on the subsample drawn with rng seed base_seed + k and
-    takes its variation (featurizer and regularization for structural, head
-    width for semantic) round-robin from ``featurizers`` (the category's list
-    from ``features.build_featurizers``) and the config lists. Degenerate
-    subsamples are skipped, not fatal; skips come back as report dicts.
+    Candidate k trains on the subsample drawn with rng seed
+    ``config.base_seed + 1000 * round_index + k`` and takes its variation
+    (featurizer and regularization for structural, head width for semantic)
+    round-robin from ``featurizers`` (the category's list from
+    ``features.build_featurizers``) and the config lists. Degenerate
+    subsamples are skipped, not fatal; skips come back as report dicts that
+    name the category and round.
     One pass makes each candidate's LF as it is drawn and trains an MLP head
     at once. Logistic heads that share a featurizer and a subsample size train
     together afterwards through ``fit_logistic``, in stacks of at most
     STACK_BYTES. Omega stays 0 until ``score_candidates`` calibrates it.
     """
-    base = config.base_seed if base_seed is None else base_seed
+    base = config.base_seed + 1000 * round_index
     training = config.candidate_training
     regs = training["regularizations"]
     widths = training["semantic_head_widths"]
@@ -217,7 +214,7 @@ def synthesize_candidates(
     lfs: list[LabelFunction] = []
     skips: list[dict] = []
     stacks: dict[tuple[int, int], list] = {}  # (featurizer, size) -> logistic (idx, l2, rule)
-    for k in range(1, count + 1):
+    for k in range(1, config.candidates_per_round + 1):
         rng_seed = base + k
         fraction = fractions[(k - 1) % len(fractions)]
         size = min(max(int(math.ceil(fraction * len(gold))), 1), len(gold))
@@ -228,7 +225,8 @@ def synthesize_candidates(
         try:
             idx = draw_subsample(gold, size, rng_seed)
         except DegenerateSubsample as exc:
-            skips.append({"candidate": k, "rng_seed": rng_seed, "reason": str(exc)})
+            skips.append({"category": category.value, "round": round_index, "candidate": k,
+                          "rng_seed": rng_seed, "reason": str(exc)})
             continue
         f = (k - 1) % len(featurizers)
         featurizer = featurizers[f]

@@ -15,7 +15,7 @@ from .errors import IdAlignment, LabelForgeError
 from .label_model import load_labels_jsonl
 from .lf_core import CATEGORIES
 from .metrics import evaluate_labeling, write_report_json
-from .pipeline import StageError, build_provider, run_pipeline
+from .pipeline import StageError, build_provider, clear_outcome, run_pipeline
 from .synth import make_noisy_corpus, make_separable_corpus
 
 EXIT_OK = 0
@@ -68,6 +68,7 @@ def cmd_run(args) -> int:
     try:
         config, dataset = _load_inputs(args)
     except (OSError, LabelForgeError, ValueError) as exc:
+        clear_outcome(args.out)  # error.json must not sit beside the last run's manifest
         _write_error(args.out, "ingest", exc)
         return EXIT_INPUT
     try:

@@ -32,9 +32,10 @@ TABLE_KINDS = {
                   "remote": {"endpoint": "", "model": "", "dim": 768, "cache_path": ""}},
 }
 
-# each interval, as its message reads: its test and the dotted keys it bounds, where "*"
-# stands for every value of a table or every item of a list
+# each interval (or the one value taken), as its message reads: its test and the dotted keys
+# it bounds, where "*" stands for every value of a table or every item of a list
 BOUNDS = {
+    str(SCHEMA_VERSION): (lambda v: v == SCHEMA_VERSION, ["schema_version"]),
     "in [0, 1]": (lambda v: 0 <= v <= 1, ["alpha"]),
     "in (0, 1]": (lambda v: 0 < v <= 1,
                   ["grid_step", "tau_dup.*", "candidate_training.subsample_fractions.*"]),

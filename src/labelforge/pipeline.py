@@ -7,6 +7,7 @@ and a run manifest with per-stage timings.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -22,7 +23,7 @@ from .errors import LabelForgeError, ProviderUnreachable, MalformedProviderReply
 from .exploitation import run_exploitation_loop
 from .features import build_featurizers
 from .label_model import aggregate, write_dist_rows
-from .lf_core import Category, LabelFunction, build_label_matrix
+from .lf_core import CATEGORIES, Category, LabelFunction, build_label_matrix
 from .surface import (
     GenerationRequest,
     OfflineSeededProvider,
@@ -61,8 +62,12 @@ def build_provider(config: PipelineConfig, dataset: Dataset):
 
 def build_generators(
     config: PipelineConfig, dataset: Dataset, featurizers: dict, manifest: RunManifest
-):
-    """Per-category generation closures; surface rounds add provider warnings to ``manifest``."""
+) -> dict:
+    """Per-category generators: round_index -> (candidate LFs, skip reports).
+
+    Surface rounds add provider warnings to ``manifest``; a provider found
+    unreachable is not asked again, and each later round reports a skip.
+    """
     provider = build_provider(config, dataset)
     request = GenerationRequest(
         task_description=config.task_description,
@@ -70,24 +75,21 @@ def build_generators(
         examples=tuple((ex.doc.text, dataset.labels.name_of(ex.gold)) for ex in dataset.seed),
         count=config.candidates_per_round,
     )
-    skip_sink: list[dict] = []
     unreachable: list[int] = []  # the round that found the surface provider unreachable
 
     def surface_gen(round_index: int):
         skip = {"category": "surface", "round": round_index}
-        if unreachable:  # a provider found unreachable is not asked again
-            skip_sink.append({**skip, "reason": f"surface provider unreachable since round "
-                                                f"{unreachable[0]}; not asked again"})
-            return []
+        if unreachable:
+            return [], [{**skip, "reason": f"surface provider unreachable since round "
+                                           f"{unreachable[0]}; not asked again"}]
         try:
             rules = generate_surface_lfs(provider, request, round_index=round_index)
         except (ProviderUnreachable, MalformedProviderReply) as exc:
-            skip_sink.append({**skip, "reason": str(exc)})
             if isinstance(exc, ProviderUnreachable):
                 unreachable.append(round_index)
                 manifest.warnings.append(f"surface provider unreachable in round {round_index}; "
                                          "later rounds skipped surface generation")
-            return []
+            return [], [{**skip, "reason": str(exc)}]
         manifest.provider_warnings += provider.last_warnings
         return [
             LabelFunction(
@@ -97,31 +99,18 @@ def build_generators(
                 meta={"round": round_index},
             )
             for k, rule in enumerate(rules)
-        ]
+        ], []
 
-    def classifier_gen(category: Category):
-        def gen(round_index: int):
-            lfs, skips = synthesize_candidates(
-                category,
-                dataset,
-                config.candidates_per_round,
-                config,
-                featurizers=featurizers[category],
-                base_seed=config.base_seed + 1000 * round_index,
-            )
-            for skip in skips:
-                skip.update({"category": category.value, "round": round_index})
-            skip_sink.extend(skips)
-            return lfs
+    return {Category.SURFACE: surface_gen, **{
+        cat: functools.partial(synthesize_candidates, cat, dataset, config, tables)
+        for cat, tables in featurizers.items()}}
 
-        return gen
 
-    generators = {
-        Category.SURFACE: surface_gen,
-        Category.STRUCTURAL: classifier_gen(Category.STRUCTURAL),
-        Category.SEMANTIC: classifier_gen(Category.SEMANTIC),
-    }
-    return generators, skip_sink
+def clear_outcome(out_dir: str) -> None:
+    """Remove the last run's ``manifest.json`` and ``error.json`` from ``out_dir``."""
+    for name in ("manifest.json", "error.json"):
+        with suppress(FileNotFoundError, NotADirectoryError):  # an --out that is a file has none
+            os.remove(os.path.join(out_dir, name))
 
 
 def run_pipeline(
@@ -136,9 +125,7 @@ def run_pipeline(
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # e.g. a file by that name: bad input, before any stage runs
         raise StageError("ingest", exc) from exc
-    for name in ("manifest.json", "error.json"):  # the last run's outcome goes first
-        with suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, name))
+    clear_outcome(out_dir)  # the last run's outcome goes first
     seconds: dict[str, float] = {}
     manifest = RunManifest(config_hash=config.config_hash())
     if dataset_path:
@@ -152,13 +139,13 @@ def run_pipeline(
         featurizers = {Category.STRUCTURAL: structural, Category.SEMANTIC: semantic}
 
     with _stage(seconds, "explore_exploit"):
-        generators, skip_sink = build_generators(config, dataset, featurizers, manifest)
-        pool, reports = run_exploitation_loop(dataset, config, generators)
+        generators = build_generators(config, dataset, featurizers, manifest)
+        kept, reports, skips = run_exploitation_loop(dataset, config, generators)
         manifest.shortfall = dict(reports[-1]["shortfall"])
         manifest.stop_reason = "round_budget" if manifest.shortfall else "filled"
 
     with _stage(seconds, "matrix"):
-        lfs = pool.all_lfs()
+        lfs = [lf for cat in CATEGORIES for lf in kept[cat]]
         matrix = build_label_matrix(lfs, [d.id for d in dataset.unlabeled])
 
     with _stage(seconds, "aggregate"):
@@ -185,8 +172,8 @@ def run_pipeline(
         summary = {
             "dataset": dataset_name,
             "config_hash": config.config_hash(),
-            "pool_counts": pool.counts(),
-            "rounds": pool.round,
+            "pool_counts": reports[-1]["kept"],
+            "rounds": len(reports),
             "coverage": labeling_report.coverage if labeling_report else None,
             "weighted_f1": labeling_report.weighted_f1 if labeling_report else None,
             "label_quality": labeling_report.label_quality if labeling_report else None,
@@ -194,8 +181,8 @@ def run_pipeline(
             "labeling_report": labeling_report.to_json() if labeling_report else None,
             "e2e_report": e2e_report.to_json() if e2e_report else None,
         }
-        lf_pool = {"rounds": pool.round, "counts": pool.counts(),
-                   "skip_reports": skip_sink, "lfs": [lf.describe() for lf in lfs]}
+        lf_pool = {"rounds": len(reports), "counts": reports[-1]["kept"],
+                   "skip_reports": skips, "lfs": [lf.describe() for lf in lfs]}
         artifacts = {  # file name -> writer of its contents
             "model.json": lambda fh: write_checkpoint(fh, net, config.config_hash()),
             "lf_pool.json": lambda fh: json.dump(lf_pool, fh, indent=2, sort_keys=True),

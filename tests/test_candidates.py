@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -379,11 +380,13 @@ def toy_dataset(n_unlabeled=40, n_seed=12):
     return Dataset(labels=labels, unlabeled=unlabeled, seed=seed)
 
 
-def synthesize(category, ds, count, cfg):
-    """``synthesize_candidates`` over the category's featurizers from ``build_featurizers``."""
+def synthesize(category, ds, count, cfg, round_index=0):
+    """``synthesize_candidates`` of ``count`` candidates per round over the category's
+    featurizers from ``build_featurizers``."""
+    cfg = dataclasses.replace(cfg, candidates_per_round=count)
     structural, semantic, _ = build_featurizers(ds, cfg)
     featurizers = structural if category == Category.STRUCTURAL else semantic
-    return synthesize_candidates(category, ds, count, cfg, featurizers)
+    return synthesize_candidates(category, ds, cfg, featurizers, round_index)
 
 
 def test_synthesize_candidates_deterministic_and_seeded():
@@ -400,6 +403,10 @@ def test_synthesize_candidates_deterministic_and_seeded():
     assert [lf.est_accuracy for lf in again] == [lf.est_accuracy for lf in lfs]
     assert [lf.votes.tolist() for lf in again] == [lf.votes.tolist() for lf in lfs]
     assert [lf.rule.omega for lf in again] == [lf.rule.omega for lf in lfs]
+    later, _ = synthesize(Category.STRUCTURAL, ds, 3, cfg, round_index=2)
+    assert [lf.id for lf in later] == [
+        "structural-s02008", "structural-s02009", "structural-s02010",
+    ]
 
 
 def test_synthesize_on_separable_data_estimates_perfect():
@@ -430,9 +437,11 @@ def test_synthesize_all_degenerate_reports_skips():
     seed = [LabeledExample(doc=Document(id=f"s{i}", text="same text"), gold=0) for i in range(6)]
     ds = Dataset(labels=labels, unlabeled=[Document(id="u0", text="same text")], seed=seed)
     cfg = PipelineConfig(base_seed=0)
-    lfs, skips = synthesize(Category.STRUCTURAL, ds, 3, cfg)
+    lfs, skips = synthesize(Category.STRUCTURAL, ds, 3, cfg, round_index=1)
     assert lfs == []
     assert len(skips) == 3
+    assert all(s["category"] == "structural" and s["round"] == 1 for s in skips)
+    assert [s["rng_seed"] for s in skips] == [1001, 1002, 1003]
 
 
 def test_abstain_disabled_zeroes_omega():
@@ -498,13 +507,13 @@ def test_each_candidate_predicts_once_per_split(monkeypatch):
     assert shared >= 2 and len(mlp_rows) >= 2
 
 
-def reference_synthesize(category, ds, count, cfg, featurizers):
+def reference_synthesize(category, ds, cfg, featurizers):
     """Candidate by candidate, each logistic head through the 2-D reference trainer."""
     training = cfg.candidate_training
     gold = np.array([ex.gold for ex in ds.seed])
     num_classes = ds.labels.num_classes
     made, skips = [], []
-    for k in range(1, count + 1):
+    for k in range(1, cfg.candidates_per_round + 1):
         rng_seed = cfg.base_seed + k
         fraction = training["subsample_fractions"][(k - 1) % len(training["subsample_fractions"])]
         size = min(max(int(math.ceil(fraction * len(gold))), 1), len(gold))
@@ -517,7 +526,8 @@ def reference_synthesize(category, ds, count, cfg, featurizers):
         try:
             idx = draw_subsample(gold, size, rng_seed)
         except DegenerateSubsample as exc:
-            skips.append({"candidate": k, "rng_seed": rng_seed, "reason": str(exc)})
+            skips.append({"category": category.value, "round": 0, "candidate": k,
+                          "rng_seed": rng_seed, "reason": str(exc)})
             continue
         x, y = featurizer.seed[idx], gold[idx]
         if width == 0:
@@ -541,15 +551,15 @@ def test_synthesize_equals_per_candidate_reference(monkeypatch, stack_bytes):
     # is skipped between candidates 1 and 5 of featurizer 0's group
     monkeypatch.setattr(candidates, "STACK_BYTES", stack_bytes)
     ds = toy_dataset(n_seed=16)
-    cfg = PipelineConfig(base_seed=4)
+    cfg = PipelineConfig(base_seed=4, candidates_per_round=12)
     cfg.candidate_training.update(
         epochs=60, subsample_fractions=[0.75, 0.75, 0.01], semantic_head_widths=[0, 8, 0],
     )
     structural, semantic, _ = build_featurizers(ds, cfg)
     assert len(structural) == 2
     for category, featurizers in ((Category.STRUCTURAL, structural), (Category.SEMANTIC, semantic)):
-        lfs, skips = synthesize_candidates(category, ds, 12, cfg, featurizers)
-        want, want_skips = reference_synthesize(category, ds, 12, cfg, featurizers)
+        lfs, skips = synthesize_candidates(category, ds, cfg, featurizers)
+        want, want_skips = reference_synthesize(category, ds, cfg, featurizers)
         assert skips == want_skips
         assert [s["candidate"] for s in skips] == [3, 6, 9, 12]
         assert [lf.id for lf in lfs] == [w[0] for w in want]

@@ -14,6 +14,7 @@ ROWS = [(interval, key) for interval, (_, keys) in BOUNDS.items() for key in key
 
 # each interval: values inside it (its closed edges among them) and values just outside it
 EDGES = {
+    "1": ([1], [0, 2]),
     "in [0, 1]": ([0, 1], [-1e-9, 1 + 1e-9]),
     "in (0, 1]": ([1e-9, 1], [0, 1 + 1e-9]),
     "in (0, 0.1]": ([1e-9, 0.1], [0, 0.1 + 1e-9]),

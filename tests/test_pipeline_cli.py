@@ -274,6 +274,9 @@ def test_malformed_record_fails_at_ingest(run_env, tmp_path, line):
     ("provider", {"kind": {}}),
     # weights with none positive, which aggregate would reject only after the loop
     ("label_model", {"kind": "weighted_majority_vote", "weights": [0.0, 0]}),
+    # a schema this version does not write
+    ("schema_version", 2),
+    ("schema_version", -3),
 ])
 def test_bad_nested_config_fails_at_ingest(run_env, tmp_path, table, value):
     obj = small_config().to_json()
@@ -533,6 +536,14 @@ def test_a_failed_run_leaves_its_error_and_not_the_earlier_manifest(run_env, tmp
     fail_at_featurize(monkeypatch)
     assert run_into(run_env, out) == 1
     assert json.load(open(out / "error.json"))["stage"] == "featurize"
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_failed_ingest_leaves_its_error_and_not_the_earlier_manifest(run_env, tmp_path):
+    out = tmp_path / "run"
+    assert run_into(run_env, out) == 0 and (out / "manifest.json").is_file()
+    assert run_into(run_env, out, str(tmp_path / "missing.jsonl")) == 2
+    assert json.load(open(out / "error.json"))["stage"] == "ingest"
     assert not (out / "manifest.json").exists()
 
 
@@ -971,6 +982,36 @@ def test_a_malformed_surface_reply_skips_only_its_round(tmp_path, monkeypatch):
     assert json.load(open(os.path.join(out, "manifest.json")))["warnings"] == []
     lf_pool = json.load(open(os.path.join(out, "lf_pool.json")))
     assert [s["round"] for s in lf_pool["skip_reports"] if s["category"] == "surface"] == [0, 1]
+
+
+def test_lf_pool_lists_every_skip_of_a_run_in_call_order(tmp_path, monkeypatch):
+    """Each round skips surface generation (no provider endpoint) and, in each classifier
+    category, candidate 2, whose 1% subsample is one seed row: by round, then surface,
+    structural, semantic."""
+    from labelforge.pipeline import run_pipeline
+
+    monkeypatch.delenv("LABELFORGE_LLM_ENDPOINT", raising=False)
+    cfg = small_config(max_rounds=2, provider={"kind": "remote_llm"})
+    cfg.candidate_training["subsample_fractions"] = [0.8, 0.01]
+    out = str(tmp_path / "run")
+    run_pipeline(cfg, make_separable_corpus(5, n_unlabeled=150, n_seed=20, n_test=0), out)
+    lf_pool = json.load(open(os.path.join(out, "lf_pool.json")))
+    degenerate = "no 2-class subsample of size 1 found"
+    assert lf_pool["rounds"] == 2
+    assert lf_pool["skip_reports"] == [
+        {"category": "surface", "reason": "remote provider endpoint/model not configured",
+         "round": 0},
+        {"candidate": 2, "category": "structural", "reason": degenerate, "rng_seed": 2,
+         "round": 0},
+        {"candidate": 2, "category": "semantic", "reason": degenerate, "rng_seed": 2,
+         "round": 0},
+        {"category": "surface",
+         "reason": "surface provider unreachable since round 0; not asked again", "round": 1},
+        {"candidate": 2, "category": "structural", "reason": degenerate, "rng_seed": 1002,
+         "round": 1},
+        {"candidate": 2, "category": "semantic", "reason": degenerate, "rng_seed": 1002,
+         "round": 1},
+    ]
 
 
 def test_manifest_warns_of_a_class_without_seed_examples(tmp_path):

@@ -24,13 +24,21 @@ EXIT_INPUT = 2
 EXIT_ALIGNMENT = 3
 
 
-def _write_error(out_dir: str, stage: str, error: Exception) -> None:
+def _write_error(out_dir: str, stage: str, error: Exception, code: int) -> int:
+    """Name the failed ``stage`` in ``out_dir``'s ``error.json``; return the exit ``code``.
+
+    Beside a finished outcome, or where the file cannot be written, one stderr line says so.
+    """
     try:
         os.makedirs(out_dir, exist_ok=True)
+        for finished in ("manifest.json", "sweep.csv"):
+            if os.path.exists(os.path.join(out_dir, finished)):
+                raise FileExistsError(f"it would sit beside {finished}")
         write_atomic(os.path.join(out_dir, "error.json"),
                      lambda fh: write_report_json(fh, {"stage": stage, "error": str(error)}))
     except OSError as exc:
         print(f"stage {stage!r} failed: {error}; error.json not written: {exc}", file=sys.stderr)
+    return code
 
 
 def _load_inputs(args) -> tuple[PipelineConfig, object]:
@@ -64,23 +72,25 @@ def _infer_labels(path: str, fmt: str) -> LabelSpace:
     return LabelSpace(tuple(sorted({n for n in labels if isinstance(n, str) and n})))
 
 
+def _run_into(args, config: PipelineConfig, dataset, out_dir: str) -> dict | None:
+    """The pipeline's summary of a run into ``out_dir``; None once its failed stage is named."""
+    try:
+        return run_pipeline(config, dataset, out_dir,
+                            dataset_name=args.dataset_name or os.path.basename(args.data),
+                            dataset_path=args.data)
+    except StageError as exc:
+        _write_error(out_dir, exc.stage, exc.cause, EXIT_FAILURE)
+        return None
+
+
 def cmd_run(args) -> int:
     try:
+        clear_outcome(args.out)  # a directory says how its last command ended, and only that
         config, dataset = _load_inputs(args)
     except (OSError, LabelForgeError, ValueError) as exc:
-        clear_outcome(args.out)  # error.json must not sit beside the last run's manifest
-        _write_error(args.out, "ingest", exc)
-        return EXIT_INPUT
-    try:
-        summary = run_pipeline(
-            config,
-            dataset,
-            args.out,
-            dataset_name=args.dataset_name or os.path.basename(args.data),
-            dataset_path=args.data,
-        )
-    except StageError as exc:
-        _write_error(args.out, exc.stage, exc.cause)
+        return _write_error(args.out, "ingest", exc, EXIT_INPUT)
+    summary = _run_into(args, config, dataset, args.out)
+    if summary is None:
         return EXIT_FAILURE
     print(json.dumps({k: summary[k] for k in
                       ("dataset", "coverage", "label_quality", "e2e_f1", "config_hash")}))
@@ -105,78 +115,57 @@ SWEEP_PARAMS = {
 
 def cmd_sweep(args) -> int:
     raw_values = [v for v in args.values.split(",") if v != ""]
-    if not raw_values:
-        _write_error(args.out, "sweep", ValueError("no sweep values given"))
-        return EXIT_INPUT
     field_name, parse = SWEEP_PARAMS[args.param]
     try:
+        clear_outcome(args.out)
+        if not raw_values:
+            raise ValueError("no sweep values given")
         if len(set(raw_values)) < len(raw_values):  # two runs would share one run directory
             raise ValueError(f"sweep values repeat: {args.values!r}")
         config, dataset = _load_inputs(args)
         configs = [PipelineConfig.from_json({**config.to_json(), field_name: parse(raw)})
                    for raw in raw_values]
     except (OSError, LabelForgeError, ValueError) as exc:
-        _write_error(args.out, "sweep", exc)
-        return EXIT_INPUT
+        return _write_error(args.out, "sweep", exc, EXIT_INPUT)
 
     rows = []
     sweep_csv = os.path.join(args.out, "sweep.csv")
     fields = ["param", "value", "coverage", "label_quality", "e2e_f1", "wall_time_s", "status"]
 
     def write_rows(fh):
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 
     for raw, cfg in zip(raw_values, configs):
-        run_dir = os.path.join(args.out, f"{args.param}={raw}")
         start = time.perf_counter()
-        row = {"param": args.param, "value": raw, "status": "ok"}
-        try:
-            summary = run_pipeline(
-                cfg,
-                dataset,
-                run_dir,
-                dataset_name=args.dataset_name or os.path.basename(args.data),
-                dataset_path=args.data,
-            )
-            row.update(
-                coverage=summary["coverage"],
-                label_quality=summary["label_quality"],
-                e2e_f1=summary["e2e_f1"],
-            )
-        except StageError as exc:
-            _write_error(run_dir, exc.stage, exc.cause)
-            row.update(coverage="", label_quality="", e2e_f1="", status="error")
-        row["wall_time_s"] = round(time.perf_counter() - start, 3)
-        rows.append(row)
+        summary = _run_into(args, cfg, dataset, os.path.join(args.out, f"{args.param}={raw}"))
+        rows.append({**(summary or {}),  # a failed run's scores are left out, so they read ""
+                     "param": args.param, "value": raw, "status": "ok" if summary else "error",
+                     "wall_time_s": round(time.perf_counter() - start, 3)})
         write_atomic(sweep_csv, write_rows)  # an interrupted sweep keeps the rows it finished
     print(f"sweep complete: {sweep_csv}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    out_dir = os.path.dirname(args.out) or "."
     try:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)  # --out's parent is input
+        os.makedirs(out_dir, exist_ok=True)  # --out's parent is input
         if not os.path.exists(args.labels) or not os.path.exists(args.data):
             raise FileNotFoundError("labels or dataset file missing")
         config = PipelineConfig.load(args.config) if args.config else None
         labels_space = _label_space(config, args.data, args.data_format)
         dataset = load_dataset(args.data, args.data_format, labels_space)
         dists, covered, doc_ids = load_labels_jsonl(args.labels, labels_space)
-    except (OSError, LabelForgeError, ValueError) as exc:
-        _write_error(os.path.dirname(args.out) or ".", "eval", exc)
-        return EXIT_INPUT
-
-    gold_map = dict(dataset.unlabeled_gold)
-    for ex in list(dataset.seed) + list(dataset.test):
-        gold_map.setdefault(ex.doc.id, ex.gold)
-    try:
+        gold_map = dict(dataset.unlabeled_gold)
+        for ex in list(dataset.seed) + list(dataset.test):
+            gold_map.setdefault(ex.doc.id, ex.gold)
         report = evaluate_labeling(dists, covered, doc_ids, gold_map).to_json()
-    except (IdAlignment, ValueError) as exc:
-        _write_error(os.path.dirname(args.out) or ".", "eval", exc)
-        return EXIT_ALIGNMENT if isinstance(exc, IdAlignment) else EXIT_INPUT
-    write_atomic(args.out, lambda fh: write_report_json(fh, report))
+        write_atomic(args.out, lambda fh: write_report_json(fh, report))  # IsADirectoryError too
+    except (OSError, LabelForgeError, ValueError) as exc:
+        return _write_error(out_dir, "eval", exc,
+                            EXIT_ALIGNMENT if isinstance(exc, IdAlignment) else EXIT_INPUT)
     print(json.dumps(report))
     return EXIT_OK
 
@@ -184,14 +173,14 @@ def cmd_eval(args) -> int:
 def cmd_gen_synth(args) -> int:
     made = {}
     try:
+        clear_outcome(args.out)
         os.makedirs(args.out, exist_ok=True)
         for kind, make in (("separable", make_separable_corpus), ("noisy", make_noisy_corpus)):
             if args.kind in (kind, "both"):
                 made[kind] = os.path.join(args.out, f"{kind}.jsonl")
                 save_dataset(make(args.seed), made[kind])  # a negative seed is a ValueError
     except (OSError, ValueError) as exc:
-        _write_error(args.out, "gen-synth", exc)
-        return EXIT_INPUT
+        return _write_error(args.out, "gen-synth", exc, EXIT_INPUT)
     print(json.dumps(made))
     return EXIT_OK
 

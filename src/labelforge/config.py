@@ -195,7 +195,6 @@ class RunManifest:
     input_digests: dict = field(default_factory=dict)
     stage_seconds: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
-    status: str = "ok"
     stop_reason: str = ""
     shortfall: dict = field(default_factory=dict)
     provider_warnings: int = 0

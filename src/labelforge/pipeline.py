@@ -107,8 +107,8 @@ def build_generators(
 
 
 def clear_outcome(out_dir: str) -> None:
-    """Remove the last run's ``manifest.json`` and ``error.json`` from ``out_dir``."""
-    for name in ("manifest.json", "error.json"):
+    """Remove the files that say how the last command into ``out_dir`` ended."""
+    for name in ("manifest.json", "error.json", "predictions.jsonl", "sweep.csv"):
         with suppress(FileNotFoundError, NotADirectoryError):  # an --out that is a file has none
             os.remove(os.path.join(out_dir, name))
 
@@ -198,9 +198,6 @@ def run_pipeline(
         if dataset.test:
             artifacts["predictions.jsonl"] = lambda fh: write_dist_rows(
                 fh, test_probs, [ex.doc.id for ex in dataset.test], dataset.labels, "pred")
-        else:  # an earlier run's predictions would read as this run's
-            with suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, "predictions.jsonl"))
         paths = {os.path.splitext(name)[0]: os.path.join(out_dir, name)
                  for name in (*artifacts, "manifest.json")}
         for name, write in artifacts.items():

@@ -437,6 +437,35 @@ def test_cmd_eval_into_an_out_under_a_file_fails_at_eval(run_env, tmp_path, caps
     assert err.startswith("stage 'eval' failed: ") and "error.json not written" in err
 
 
+def test_cmd_eval_into_an_out_that_is_a_directory_fails_at_eval(run_env, tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", run_env["config"], "--data", run_env["data"], "--out", out]) == 0
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    code = main(["eval", "--labels", os.path.join(out, "labels.jsonl"), "--data", run_env["data"],
+                 "--out", str(taken)])
+    assert code == 2 and taken.is_dir() and not os.listdir(taken)
+    assert json.load(open(tmp_path / "error.json"))["stage"] == "eval"
+    assert not (tmp_path / "taken.tmp").exists()
+
+
+def test_a_failed_eval_into_a_run_directory_leaves_the_run_as_it_was(run_env, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_into(run_env, out) == 0
+    names = sorted(os.listdir(out))
+    manifest = (out / "manifest.json").read_bytes()
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(json.dumps({"doc_id": 7, "dist": [1.0, 0.0], "covered": True}) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--labels", str(labels), "--data", run_env["data"],
+                 "--out", str(out / "eval.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("stage 'eval' failed: ")
+    assert sorted(os.listdir(out)) == names
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
 @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
 def test_gen_synth_into_an_out_that_is_a_file_fails_at_gen_synth(tmp_path, capsys, under):
     taken = tmp_path / "taken"
@@ -614,6 +643,27 @@ def test_sweep_records_a_run_directory_that_is_a_file_as_an_error(run_env, tmp_p
     assert capsys.readouterr().err.startswith("stage 'ingest' failed: ")
 
 
+def sweep_into(run_env, out, data=None):
+    return main(["sweep", "--config", run_env["config"], "--data", data or run_env["data"],
+                 "--out", str(out), "--param", "alpha", "--values", "0.5"])
+
+
+def test_a_failed_sweep_leaves_its_error_and_not_the_earlier_sweep_csv(run_env, tmp_path):
+    out = tmp_path / "sweep"
+    assert sweep_into(run_env, out) == 0 and (out / "sweep.csv").is_file()
+    assert sweep_into(run_env, out, str(tmp_path / "missing.jsonl")) == 2
+    assert json.load(open(out / "error.json"))["stage"] == "sweep"
+    assert not (out / "sweep.csv").exists()
+
+
+def test_a_finished_sweep_removes_an_earlier_error(run_env, tmp_path):
+    out = tmp_path / "sweep"
+    assert sweep_into(run_env, out, str(tmp_path / "missing.jsonl")) == 2
+    assert (out / "error.json").is_file()
+    assert sweep_into(run_env, out) == 0
+    assert not (out / "error.json").exists() and (out / "sweep.csv").is_file()
+
+
 def test_cmd_sweep_empty_values(run_env):
     out = os.path.join(run_env["root"], "sweep_empty")
     code = main(["sweep", "--config", run_env["config"], "--data", run_env["data"],
@@ -677,6 +727,13 @@ def test_gen_synth_negative_seed_fails_at_gen_synth(tmp_path):
     assert main(["gen-synth", "--out", str(out), "--seed", "-1"]) == 2
     assert json.load(open(out / "error.json"))["stage"] == "gen-synth"
     assert sorted(os.listdir(out)) == ["error.json"]
+
+
+def test_gen_synth_removes_an_earlier_error(tmp_path):
+    out = tmp_path / "synth"
+    assert main(["gen-synth", "--out", str(out), "--seed", "-1", "--kind", "separable"]) == 2
+    assert main(["gen-synth", "--out", str(out), "--seed", "2", "--kind", "separable"]) == 0
+    assert sorted(os.listdir(out)) == ["separable.jsonl"]
 
 
 @pytest.mark.parametrize("top", [5, None, [{}]], ids=["number", "null", "list"])

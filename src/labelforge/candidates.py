@@ -89,9 +89,9 @@ def fit_logistic(
     for _ in range(epochs):
         z = np.matmul(w, x_t)
         z += b_t
-        z -= z.max(axis=1, keepdims=True)
+        z -= np.maximum(z[:, :1], z[:, 1:]) if num_classes == 2 else z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
-        z /= class_major_sum(z)
+        z /= z[:, :1] + z[:, 1:] if num_classes == 2 else class_major_sum(z)  # as nets.softmax
         z -= onehot
         np.divide(z, n, out=err_t)
         w -= lr * (np.matmul(err_t, x) + l2 * w)

@@ -13,11 +13,15 @@ import numpy as np
 from .corpus import ROW_BLOCK
 
 
-# numpy reduces a short last axis with a generic loop once per row. Below 8 classes
-# and from 64 rows on, a chain of whole-column ops is faster and gives the same floats:
-# max is exact, and the sum keeps the order of numpy's pairwise sum (class_major_sum).
+# numpy reduces a short last axis with a generic loop once per row. Below 8 classes and from
+# 64 rows on, a chain of whole-column ops is faster and gives the same floats: max is exact,
+# and the sum keeps the order of numpy's pairwise sum (class_major_sum). Two classes take one
+# op at every row count: an exp is never -0.0, so the e0 + e1 of softmax (and fit_logistic's
+# class-major softmax) is numpy's (0.0 + e0) + e1.
 def class_max(z: np.ndarray) -> np.ndarray:
     """``z.max(axis=-1, keepdims=True)``, bit for bit."""
+    if z.shape[-1] == 2:
+        return np.maximum(z[..., :1], z[..., 1:])
     if not 0 < z.shape[-1] < 8 or z.size < 64 * z.shape[-1]:
         return z.max(axis=-1, keepdims=True)
     out = z[..., :1].copy()
@@ -65,7 +69,7 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     z = np.atleast_2d(z)
     e = np.subtract(z, class_max(z), out=out)
     np.exp(e, out=e)
-    return np.divide(e, class_sum(e), out=e)
+    return np.divide(e, e[..., :1] + e[..., 1:] if e.shape[-1] == 2 else class_sum(e), out=e)
 
 
 class MlpNet:
@@ -109,7 +113,12 @@ class MlpNet:
         Batches are slices of the permuted rows, gathered ``corpus.ROW_BLOCK // size``
         whole batches (at least one) at a time into one buffer. The gradients are
         views of one vector, like the parameters, so a step is one scale and one
-        subtraction, with the float operations of the plain step.
+        subtraction, with the float operations of the plain step. Its ReLU mask is a multiply,
+        ``dh *= h_pre > 0``, not ``np.putmask``'s branch per element, with the same weights: for
+        finite ``dh`` the two differ only in the sign of a masked zero, so at most in the sign
+        of a zero sum in ``gw1`` or ``gb1``, and ``theta - lr * g`` ignores that sign unless
+        ``theta`` holds -0.0. It never does: Glorot draws and the +0.0 biases hold none, and
+        ``x - y`` is -0.0 only when ``x`` is. A non-finite ``dh`` means the net is already NaN.
         """
         rows = np.arange(len(x)) if rows is None else rows
         n = len(rows)
@@ -141,7 +150,7 @@ class MlpNet:
                 np.matmul(h.T, dz2, out=gw2)
                 np.add.reduce(dz2, axis=0, out=gb2)
                 dh = dz2 @ self.w2.T
-                np.putmask(dh, h_pre <= 0, 0.0)
+                dh *= h_pre > 0
                 np.matmul(xb.T, dh, out=gw1)
                 np.add.reduce(dh, axis=0, out=gb1)
                 if l2:

@@ -128,6 +128,28 @@ def test_chunked_fit_equals_one_permuted_buffer_per_epoch(n, batch_size):
         assert_same_floats(got.theta, want.theta)
 
 
+# The reference masks with np.putmask, the fit multiplies: two classes and three; b1
+# shifted down so most units are dead and masked cells hold dh < 0; signed features;
+# l2 on and off; 101 rows, so every epoch ends on a short 5-row batch.
+@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("b1_shift", [0.0, -3.0])
+@pytest.mark.parametrize("features", ["nonnegative", "signed"])
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+def test_multiplied_relu_mask_fit_equals_putmask_reference(num_classes, b1_shift, features, l2):
+    rng = np.random.default_rng(num_classes)
+    x = rng.normal(size=(101, 21))
+    x = np.abs(x) if features == "nonnegative" else x - 0.5
+    targets = softmax(rng.normal(size=(101, num_classes)) * 3.0)
+    nets = [MlpNet(21, 16, num_classes, rng_seed=4) for _ in range(2)]
+    for net in nets:
+        net.b1 += b1_shift
+    dead = (x @ nets[0].w1 + nets[0].b1 <= 0).mean()
+    assert dead > 0.9 if b1_shift else 0.2 < dead < 0.8
+    got = nets[0].fit(x, targets, epochs=3, lr=0.5, batch_size=32, l2=l2, shuffle_seed=5)
+    want = reference_fit(nets[1], x, targets, 3, 0.5, 32, l2, 5, np.arange(101))
+    assert_same_floats(got.theta, want.theta)
+
+
 def test_fit_holds_a_chunk_of_rows_not_a_copy_of_the_table():
     import tracemalloc
 

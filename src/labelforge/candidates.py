@@ -18,7 +18,7 @@ from .corpus import Dataset
 from .errors import DegenerateSubsample, LabelForgeError
 from .features import table_blocks
 from .lf_core import ABSTAIN, EPS, Category, LabelFunction
-from .nets import MlpNet, class_major_sum, class_max, softmax
+from .nets import MlpNet, class_max, softmax
 
 # Largest stacked x one fit_logistic call trains on. A stack that outgrows the
 # L2 cache (2 MiB where measured) trains slower than its candidates one by one.
@@ -71,29 +71,38 @@ def fit_logistic(
     """Train k classifiers at once: x is (k, n, d), y (k, n), l2 a scalar or k values.
 
     Zero-initialized full-batch GD on cross-entropy + L2 (bias unpenalized).
-    Each epoch runs on the whole stack class-major: the logits are (k, C, n),
-    so the softmax works on one contiguous row per class, summed in numpy's
-    order for a row of classes (``class_major_sum``). The error goes into a
-    (k, n, C) buffer, which the backward product reads as it always has: a
-    class-major operand changes that product's bits at some widths. On the
-    SkylakeX kernel every classifier gets the weights a k = 1 fit of its own
-    slice in the (n, C) layout would; under Haswell, not for C = 3, 5 or 9.
+    Every classifier gets the weights a k = 1 fit of its own slice in the (n, C)
+    layout would. C classes other than 2 train in that layout: the forward
+    product fills the (k, n, C) error buffer, whose softmax is ``nets.softmax``.
+    Two classes run class-major: the logits are (k, 2, n), so each softmax
+    reduction is one op on two contiguous rows. The backward product reads the
+    (k, n, C) buffer in both cases: a class-major operand changes that
+    product's bits at some widths.
     """
     k, n, d = x.shape
+    two = num_classes == 2
     l2 = np.reshape(l2, (-1, 1, 1))
     w = np.zeros((k, num_classes, d))
     b = np.zeros((k, 1, num_classes))
-    onehot = (np.arange(num_classes)[:, None] == y[:, None]).astype(float)  # (k, C, n)
+    classes = np.arange(num_classes)
+    onehot = (classes[:, None] == y[:, None] if two else y[..., None] == classes).astype(float)
     err = np.empty((k, n, num_classes))
-    x_t, b_t, err_t = x.transpose(0, 2, 1), b.transpose(0, 2, 1), err.transpose(0, 2, 1)
+    x_t, b_t, w_t, err_t = (a.transpose(0, 2, 1) for a in (x, b, w, err))
     for _ in range(epochs):
-        z = np.matmul(w, x_t)
-        z += b_t
-        z -= np.maximum(z[:, :1], z[:, 1:]) if num_classes == 2 else z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z[:, :1] + z[:, 1:] if num_classes == 2 else class_major_sum(z)  # as nets.softmax
-        z -= onehot
-        np.divide(z, n, out=err_t)
+        if two:
+            z = np.matmul(w, x_t)
+            z += b_t
+            z -= np.maximum(z[:, :1], z[:, 1:])
+            np.exp(z, out=z)
+            z /= z[:, :1] + z[:, 1:]  # as nets.softmax
+            z -= onehot
+            np.divide(z, n, out=err_t)
+        else:
+            np.matmul(x, w_t, out=err)
+            err += b
+            softmax(err, out=err)
+            err -= onehot
+            err /= n
         w -= lr * (np.matmul(err_t, x) + l2 * w)
         # adds the n rows in order, as err.sum(axis=1) does, at half its cost
         b -= lr * np.add.accumulate(err, axis=1)[:, -1:]

@@ -209,7 +209,6 @@ class TfidfFeaturizer(Featurizer):
         tokens = list(self.token_ids)
         terms = [_term(code, self._base, tokens) for code in codes.tolist()]
         order = sorted(range(len(terms)), key=terms.__getitem__)
-        self.vocabulary = {terms[i]: col for col, i in enumerate(order)}
         self._codes = codes  # ascending; code self._codes[i] is column self._columns[i]
         self._columns = np.empty(len(codes), dtype=np.int64)
         self._columns[order] = np.arange(len(codes))

@@ -86,8 +86,8 @@ def evaluate_labeling(
         raise ValueError("evaluate_labeling needs at least one label")
     if not len(dists) == len(covered) == len(doc_ids):
         raise IdAlignment("label rows do not align with their doc ids")
-    missing = set(doc_ids) - set(gold)
-    if missing:
+    if not all(map(gold.__contains__, doc_ids)):
+        missing = {doc_id for doc_id in doc_ids if doc_id not in gold}
         raise IdAlignment(f"{len(missing)} labeled doc ids have no gold label")
     num_classes = dists.shape[1]
     pred = dists.argmax(axis=1)[covered]

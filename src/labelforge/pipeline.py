@@ -154,11 +154,9 @@ def run_pipeline(
 
     with _stage(seconds, "metrics"):
         labeling_report = None
-        gold_ids = set(dataset.unlabeled_gold)
-        if gold_ids and gold_ids == set(matrix.row_ids):
-            labeling_report = metrics_mod.evaluate_labeling(
-                dists, covered, matrix.row_ids, dataset.unlabeled_gold
-            )
+        gold, ids = dataset.unlabeled_gold, matrix.row_ids  # ingest keeps doc ids unique
+        if gold and len(gold) == len(ids) and all(map(gold.__contains__, ids)):
+            labeling_report = metrics_mod.evaluate_labeling(dists, covered, ids, gold)
 
     with _stage(seconds, "downstream"):
         net = train_downstream(dists, covered, end_featurizer, config)

@@ -26,6 +26,7 @@ from labelforge.exploitation import score_candidates
 from labelforge.features import build_featurizers
 from labelforge.lf_core import ABSTAIN, Category
 from labelforge.nets import MlpNet
+from test_head_oracle import run_in_child
 
 
 def separable_seed(n=10):
@@ -106,6 +107,11 @@ def fit_one(x, y, num_classes, **kw):
 @pytest.mark.parametrize("n,d", [(32, 21), (320, 64), (320, 374), (400, 378), (32, 374),
                                  (64, 2), (64, 9), (64, 378)])
 def test_stacked_fit_equals_per_candidate_reference(k, num_classes, n, d):
+    assert stacked_fit_equals_reference(k, num_classes, n, d)
+
+
+def stacked_fit_equals_reference(k, num_classes, n, d):
+    """Whether each of k stacked fits on random unit rows equals its own reference fit."""
     rng = np.random.default_rng(100 * k + 10 * num_classes + n)
     x = np.abs(rng.normal(size=(k, n, d)))
     x /= np.linalg.norm(x, axis=2, keepdims=True)
@@ -113,10 +119,28 @@ def test_stacked_fit_equals_per_candidate_reference(k, num_classes, n, d):
     l2 = [1e-3 * (i + 1) for i in range(k)]
     fitted = fit_logistic(x, y, num_classes, epochs=80, l2=l2)
     assert len(fitted) == k
-    for i, clf in enumerate(fitted):
-        w, b = reference_fit_logistic(x[i], y[i], num_classes, epochs=80, l2=l2[i])
-        assert np.array_equal(clf.weights, w)
-        assert np.array_equal(clf.bias, b)
+    references = [reference_fit_logistic(x[i], y[i], num_classes, epochs=80, l2=l2[i])
+                  for i in range(k)]
+    return all(np.array_equal(clf.weights, w) and np.array_equal(clf.bias, b)
+               for clf, (w, b) in zip(fitted, references))
+
+
+def stacked_fit_oracle():
+    """The (C, k, n, d) cases whose stacked fit differs from the reference."""
+    return [[c, k, n, d] for c in (2, 3, 5, 9) for k in (1, 3)
+            for n, d in ((32, 21), (320, 374), (64, 378))
+            if not stacked_fit_equals_reference(k, c, n, d)]
+
+
+def test_stacked_fit_equals_reference_on_haswell():
+    """The fit's bits must not depend on the BLAS kernel: the kernel an x86 host without
+    AVX-512 gets, forced in a child, gives the reference's weights too."""
+    result, core = run_in_child("test_candidates.stacked_fit_oracle",
+                                {"OPENBLAS_CORETYPE": "Haswell"})
+    if not core:
+        pytest.skip("the child's BLAS names no OpenBLAS core")
+    assert core == "Haswell"
+    assert result == []
 
 
 @pytest.mark.parametrize("shape", [(1, 320, 2), (4, 320, 2), (8, 32, 2), (1, 400, 5),

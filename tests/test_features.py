@@ -36,6 +36,13 @@ def index(docs, token_ids=None):
     return TokenIndex(list(docs), token_ids)
 
 
+def vocabulary(tfidf):
+    """A fitted TF-IDF featurizer's term -> column map, read from the codes its transforms use."""
+    tokens = list(tfidf.token_ids)
+    return {features_module._term(code, tfidf._base, tokens): col
+            for code, col in zip(tfidf._codes.tolist(), tfidf._columns.tolist())}
+
+
 def tfidf_rows(tfidf, docs):
     """The TF-IDF rows of docs indexed over the vocabulary the featurizer was fitted on."""
     return tfidf.transform_many(index(docs, tfidf.token_ids))
@@ -64,14 +71,14 @@ def test_tokenizer_basics():
 def test_idf_formula_hand_computed():
     # docs ["a b", "b c"]: df(b)=2, idf(b)=ln(3/3)+1=1.0
     tfidf = TfidfFeaturizer(index([doc("a b", "1"), doc("b c", "2")]), (1, 1), min_token_len=1)
-    assert tfidf.idf[tfidf.vocabulary["b"]] == pytest.approx(1.0)
-    assert tfidf.idf[tfidf.vocabulary["a"]] == pytest.approx(math.log(3 / 2) + 1)
+    assert tfidf.idf[vocabulary(tfidf)["b"]] == pytest.approx(1.0)
+    assert tfidf.idf[vocabulary(tfidf)["a"]] == pytest.approx(math.log(3 / 2) + 1)
 
 
 def test_idf_monotone_in_rarity():
     docs = [doc("x common", str(i)) for i in range(4)] + [doc("rare common", "r")]
     tfidf = TfidfFeaturizer(index(docs), (1, 1), min_token_len=1)
-    assert tfidf.idf[tfidf.vocabulary["common"]] < tfidf.idf[tfidf.vocabulary["rare"]]
+    assert tfidf.idf[vocabulary(tfidf)["common"]] < tfidf.idf[vocabulary(tfidf)["rare"]]
 
 
 def test_empty_vocabulary():
@@ -91,14 +98,14 @@ def test_transform_single_token_doc():
     tfidf = TfidfFeaturizer(index([doc("a b", "1"), doc("b c", "2")]), (1, 1), min_token_len=1)
     vec = tfidf_rows(tfidf, [doc("b b")])[0]
     nonzero = np.flatnonzero(vec)
-    assert list(nonzero) == [tfidf.vocabulary["b"]]
-    assert vec[tfidf.vocabulary["b"]] == pytest.approx(1.0)
+    assert list(nonzero) == [vocabulary(tfidf)["b"]]
+    assert vec[vocabulary(tfidf)["b"]] == pytest.approx(1.0)
 
 
 def test_bigram_vocabulary():
     tfidf = TfidfFeaturizer(index([doc("a b c", "1")]), (1, 2), min_token_len=1)
-    assert "a b" in tfidf.vocabulary
-    assert "b c" in tfidf.vocabulary
+    assert "a b" in vocabulary(tfidf)
+    assert "b c" in vocabulary(tfidf)
 
 
 def test_fit_permutation_invariant_as_weight_maps():
@@ -108,8 +115,8 @@ def test_fit_permutation_invariant_as_weight_maps():
     for d in docs:
         v1 = tfidf_rows(m1, [d])[0]
         v2 = tfidf_rows(m2, [d])[0]
-        w1 = {t: v1[i] for t, i in m1.vocabulary.items() if v1[i]}
-        w2 = {t: v2[i] for t, i in m2.vocabulary.items() if v2[i]}
+        w1 = {t: v1[i] for t, i in vocabulary(m1).items() if v1[i]}
+        w2 = {t: v2[i] for t, i in vocabulary(m2).items() if v2[i]}
         assert w1.keys() == w2.keys()
         for t in w1:
             assert w1[t] == pytest.approx(w2[t], abs=1e-12)
@@ -495,7 +502,7 @@ def test_tfidf_drops_tokens_below_the_length_floor():
     d = doc("a bb a cc")
     assert tokenize(d.text) == ("a", "bb", "a", "cc")
     tfidf = TfidfFeaturizer(index([d]), (1, 2))
-    assert sorted(tfidf.vocabulary) == ["bb", "bb cc", "cc"]
+    assert sorted(vocabulary(tfidf)) == ["bb", "bb cc", "cc"]
 
 
 def test_build_featurizers_fits_each_once_and_describes_them():
@@ -607,7 +614,7 @@ def test_split_tables_equal_the_per_doc_reference(ngram_range, row_block, monkey
     )
     feat = TfidfFeaturizer(dataset.pool_index, ngram_range).build_tables(dataset)
     ref = PerDocTfidf(pool, ngram_range)
-    assert feat.vocabulary == ref.vocabulary
+    assert vocabulary(feat) == ref.vocabulary
     assert np.array_equal(feat.idf, ref.idf)
     test_index = dataset.test_index
     assert test_index.token_ids is dataset.pool_index.token_ids is feat.token_ids

@@ -101,9 +101,11 @@ def oracle() -> dict:
     return out
 
 
-def run_in_child(env_extra: dict) -> tuple[dict, str]:
+def run_in_child(oracle: str, env_extra: dict) -> tuple[object, str]:
+    """Call ``oracle`` ("module.function" of a test module) in a child with ``env_extra``
+    set: its JSON result, and the BLAS core the child's OpenBLAS names ("" for another BLAS)."""
     code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-            "import test_head_oracle; print(json.dumps(test_head_oracle.oracle()))")
+            f"import {oracle.split('.')[0]}; print(json.dumps({oracle}()))")
     env = dict(os.environ, OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1", **env_extra)
     done = subprocess.run(
         [sys.executable, "-c", code, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")],
@@ -117,7 +119,8 @@ def run_in_child(env_extra: dict) -> tuple[dict, str]:
 
 @pytest.mark.parametrize("coretype", ["default", "Haswell"])
 def test_head_oracle_in_a_child(coretype):
-    result, core = run_in_child({} if coretype == "default" else {"OPENBLAS_CORETYPE": coretype})
+    env_extra = {} if coretype == "default" else {"OPENBLAS_CORETYPE": coretype}
+    result, core = run_in_child("test_head_oracle.oracle", env_extra)
     if coretype == "Haswell":
         assert core == "Haswell"
     assert result["grid_tops"] == 2 * 3 * 3 * 2  # C = 2 and 5, three k, three sizes, both kinds

@@ -481,12 +481,29 @@ def test_gen_synth_into_an_out_that_is_a_file_fails_at_gen_synth(tmp_path, capsy
 
 def test_cmd_eval_misaligned_ids(run_env, tmp_path):
     labels_path = str(tmp_path / "labels.jsonl")
+    known = json.loads(open(run_env["data"]).readline())["id"]
     with open(labels_path, "w") as fh:
-        fh.write(json.dumps({"doc_id": "unknown-id", "dist": [1.0, 0.0],
-                             "covered": True, "hard": "neg"}) + "\n")
+        for doc_id in ("unknown-id", known, "unknown-too"):
+            fh.write(json.dumps({"doc_id": doc_id, "dist": [1.0, 0.0],
+                                 "covered": True, "hard": "neg"}) + "\n")
     code = main(["eval", "--labels", labels_path, "--data", run_env["data"],
                  "--out", str(tmp_path / "out.json")])
     assert code == 3
+    error = json.load(open(tmp_path / "error.json"))
+    assert error == {"stage": "eval", "error": "2 labeled doc ids have no gold label"}
+
+
+def test_run_with_partial_pool_gold_skips_the_labeling_report(tmp_path):
+    dataset = make_separable_corpus(3, n_unlabeled=300, n_seed=30, n_test=80)
+    del dataset.unlabeled_gold[dataset.unlabeled[0].id]
+    data_path, config_path = str(tmp_path / "partial.jsonl"), str(tmp_path / "config.json")
+    save_dataset(dataset, data_path)
+    write_config(small_config(), config_path)
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", config_path, "--data", data_path, "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert report["labeling_report"] is None and report["coverage"] is None
+    assert report["e2e_f1"] is not None
 
 
 def test_cmd_eval_rejects_labels_written_in_another_class_order(run_env, tmp_path):
